@@ -60,12 +60,15 @@ cache-sweep-smoke:
 # The surrogate-steering acceptance bound, end to end. Leg 1 runs the
 # steered-sweep benchmark and gates it: <=20% of grid lanes replayed
 # (prune factor >= 5x), every predicted lane within 1% CPI of the golden
-# full fused study, replayed lanes bit-identical. Leg 2 drives the same
-# contract through the CLI's --max-err/--check path. Steering is
-# deterministic, so this never flakes.
+# full fused study, replayed lanes bit-identical. Legs 2 and 3 drive the
+# same contract through the CLI's --max-err/--check path: 183.equake
+# settles in one round; 400.perlbench takes ~27 rounds of refits and
+# 5-lane sub-batches, each replayed in the pooled fused scratch. Steering
+# is deterministic, so this never flakes.
 surrogate-smoke:
 	dune exec bench/surrogate.exe
 	$(CLI) sweep 183.equake --scale 1 --max-err 1.0 --check
+	$(CLI) sweep 400.perlbench --scale 1 --max-err 1.0 --check
 
 # Tiny cold campaign with both observability artifacts; asserts the metric
 # scrape accounts for every computed job and that a trace was written.

@@ -518,6 +518,9 @@ let sweep_cmd =
             (Array.length s.Pi_uarch.Sweep.points - s.Pi_uarch.Sweep.replayed_lanes)
             s.Pi_uarch.Sweep.surrogate_rounds s.Pi_uarch.Sweep.surrogate_max_abs_err
             s.Pi_uarch.Sweep.surrogate_mean_abs_err;
+        if Option.is_some surrogate then
+          Printf.printf "surrogate time: %.3fs replay, %.3fs model\n"
+            s.Pi_uarch.Sweep.grid_seconds s.Pi_uarch.Sweep.model_seconds;
         Printf.printf "regression over 145 imperfect configurations: %s\n"
           (Format.asprintf "%a" Linreg.pp s.Pi_uarch.Sweep.regression);
         Printf.printf "perfect:  actual CPI %.4f, extrapolated %.4f (error %.2f%%)\n"
@@ -544,6 +547,8 @@ let sweep_cmd =
                ("replayed_lanes", float_of_int s.Pi_uarch.Sweep.replayed_lanes);
                ("surrogate_max_abs_err", s.Pi_uarch.Sweep.surrogate_max_abs_err);
                ("surrogate_mean_abs_err", s.Pi_uarch.Sweep.surrogate_mean_abs_err);
+               ("replay_seconds", s.Pi_uarch.Sweep.grid_seconds);
+               ("model_seconds", s.Pi_uarch.Sweep.model_seconds);
              ]
            else []
          in
@@ -643,6 +648,9 @@ let sweep_cmd =
             s.Pi_uarch.Sweep.cache_surrogate_rounds
             s.Pi_uarch.Sweep.cache_surrogate_max_abs_err
             s.Pi_uarch.Sweep.cache_surrogate_mean_abs_err;
+        if Option.is_some surrogate then
+          Printf.printf "surrogate time: %.3fs replay, %.3fs model\n"
+            s.Pi_uarch.Sweep.cache_grid_seconds s.Pi_uarch.Sweep.cache_model_seconds;
         Printf.printf "degradation model over 99 degraded geometries: %s\n"
           (Format.asprintf "%a" Pi_stats.Multireg.pp s.Pi_uarch.Sweep.degradation);
         let seed_pt = s.Pi_uarch.Sweep.seed_point in
@@ -668,6 +676,8 @@ let sweep_cmd =
                ("replayed_lanes", float_of_int s.Pi_uarch.Sweep.cache_replayed_lanes);
                ("surrogate_max_abs_err", s.Pi_uarch.Sweep.cache_surrogate_max_abs_err);
                ("surrogate_mean_abs_err", s.Pi_uarch.Sweep.cache_surrogate_mean_abs_err);
+               ("replay_seconds", s.Pi_uarch.Sweep.cache_grid_seconds);
+               ("model_seconds", s.Pi_uarch.Sweep.cache_model_seconds);
              ]
            else []
          in

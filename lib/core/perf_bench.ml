@@ -581,6 +581,8 @@ type surrogate_result = {
   sur_predicted_max_err : float;  (* predicted lanes vs golden CPI, percent *)
   sur_full_seconds : float;  (* best-of-N full fused study *)
   sur_steered_seconds : float;  (* best-of-N steered study, fits included *)
+  sur_replay_seconds : float;  (* that study's time in fused replay *)
+  sur_model_seconds : float;  (* that study's steering time outside replay *)
   sur_speedup : float;  (* full_seconds / steered_seconds *)
   sur_replayed_identical : bool;  (* replayed lanes = golden lanes, bitwise *)
   sur_within_tolerance : bool;  (* predicted_max_err <= max_err_percent *)
@@ -657,6 +659,8 @@ let run_surrogate ?(bench = "183.equake") ?(scale = 2) ?(max_err = 1.0) () =
     sur_predicted_max_err = !predicted_max;
     sur_full_seconds = full_seconds;
     sur_steered_seconds = steered_seconds;
+    sur_replay_seconds = steered.Sweep.grid_seconds;
+    sur_model_seconds = steered.Sweep.model_seconds;
     sur_speedup =
       (if steered_seconds > 0.0 then full_seconds /. steered_seconds else 0.0);
     sur_replayed_identical = !replayed_identical;
@@ -680,6 +684,8 @@ let surrogate_to_json r =
       Printf.sprintf "  \"predicted_cpi_max_err\": %.4f," r.sur_predicted_max_err;
       Printf.sprintf "  \"full_seconds\": %.6f," r.sur_full_seconds;
       Printf.sprintf "  \"steered_seconds\": %.6f," r.sur_steered_seconds;
+      Printf.sprintf "  \"replay_seconds\": %.6f," r.sur_replay_seconds;
+      Printf.sprintf "  \"model_seconds\": %.6f," r.sur_model_seconds;
       Printf.sprintf "  \"speedup\": %.3f," r.sur_speedup;
       Printf.sprintf "  \"replayed_identical\": %b," r.sur_replayed_identical;
       Printf.sprintf "  \"within_tolerance\": %b" r.sur_within_tolerance;
@@ -699,12 +705,13 @@ let surrogate_summary r =
     "%s scale %d steered sweep (max-err %.2f%%): %d/%d lanes replayed (%d pruned, \
      %.1fx), %d rounds\n\
      predicted CPI err vs golden: max %.3f%%   holdout: max %.3f%% mean %.3f%%\n\
-     full study: %.2fs   steered: %.2fs (%.2fx)   replayed lanes identical: %b   \
-     within tolerance: %b"
+     full study: %.2fs   steered: %.2fs (%.2fx; %.2fs replay, %.2fs model)   \
+     replayed lanes identical: %b   within tolerance: %b"
     r.sur_bench r.sur_scale r.sur_max_err_percent r.sur_replayed_lanes
     r.sur_grid_configs r.sur_pruned_lanes r.sur_prune_factor r.sur_rounds
     r.sur_predicted_max_err r.sur_holdout_max_err r.sur_holdout_mean_err
-    r.sur_full_seconds r.sur_steered_seconds r.sur_speedup r.sur_replayed_identical
+    r.sur_full_seconds r.sur_steered_seconds r.sur_speedup r.sur_replay_seconds
+    r.sur_model_seconds r.sur_replayed_identical
     r.sur_within_tolerance
 
 let surrogate_failures ~gate r =
@@ -771,4 +778,6 @@ let surrogate_history_metrics r =
     ("surrogate_predicted_cpi_max_err", r.sur_predicted_max_err);
     ("surrogate_holdout_max_abs_err", r.sur_holdout_max_err);
     ("surrogate_speedup", r.sur_speedup);
+    ("surrogate_replay_seconds", r.sur_replay_seconds);
+    ("surrogate_model_seconds", r.sur_model_seconds);
   ]

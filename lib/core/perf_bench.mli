@@ -175,6 +175,8 @@ type surrogate_result = {
           percent — the acceptance bound *)
   sur_full_seconds : float;  (** best-of-3 full fused study wall time *)
   sur_steered_seconds : float;  (** best-of-3 steered study, fits included *)
+  sur_replay_seconds : float;  (** that study's time in fused replay *)
+  sur_model_seconds : float;  (** that study's steering time outside replay *)
   sur_speedup : float;  (** [full_seconds / steered_seconds] *)
   sur_replayed_identical : bool;
       (** every replayed lane bit-identical to the golden study *)

@@ -52,47 +52,107 @@ let scaler_inverse s z =
 
 type ridge = { weights : float array; bias : float; lambda_used : float }
 
+(* One float workspace serves every ridge solve of a fit: the normal
+   equations [rw_a] (upper triangle, row-major [d x d]) and the Cholesky
+   factor [rw_l] (lower triangle). Nothing in it outlives a solve, so the
+   members of one ensemble reuse it back to back. *)
+type ridge_ws = { rw_d : int; rw_a : float array; rw_l : float array }
+
+let ridge_ws d = { rw_d = d; rw_a = Array.make (d * d) 0.0; rw_l = Array.make (d * d) 0.0 }
+
+(* Cholesky factor of [A + shift I] into [l], where [A] is read from the
+   upper triangle of [a]: the same operations in the same order as
+   {!Matrix.cholesky} on the mirrored matrix. False where a pivot is not
+   positive. *)
+let cholesky_into a l d shift =
+  match
+    for i = 0 to d - 1 do
+      for j = 0 to i do
+        let s = ref (if i = j then a.((i * d) + i) +. shift else a.((j * d) + i)) in
+        for k = 0 to j - 1 do
+          s := !s -. (l.((i * d) + k) *. l.((j * d) + k))
+        done;
+        if i = j then begin
+          if !s <= 0.0 then raise_notrace Exit;
+          l.((i * d) + j) <- sqrt !s
+        end
+        else l.((i * d) + j) <- !s /. l.((j * d) + j)
+      done
+    done
+  with
+  | () -> true
+  | exception Exit -> false
+
 (* Condition estimate from the Cholesky factor: diag(L) are the square
    roots of the pivots, so (max/min)^2 tracks the spectral condition
    number closely enough to decide when to shrink harder. *)
-let cholesky_condition l p =
+let cholesky_condition l d =
   let mx = ref 0.0 and mn = ref infinity in
-  for i = 0 to p - 1 do
-    let d = Matrix.get l i i in
-    if d > !mx then mx := d;
-    if d < !mn then mn := d
+  for i = 0 to d - 1 do
+    let v = l.((i * d) + i) in
+    if v > !mx then mx := v;
+    if v < !mn then mn := v
   done;
   if !mn <= 0.0 then infinity else (!mx /. !mn) ** 2.0
 
-let ridge_fit ?(lambda = 1e-4) xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Surrogate.ridge_fit: length mismatch";
-  if n = 0 then invalid_arg "Surrogate.ridge_fit: empty";
-  let d = Array.length xs.(0) in
+(* Forward then back substitution through [l], as {!Matrix.solve_cholesky}. *)
+let solve_into l d b =
+  let y = Array.make d 0.0 in
+  for i = 0 to d - 1 do
+    let s = ref b.(i) in
+    for k = 0 to i - 1 do
+      s := !s -. (l.((i * d) + k) *. y.(k))
+    done;
+    y.(i) <- !s /. l.((i * d) + i)
+  done;
+  let x = Array.make d 0.0 in
+  for i = d - 1 downto 0 do
+    let s = ref y.(i) in
+    for k = i + 1 to d - 1 do
+      s := !s -. (l.((k * d) + i) *. x.(k))
+    done;
+    x.(i) <- !s /. l.((i * d) + i)
+  done;
+  x
+
+(* Ridge over the rows [xs.(rows.(p))] with targets [ys.(p)]. *)
+let ridge_rows ws ~lambda xs rows ys =
+  let d = ws.rw_d in
   if d = 0 then invalid_arg "Surrogate.ridge_fit: no features";
-  let nf = float_of_int n in
+  let m = Array.length rows in
+  let nf = float_of_int m in
   (* Center so the intercept is not penalized. *)
   let x_mean = Array.make d 0.0 in
-  Array.iter
-    (fun row ->
-      if Array.length row <> d then invalid_arg "Surrogate.ridge_fit: ragged rows";
-      Array.iteri (fun j v -> x_mean.(j) <- x_mean.(j) +. v) row)
-    xs;
-  Array.iteri (fun j s -> x_mean.(j) <- s /. nf) x_mean;
-  let y_mean = Array.fold_left ( +. ) 0.0 ys /. nf in
-  (* Normal equations on centered data. *)
-  let a0 = Matrix.create ~rows:d ~cols:d in
-  let b = Array.make d 0.0 in
-  for i = 0 to n - 1 do
-    let row = xs.(i) in
-    let yc = ys.(i) -. y_mean in
+  for p = 0 to m - 1 do
+    let row = xs.(rows.(p)) in
+    if Array.length row <> d then invalid_arg "Surrogate.ridge_fit: ragged rows";
     for j = 0 to d - 1 do
-      let xj = row.(j) -. x_mean.(j) in
+      x_mean.(j) <- x_mean.(j) +. row.(j)
+    done
+  done;
+  for j = 0 to d - 1 do
+    x_mean.(j) <- x_mean.(j) /. nf
+  done;
+  let y_sum = ref 0.0 in
+  for p = 0 to m - 1 do
+    y_sum := !y_sum +. ys.(p)
+  done;
+  let y_mean = !y_sum /. nf in
+  (* Normal equations on centered data, upper triangle only. *)
+  let a = ws.rw_a and b = Array.make d 0.0 and xc = Array.make d 0.0 in
+  Array.fill a 0 (d * d) 0.0;
+  for p = 0 to m - 1 do
+    let row = xs.(rows.(p)) in
+    let yc = ys.(p) -. y_mean in
+    for j = 0 to d - 1 do
+      xc.(j) <- row.(j) -. x_mean.(j)
+    done;
+    for j = 0 to d - 1 do
+      let xj = xc.(j) in
       b.(j) <- b.(j) +. (xj *. yc);
+      let o = j * d in
       for k = j to d - 1 do
-        let v = Matrix.get a0 j k +. (xj *. (row.(k) -. x_mean.(k))) in
-        Matrix.set a0 j k v;
-        if k <> j then Matrix.set a0 k j v
+        a.(o + k) <- a.(o + k) +. (xj *. xc.(k))
       done
     done
   done;
@@ -100,33 +160,31 @@ let ridge_fit ?(lambda = 1e-4) xs ys =
      shrinkage is invariant to feature scale. *)
   let trace = ref 0.0 in
   for j = 0 to d - 1 do
-    trace := !trace +. Matrix.get a0 j j
+    trace := !trace +. a.((j * d) + j)
   done;
   let diag_unit = Float.max (!trace /. float_of_int d) 1e-30 in
   let rec solve lam attempt =
-    let a = Matrix.create ~rows:d ~cols:d in
-    for j = 0 to d - 1 do
-      for k = 0 to d - 1 do
-        Matrix.set a j k (Matrix.get a0 j k)
-      done;
-      Matrix.set a j j (Matrix.get a0 j j +. (lam *. diag_unit))
-    done;
     let escalate () =
       if attempt >= 8 then
         invalid_arg "Surrogate.ridge_fit: normal equations unsolvable (escalation cap)"
       else solve (Float.max (lam *. 10.0) 1e-10) (attempt + 1)
     in
-    match Matrix.cholesky a with
-    | exception Failure _ -> escalate ()
-    | l ->
-        if cholesky_condition l d > 1e10 then escalate ()
-        else (Matrix.solve_cholesky l b, lam)
+    if not (cholesky_into a ws.rw_l d (lam *. diag_unit)) then escalate ()
+    else if cholesky_condition ws.rw_l d > 1e10 then escalate ()
+    else (solve_into ws.rw_l d b, lam)
   in
   let weights, lambda_used = solve lambda 0 in
-  let bias =
-    y_mean -. Array.fold_left ( +. ) 0.0 (Array.mapi (fun j w -> w *. x_mean.(j)) weights)
-  in
-  { weights; bias; lambda_used }
+  let wm = ref 0.0 in
+  for j = 0 to d - 1 do
+    wm := !wm +. (weights.(j) *. x_mean.(j))
+  done;
+  { weights; bias = y_mean -. !wm; lambda_used }
+
+let ridge_fit ?(lambda = 1e-4) xs ys =
+  let n = Array.length xs in
+  if n <> Array.length ys then invalid_arg "Surrogate.ridge_fit: length mismatch";
+  if n = 0 then invalid_arg "Surrogate.ridge_fit: empty";
+  ridge_rows (ridge_ws (Array.length xs.(0))) ~lambda xs (Array.init n Fun.id) ys
 
 let ridge_predict r x =
   if Array.length x <> Array.length r.weights then
@@ -139,64 +197,120 @@ let ridge_predict r x =
 
 type stump = { feat : int; thresh : float; left : float; right : float }
 
-(* Best single stump for the current residual, by exact SSE over midpoint
-   thresholds of every feature. O(d n log n); n is tens here. *)
-let best_stump xs res =
-  let n = Array.length xs in
-  let d = Array.length xs.(0) in
-  let total = Array.fold_left ( +. ) 0.0 res in
-  let best = ref None in
-  let best_gain = ref 1e-12 in
+(* Feature columns of [m] rows, each in ascending (value, position) order:
+   [ord.(j*m + k)] is the position (into the caller's row list) of the
+   k-th smallest value of feature [j], and [vals.(j*m + k)] that value.
+   The columns never change while a model trains, so one sort per fit
+   serves every boosting round. *)
+type presorted = { ps_m : int; ps_d : int; ord : int array; vals : float array }
+
+let presort xs rows =
+  let m = Array.length rows in
+  let d = if m = 0 then 0 else Array.length xs.(rows.(0)) in
+  let ord = Array.make (d * m) 0 and vals = Array.make (d * m) 0.0 in
   for j = 0 to d - 1 do
-    let order = Array.init n (fun i -> i) in
+    let order = Array.init m Fun.id in
     Array.sort
       (fun a b ->
-        let c = compare xs.(a).(j) xs.(b).(j) in
+        let c = Float.compare xs.(rows.(a)).(j) xs.(rows.(b)).(j) in
         if c <> 0 then c else compare a b)
       order;
-    (* Prefix sums over the sorted order: left = first k points. *)
-    let sum = ref 0.0 in
-    for k = 0 to n - 2 do
-      let i = order.(k) in
-      sum := !sum +. res.(i);
-      let xa = xs.(i).(j) and xb = xs.(order.(k + 1)).(j) in
-      if xb > xa then begin
-        let nl = float_of_int (k + 1) and nr = float_of_int (n - k - 1) in
-        let sl = !sum and sr = total -. !sum in
-        (* SSE reduction of replacing one mean with two. *)
-        let gain =
-          (sl *. sl /. nl) +. (sr *. sr /. nr) -. (total *. total /. float_of_int n)
-        in
-        if gain > !best_gain +. 1e-15 then begin
-          best_gain := gain;
-          best :=
-            Some { feat = j; thresh = (xa +. xb) /. 2.0; left = sl /. nl; right = sr /. nr }
-        end
+    Array.iteri
+      (fun k p ->
+        ord.((j * m) + k) <- p;
+        vals.((j * m) + k) <- xs.(rows.(p)).(j))
+      order
+  done;
+  { ps_m = m; ps_d = d; ord; vals }
+
+(* The presort of a row subset, written into [into]'s buffers: dropping
+   the rows with [keep.(p) < 0] and renumbering the rest to [keep.(p)]
+   preserves their relative order, and positions are renumbered
+   monotonically, so this equals sorting the subset itself. *)
+let presort_subset ps keep ~m ~into =
+  let n = ps.ps_m in
+  for j = 0 to ps.ps_d - 1 do
+    let k = ref (j * m) in
+    for q = j * n to (j * n) + n - 1 do
+      let p' = keep.(ps.ord.(q)) in
+      if p' >= 0 then begin
+        into.ord.(!k) <- p';
+        into.vals.(!k) <- ps.vals.(q);
+        incr k
       end
     done
   done;
-  !best
+  { into with ps_m = m }
+
+(* Best single stump for the current residual (indexed by row position),
+   by exact SSE over midpoint thresholds of every feature. O(d m) per
+   call on the presorted columns. *)
+let best_stump ps res =
+  let m = ps.ps_m in
+  let total = ref 0.0 in
+  for p = 0 to m - 1 do
+    total := !total +. res.(p)
+  done;
+  let total = !total in
+  let base = total *. total /. float_of_int m in
+  let ord = ps.ord and vals = ps.vals in
+  let best_gain = ref 1e-12 and best_feat = ref (-1) in
+  let best_thresh = ref 0.0 and best_left = ref 0.0 and best_right = ref 0.0 in
+  for j = 0 to ps.ps_d - 1 do
+    let o = j * m in
+    (* A constant column has no midpoint to split on. *)
+    if m > 1 && vals.(o) <> vals.(o + m - 1) then begin
+      (* Prefix sums over the sorted order: left = first k+1 points. *)
+      let sum = ref 0.0 in
+      for k = 0 to m - 2 do
+        sum := !sum +. res.(ord.(o + k));
+        let xa = vals.(o + k) and xb = vals.(o + k + 1) in
+        if xb > xa then begin
+          let nl = float_of_int (k + 1) and nr = float_of_int (m - k - 1) in
+          let sl = !sum and sr = total -. !sum in
+          (* SSE reduction of replacing one mean with two. *)
+          let gain = (sl *. sl /. nl) +. (sr *. sr /. nr) -. base in
+          if gain > !best_gain +. 1e-15 then begin
+            best_gain := gain;
+            best_feat := j;
+            best_thresh := (xa +. xb) /. 2.0;
+            best_left := sl /. nl;
+            best_right := sr /. nr
+          end
+        end
+      done
+    end
+  done;
+  if !best_feat < 0 then None
+  else Some { feat = !best_feat; thresh = !best_thresh; left = !best_left; right = !best_right }
 
 let stump_eval s x = if x.(s.feat) <= s.thresh then s.left else s.right
 
-let boost_fit ?(rounds = 24) ?(rate = 0.5) xs ys =
-  let n = Array.length ys in
-  if n = 0 || Array.length xs <> n then invalid_arg "Surrogate.boost_fit: bad input";
+(* Boosting over the rows [xs.(rows.(p))], targets [ys.(p)], with [ps]
+   their presort. *)
+let boost_rows ~rounds ~rate xs rows ps ys =
+  let m = Array.length ys in
   let res = Array.copy ys in
   let acc = ref [] in
   (try
      for _ = 1 to rounds do
-       match best_stump xs res with
-       | None -> raise Exit
+       match best_stump ps res with
+       | None -> raise_notrace Exit
        | Some s ->
            let s = { s with left = s.left *. rate; right = s.right *. rate } in
            acc := s :: !acc;
-           for i = 0 to n - 1 do
-             res.(i) <- res.(i) -. stump_eval s xs.(i)
+           for p = 0 to m - 1 do
+             res.(p) <- res.(p) -. stump_eval s xs.(rows.(p))
            done
      done
    with Exit -> ());
   Array.of_list (List.rev !acc)
+
+let boost_fit ?(rounds = 24) ?(rate = 0.5) xs ys =
+  let n = Array.length ys in
+  if n = 0 || Array.length xs <> n then invalid_arg "Surrogate.boost_fit: bad input";
+  let rows = Array.init n Fun.id in
+  boost_rows ~rounds ~rate xs rows (presort xs rows) ys
 
 let boost_predict stumps x =
   Array.fold_left (fun acc s -> acc +. stump_eval s x) 0.0 stumps
@@ -205,11 +319,12 @@ let boost_predict stumps x =
 
 type member = { m_ridge : ridge; m_stumps : stump array }
 
-let member_fit ~lambda ~boost_rounds zs ys =
-  let r = ridge_fit ~lambda zs ys in
-  let res = Array.mapi (fun i z -> ys.(i) -. ridge_predict r z) zs in
+let member_fit ws ~lambda ~boost_rounds zs rows ps ys =
+  let r = ridge_rows ws ~lambda zs rows ys in
+  let res = Array.mapi (fun p y -> y -. ridge_predict r zs.(rows.(p))) ys in
   let stumps =
-    if boost_rounds > 0 && Array.length ys >= 4 then boost_fit ~rounds:boost_rounds zs res
+    if boost_rounds > 0 && Array.length ys >= 4 then
+      boost_rows ~rounds:boost_rounds ~rate:0.5 zs rows ps res
     else [||]
   in
   { m_ridge = r; m_stumps = stumps }
@@ -238,7 +353,10 @@ let fit ?(lambda = 1e-4) ?(boost_rounds = 24) ?(folds = 5) xs ys =
   if Array.length ys <> n then invalid_arg "Surrogate.fit: length mismatch";
   let sc = scaler_fit xs in
   let zs = Array.map (scaler_transform sc) xs in
-  let full = member_fit ~lambda ~boost_rounds zs ys in
+  let ws = ridge_ws (Array.length zs.(0)) in
+  let all = Array.init n Fun.id in
+  let ps = presort zs all in
+  let full = member_fit ws ~lambda ~boost_rounds zs all ps ys in
   let fallback_sigma =
     let ss =
       Array.fold_left ( +. ) 0.0
@@ -262,27 +380,34 @@ let fit ?(lambda = 1e-4) ?(boost_rounds = 24) ?(folds = 5) xs ys =
     }
   else begin
     (* Deterministic round-robin folds: point i belongs to fold (i mod k),
-       so the held-out slices interleave any ordering the caller used. *)
+       so the held-out slices interleave any ordering the caller used.
+       Members train one after another, so they share one presort buffer. *)
     let oof = Array.make n 0.0 in
+    let keep = Array.make n (-1) in
+    let buf = { ps with ord = Array.copy ps.ord; vals = Array.copy ps.vals } in
     let members =
       Array.init nfolds (fun k ->
-          let keep = ref [] and keep_y = ref [] in
-          for i = n - 1 downto 0 do
+          let m = ref 0 in
+          for i = 0 to n - 1 do
             if i mod nfolds <> k then begin
-              keep := zs.(i) :: !keep;
-              keep_y := ys.(i) :: !keep_y
+              keep.(i) <- !m;
+              incr m
             end
+            else keep.(i) <- -1
           done;
-          let m =
-            member_fit ~lambda ~boost_rounds (Array.of_list !keep) (Array.of_list !keep_y)
+          let rows = Array.make !m 0 in
+          Array.iteri (fun i p -> if p >= 0 then rows.(p) <- i) keep;
+          let ps_k = presort_subset ps keep ~m:!m ~into:buf in
+          let mb =
+            member_fit ws ~lambda ~boost_rounds zs rows ps_k (Array.map (fun i -> ys.(i)) rows)
           in
           for i = 0 to n - 1 do
-            if i mod nfolds = k then oof.(i) <- ys.(i) -. member_predict m zs.(i)
+            if i mod nfolds = k then oof.(i) <- ys.(i) -. member_predict mb zs.(i)
           done;
-          m)
+          mb)
     in
     let abs_sorted = Array.map Float.abs oof in
-    Array.sort compare abs_sorted;
+    Array.sort Float.compare abs_sorted;
     {
       t_scaler = sc;
       full;
@@ -355,6 +480,41 @@ let sample_order ?(anchors = [ 0 ]) xs =
     done;
     Array.of_list (List.rev !order)
   end
+
+(* ---------------- Nearest neighbours ---------------- *)
+
+let nearest zs ks z ~dist ~idx =
+  let k = min (Array.length idx) (Array.length dist) in
+  let d = Array.length z in
+  (* [(d2, j)] precedes slot [q] in the tuple order [compare] gives. *)
+  let before d2 j q =
+    let c = Float.compare d2 dist.(q) in
+    c < 0 || (c = 0 && j < idx.(q))
+  in
+  let count = ref 0 in
+  Array.iter
+    (fun j ->
+      let row = zs.(j) in
+      let d2 = ref 0.0 in
+      for f = 0 to d - 1 do
+        let dv = z.(f) -. row.(f) in
+        d2 := !d2 +. (dv *. dv)
+      done;
+      let d2 = !d2 in
+      if !count < k || (k > 0 && before d2 j (k - 1)) then begin
+        (* Insertion into the sorted prefix; when full, the last slot drops. *)
+        let q = ref (if !count < k then !count else k - 1) in
+        while !q > 0 && before d2 j (!q - 1) do
+          dist.(!q) <- dist.(!q - 1);
+          idx.(!q) <- idx.(!q - 1);
+          decr q
+        done;
+        dist.(!q) <- d2;
+        idx.(!q) <- j;
+        if !count < k then incr count
+      end)
+    ks;
+  !count
 
 (* ---------------- Feature extraction ---------------- *)
 

@@ -9,7 +9,7 @@
     prune the rest of the grid, replaying only where the model is
     uncertain.
 
-    Pure OCaml on top of {!Matrix}; no external dependencies. Everything
+    Pure OCaml; no external dependencies. Everything
     here is deterministic: no RNG, ties broken by lowest index, so a
     steered sweep is reproducible run to run. *)
 
@@ -89,7 +89,10 @@ val fit :
   t
 (** [fit xs ys] with at least 2 points. [folds] defaults to 5 (clamped to
     [n]); with fewer than 4 points the ensemble degenerates and
-    uncertainty falls back to the full-fit residual RMS. *)
+    uncertainty falls back to the full-fit residual RMS. Each feature
+    column is sorted once per fit and every ridge solve of the ensemble
+    shares one float workspace, so a fit costs O(d n log n) to presort
+    plus O(folds (n d^2 + rounds n d)) to train. *)
 
 val predict : t -> float array -> float
 
@@ -119,6 +122,18 @@ val sample_order : ?anchors:int list -> float array array -> int array
     ignored), then repeatedly appends the point farthest from everything
     chosen so far, ties to the lowest index. Deterministic — the seeded
     subset of a steered sweep is the same on every run. *)
+
+(** {1 Nearest neighbours} *)
+
+val nearest :
+  float array array -> int array -> float array -> dist:float array -> idx:int array -> int
+(** [nearest zs ks z ~dist ~idx] finds the rows [zs.(j)], [j] in [ks],
+    closest to [z] in squared Euclidean distance, and writes the closest
+    [k = min (Array.length idx) (Array.length dist)] of them to [idx], with
+    their squared distances in [dist]: the first [k] entries of every
+    [(dist2, j)] pair sorted by [compare], so ties go to the lower index.
+    Returns how many entries it wrote, [min k (Array.length ks)]. A top-k
+    insertion: it allocates nothing and sorts nothing. *)
 
 (** {1 Feature extraction} *)
 

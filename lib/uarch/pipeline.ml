@@ -818,23 +818,23 @@ type pred_lanes = {
   hbits : int array;  (** GAs history bits *)
   gimask : int array;  (** hybrid gas_index_mask *)
   hist_keep : int;  (** OR of all [hmask]: shared-history retention mask *)
-  mutable scratch : batch_scratch option;
-      (** reusable per-pass bulk state (counter tables, L1I/L2 images),
-          kept across passes so repeated [replay_many] calls on one batch
-          skip tens of MB of allocation and the GC marking it costs;
-          concurrent passes must use distinct batches (shards are) *)
 }
 
-(* Bulk per-pass state that outlives a pass. [bs_tab] receives a blit of
-   [tab_init]; [bs_l1i]/[bs_set_mru] are refilled. The per-lane L2 image is
-   lazier still: strips (one [nl * assoc] tag block per L2 set, set-major)
-   are allocated on first touch ever and invalidated per pass through the
-   [seen] bitmap, so a pass only clears the sets it actually references.
-   Keyed on the plan's cache geometry — a batch replayed on a different
-   machine reallocates. *)
-and batch_scratch = {
-  bs_sets : int;
-  bs_assoc : int;
+(* Bulk per-pass state of a predictor-lane pass: the counter-table image
+   [bs_tab] (a blit of [tab_init]), the L1I image and its MRU summaries,
+   and the L2 image. The L2 image is lazy: strips (one [nl * assoc] tag
+   block per L2 set, set-major) are allocated on first touch and
+   invalidated per pass through the [seen] bitmap, so a pass only clears
+   the sets it actually references.
+
+   One scratch per domain serves every pass, whatever its batch: a pass
+   borrows it, grows whatever is too small, and returns it. A scratch at
+   least as large as a pass needs is as good as an exact one, because the
+   pass indexes and resets only prefixes bounded by its own lane count,
+   table size and cache geometry; an L2 strip shorter than [nl * assoc] is
+   regrown on first touch. So a 5-lane sub-batch replays inside the
+   memoized 143-lane grid's idle scratch instead of allocating its own. *)
+type pred_scratch = {
   bs_strips : int array array;
   bs_seen : Bytes.t;
   bs_tab : Bytes.t;
@@ -842,6 +842,51 @@ and batch_scratch = {
   bs_set_mru : int array;
   bs_lane_mru : int array;
 }
+
+(* The pool holds at most one idle scratch per domain. Taking is an
+   atomic exchange, so systhreads sharing a domain (the daemon's workers)
+   never share a scratch: a pass that finds the pool empty allocates its
+   own, and whichever pass returns last leaves its scratch behind. *)
+let scratch_pool : pred_scratch option Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make None)
+
+let no_scratch =
+  {
+    bs_strips = [||];
+    bs_seen = Bytes.empty;
+    bs_tab = Bytes.empty;
+    bs_l1i = [||];
+    bs_set_mru = [||];
+    bs_lane_mru = [||];
+  }
+
+let borrow_scratch ~l2_sets ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words =
+  let s = Option.value (Atomic.exchange (Domain.DLS.get scratch_pool) None) ~default:no_scratch in
+  let grow a len fill = if Array.length a >= len then a else Array.make len fill in
+  let strips, seen =
+    if Array.length s.bs_strips >= l2_sets then (s.bs_strips, s.bs_seen)
+    else
+      ( Array.append s.bs_strips (Array.make (l2_sets - Array.length s.bs_strips) [||]),
+        Bytes.create l2_sets )
+  in
+  Bytes.fill seen 0 l2_sets '\000';
+  let l1i = grow s.bs_l1i l1i_words (-1) in
+  Array.fill l1i 0 l1i_words (-1);
+  let set_mru = grow s.bs_set_mru l1i_sets (-1) in
+  Array.fill set_mru 0 l1i_sets (-1);
+  (* [bs_lane_mru] needs no reset: it is only read on sets already marked
+     mixed, and the divergence that marks a set mixed fills its lane row
+     first. *)
+  {
+    bs_strips = strips;
+    bs_seen = seen;
+    bs_tab = (if Bytes.length s.bs_tab >= tab_len then s.bs_tab else Bytes.create tab_len);
+    bs_l1i = l1i;
+    bs_set_mru = set_mru;
+    bs_lane_mru = grow s.bs_lane_mru lane_mru_words (-1);
+  }
+
+let return_scratch s = Atomic.set (Domain.DLS.get scratch_pool) (Some s)
 
 (* Cache-geometry lanes: the second sweep axis. Every lane simulates the
    same machine except for its L1I and L2 geometries (line size is shared —
@@ -1008,7 +1053,6 @@ let batch_of (configs : (string * (unit -> Predictor.t)) array) =
       hbits;
       gimask;
       hist_keep = Array.fold_left ( lor ) 0 hmask;
-      scratch = None;
     }
 
 (* Pack cache-geometry variants into lanes. Validation is eager and loud:
@@ -1087,9 +1131,7 @@ let cache_batch_of ~(l1i : Cache.geometry) ~(l2 : Cache.geometry)
 let pred_shard (b : pred_lanes) ~shards =
   let nl = b.batch_n in
   let k = if nl = 0 then 1 else max 1 (min shards nl) in
-  (* The 1-shard "split" is the batch itself: no copies, and — more to the
-     point — the batch keeps its [scratch], so back-to-back passes over a
-     memoized batch skip the per-set strip reallocation entirely. *)
+  (* The 1-shard "split" is the batch itself: no copies. *)
   if k = 1 then [| b |]
   else begin
     Array.init k (fun s ->
@@ -1123,7 +1165,6 @@ let pred_shard (b : pred_lanes) ~shards =
           hbits = sub b.hbits;
           gimask = sub b.gimask;
           hist_keep = Array.fold_left ( lor ) 0 hmask;
-          scratch = None;
         })
   end
 
@@ -1226,38 +1267,11 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
      small and eager; the L2 image would be [sets * nl * assoc] words
      (tens of MB for a 4 MiB cache), most of it for sets the trace never
      references, so L2 strips are allocated per set on first touch. All of
-     it lives in the batch's scratch and is reset (not reallocated) when
-     geometry and table size still match. *)
+     it lives in the domain's pooled scratch, borrowed for this pass. *)
   let l1i_words = l1i_sets * nl * l1i_assoc in
   let tab_len = Bytes.length batch.tab_init in
   let scratch =
-    match batch.scratch with
-    | Some s
-      when s.bs_sets = l2_sets && s.bs_assoc = l2_assoc
-           && Array.length s.bs_l1i = l1i_words
-           && Bytes.length s.bs_tab = tab_len ->
-        Bytes.fill s.bs_seen 0 l2_sets '\000';
-        Array.fill s.bs_l1i 0 l1i_words (-1);
-        Array.fill s.bs_set_mru 0 l1i_sets (-1);
-        (* [bs_lane_mru] needs no reset: it is only read on sets already
-           marked mixed, and the divergence that marks a set mixed fills
-           its lane row first. *)
-        s
-    | _ ->
-        let s =
-          {
-            bs_sets = l2_sets;
-            bs_assoc = l2_assoc;
-            bs_strips = Array.make l2_sets [||];
-            bs_seen = Bytes.make l2_sets '\000';
-            bs_tab = Bytes.create tab_len;
-            bs_l1i = Array.make l1i_words (-1);
-            bs_set_mru = Array.make l1i_sets (-1);
-            bs_lane_mru = Array.make (l1i_sets * nl) (-1);
-          }
-        in
-        batch.scratch <- Some s;
-        s
+    borrow_scratch ~l2_sets ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words:(l1i_sets * nl)
   in
   let l1i_tags = scratch.bs_l1i in
   (* MRU summary of the L1I images. The committed fetch stream is
@@ -1280,17 +1294,18 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
   in
   let l2_strips = scratch.bs_strips in
   let l2_seen = scratch.bs_seen in
+  let strip_words = nl * l2_assoc in
   let l2_strip set =
     if Bytes.unsafe_get l2_seen set <> '\000' then Array.unsafe_get l2_strips set
     else begin
       Bytes.unsafe_set l2_seen set '\001';
       let s = Array.unsafe_get l2_strips set in
-      if Array.length s > 0 then begin
-        Array.fill s 0 (nl * l2_assoc) (-1);
+      if Array.length s >= strip_words then begin
+        Array.fill s 0 strip_words (-1);
         s
       end
       else begin
-        let s = Array.make (nl * l2_assoc) (-1) in
+        let s = Array.make strip_words (-1) in
         Array.unsafe_set l2_strips set s;
         s
       end
@@ -1699,6 +1714,7 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
    Pi_obs.Metrics.inc m_passes;
    Pi_obs.Metrics.add m_blocks (nl * n);
    Pi_obs.Metrics.set g_lanes (float_of_int nl));
+  return_scratch scratch;
   Array.init nl (fun j ->
       {
         cycles = cyc.(j);

@@ -150,10 +150,16 @@ type batch
     (their inputs are lane-invariant).
 
     Lane metadata is immutable and per-pass simulation state is rebuilt
-    inside {!replay_many}, but the batch owns reusable scratch images
-    that successive passes recycle — so a batch belongs to one domain at
-    a time. Concurrent replay must use distinct batches; {!batch_shard}
-    sub-batches (for 2+ shards) are distinct by construction. *)
+    inside {!replay_many}. The bulk state of a predictor-lane pass
+    (counter-table image, L1I and L2 tag images) lives in one scratch per
+    domain that every pass borrows and returns: a pass may use any scratch
+    at least as large as it needs, so a small batch replays inside a large
+    batch's idle scratch, and taking it is atomic, so systhreads sharing a
+    domain never share one (a pass that finds it taken allocates its own).
+    Predictor batches may therefore be replayed concurrently. A cache
+    batch owns its tag arenas, recycled by successive passes, so it
+    belongs to one domain at a time; {!batch_shard} sub-batches (for 2+
+    shards) are distinct by construction. *)
 
 val batch_of : (string * (unit -> Predictor.t)) array -> batch
 (** Pack every configuration exposing a {!Predictor.kernel} into fused
@@ -197,8 +203,8 @@ val batch_shard : batch -> shards:int -> batch array
     count (at least one lane each), suitable for domain-parallel execution:
     replaying the sub-batches in any order and concatenating by
     {!batch_src} is deterministic and equal to replaying the whole batch.
-    A 1-shard split returns the batch itself (preserving its warm scratch);
-    every split of 2+ builds fresh single-domain sub-batches. *)
+    A 1-shard split returns the batch itself (a cache batch keeps its warm
+    arenas); every split of 2+ builds fresh sub-batches. *)
 
 val replay_many : ?warmup_blocks:int -> plan -> batch -> Pi_layout.Placement.t -> counts array
 (** Walk the compiled plan {e once} for every lane in the batch, sharing

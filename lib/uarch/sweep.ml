@@ -92,10 +92,9 @@ let configurations () = Lazy.force configurations_memo
 (* The fused batch over the memoized grid is itself memoized: its packed
    table image and lane metadata depend only on [configurations ()], and
    [Replay.run_many] copies the table image per pass, so one batch serves
-   every study. Reuse also keeps the batch's lazily-built L2 scratch warm
-   across studies, which is worth ~30% of a pass at default scale. The
-   scratch makes a batch single-domain; sharded runs are unaffected because
-   every shard of 2+ is a fresh sub-batch with its own scratch. *)
+   every study. Its passes, and the steering sub-batches', borrow the
+   domain's pooled scratch, whose lazily-built L2 strips stay warm across
+   studies (worth ~30% of a pass at default scale). *)
 let grid_batch_memo = lazy (Replay.batch_of (Array.of_list (configurations ())))
 let grid_batch () = Lazy.force grid_batch_memo
 
@@ -123,6 +122,7 @@ type study = {
   surrogate_max_abs_err : float;
   surrogate_mean_abs_err : float;
   grid_seconds : float;
+  model_seconds : float;
   lane_seconds : float;
 }
 
@@ -202,11 +202,10 @@ let steer ~steering ~feats ~anchors ~n_targets ~cpi_target ~replay n =
   let zs = Array.map (S.scaler_transform sc) feats in
   let dist2 a b =
     let d = ref 0.0 in
-    Array.iteri
-      (fun j v ->
-        let dd = v -. b.(j) in
-        d := !d +. (dd *. dd))
-      a;
+    for j = 0 to Array.length a - 1 do
+      let dd = a.(j) -. b.(j) in
+      d := !d +. (dd *. dd)
+    done;
     !d
   in
   let values = Array.make n [||] in
@@ -278,77 +277,77 @@ let steer ~steering ~feats ~anchors ~n_targets ~cpi_target ~replay n =
     let resid_c i = cpi_of i -. map_predict (miss_row i) in
     let t_res = S.fit ~folds xs (Array.map resid_c ks) in
     (* In-sample residuals drive the inverse-distance correction; held-out
-       residuals drive the uncertainty. Keyed by grid index. *)
+       residuals drive the uncertainty. Indexed by grid index; lanes never
+       replayed read 0. *)
     let n_miss = Array.length miss_targets in
-    let ins_m = Array.init n_miss (fun _ -> Hashtbl.create 64) in
-    let ins_r = Hashtbl.create 64 in
-    let oof_m = Array.init n_miss (fun _ -> Hashtbl.create 64) in
-    let oof_r = Hashtbl.create 64 in
+    let ins_m = Array.init n_miss (fun _ -> Array.make n 0.0) in
+    let ins_r = Array.make n 0.0 in
+    let oof_m = Array.init n_miss (fun _ -> Array.make n 0.0) in
+    let oof_r = Array.make n 0.0 in
     let oof_miss = Array.map S.oof_residuals t_miss in
     let oof_res = S.oof_residuals t_res in
     Array.iteri
       (fun row i ->
         for m = 0 to n_miss - 1 do
-          Hashtbl.replace ins_m.(m) i
-            (to_log values.(i).(miss_targets.(m)) -. S.predict t_miss.(m) feats.(i));
-          Hashtbl.replace oof_m.(m) i
-            (if Array.length oof_miss.(m) > row then oof_miss.(m).(row) else 0.0)
+          ins_m.(m).(i) <- to_log values.(i).(miss_targets.(m)) -. S.predict t_miss.(m) feats.(i);
+          oof_m.(m).(i) <- (if Array.length oof_miss.(m) > row then oof_miss.(m).(row) else 0.0)
         done;
-        Hashtbl.replace ins_r i (resid_c i -. S.predict t_res feats.(i));
-        Hashtbl.replace oof_r i (if Array.length oof_res > row then oof_res.(row) else 0.0))
+        ins_r.(i) <- resid_c i -. S.predict t_res feats.(i);
+        oof_r.(i) <- (if Array.length oof_res > row then oof_res.(row) else 0.0))
       ks;
-    let get tbl i = try Hashtbl.find tbl i with Not_found -> 0.0 in
     let std_of tbl =
-      let vs = Array.map (get tbl) ks in
+      let vs = Array.map (fun i -> tbl.(i)) ks in
       let mu = Array.fold_left ( +. ) 0.0 vs /. float_of_int (max 1 nrep) in
       sqrt
         (Array.fold_left (fun a v -> a +. ((v -. mu) *. (v -. mu))) 0.0 vs
         /. float_of_int (max 1 nrep))
     in
     let p90_of tbl =
-      let vs = Array.map (fun i -> Float.abs (get tbl i)) ks in
+      let vs = Array.map (fun i -> Float.abs tbl.(i)) ks in
       Array.sort compare vs;
       if nrep = 0 then 0.0 else vs.(min (nrep - 1) (int_of_float (0.9 *. float_of_int (nrep - 1))))
     in
     let gstd_m = Array.map std_of oof_m and p90_m = Array.map p90_of oof_m in
     let gstd_r = std_of oof_r and p90_r = p90_of oof_r in
-    let rec take k = function [] -> [] | x :: tl -> if k = 0 then [] else x :: take (k - 1) tl in
-    let nearest i =
-      let ds = Array.to_list (Array.map (fun j -> (dist2 zs.(i) zs.(j), j)) ks) in
-      take steer_knn (List.sort compare ds)
-    in
+    (* The [near] nearest replayed lanes of the lane being predicted, in
+       ascending (squared distance, index) order; every prediction refills
+       these two buffers. *)
+    let near_d2 = Array.make steer_knn 0.0 and near_j = Array.make steer_knn 0 in
     let idw near tbl =
       let ws = ref 0.0 and cs = ref 0.0 in
-      List.iter
-        (fun (d2, j) ->
-          let w = 1.0 /. (d2 +. 1e-2) in
-          ws := !ws +. w;
-          cs := !cs +. (w *. get tbl j))
-        near;
+      for q = 0 to near - 1 do
+        let w = 1.0 /. (near_d2.(q) +. 1e-2) in
+        ws := !ws +. w;
+        cs := !cs +. (w *. tbl.(near_j.(q)))
+      done;
       if !ws > 0.0 then !cs /. !ws else 0.0
     in
     let local_grad near tbl =
       let g = ref 0.0 in
-      List.iter
-        (fun (_, a) ->
-          List.iter
-            (fun (_, b) ->
-              if a < b then begin
-                let d = sqrt (dist2 zs.(a) zs.(b)) in
-                if d > 1e-9 then g := Float.max !g (Float.abs (get tbl a -. get tbl b) /. d)
-              end)
-            near)
-        near;
+      for qa = 0 to near - 1 do
+        let a = near_j.(qa) in
+        for qb = 0 to near - 1 do
+          let b = near_j.(qb) in
+          if a < b then begin
+            let d = sqrt (dist2 zs.(a) zs.(b)) in
+            if d > 1e-9 then g := Float.max !g (Float.abs (tbl.(a) -. tbl.(b)) /. d)
+          end
+        done
+      done;
       !g
     in
     let local_abs_max near tbl =
-      List.fold_left (fun a (_, j) -> Float.max a (Float.abs (get tbl j))) 0.0 (take 3 near)
+      let a = ref 0.0 in
+      for q = 0 to min 3 near - 1 do
+        a := Float.max !a (Float.abs tbl.(near_j.(q)))
+      done;
+      !a
     in
     let predict i =
       if replayed.(i) then (Array.copy values.(i), 0.0)
       else begin
-        let near = nearest i in
-        let dnear = match near with (d2, _) :: _ -> sqrt d2 | [] -> infinity in
+        let near = S.nearest zs ks zs.(i) ~dist:near_d2 ~idx:near_j in
+        let dnear = if near > 0 then sqrt near_d2.(0) else infinity in
         let floor_sat = Float.min 1.0 (dnear /. 1.5) in
         let out = Array.make n_targets 0.0 in
         let unc_sum = ref 0.0 in
@@ -363,13 +362,11 @@ let steer ~steering ~feats ~anchors ~n_targets ~cpi_target ~replay n =
                 (steer_floor_c *. Float.max gstd_m.(m) p90_m.(m) *. floor_sat)
                 ((local_grad near oof_m.(m) *. dnear *. 0.5) +. local_abs_max near oof_m.(m))
             in
-            let scale =
-              List.fold_left
-                (fun a (_, j) -> Float.max a values.(j).(t))
-                mp
-                (match near with a :: b :: _ -> [ a; b ] | l -> l)
-            in
-            let unc_abs = scale *. (exp (Float.min unc_log 2.0) -. 1.0) in
+            let scale = ref mp in
+            for q = 0 to min 2 near - 1 do
+              scale := Float.max !scale values.(near_j.(q)).(t)
+            done;
+            let unc_abs = !scale *. (exp (Float.min unc_log 2.0) -. 1.0) in
             unc_sum := !unc_sum +. (Float.abs map_coefs.(m) *. unc_abs))
           miss_targets;
         let cp =
@@ -530,7 +527,8 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
   in
   let simulate = simulate ~warmup_blocks base plan placement in
   let finish points ~fused_lanes ~fallback_lanes ~shards_used ~sources ~replayed_lanes
-      ~surrogate_rounds ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds =
+      ~surrogate_rounds ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds
+      ~model_seconds =
     let perfect = simulate "perfect" Perfect.perfect in
     let ltage_point = simulate "L-TAGE" (fun () -> Ltage.create ()) in
     let xs = Array.map (fun p -> p.mpki) points in
@@ -561,6 +559,7 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
       surrogate_max_abs_err;
       surrogate_mean_abs_err;
       grid_seconds;
+      model_seconds;
       lane_seconds = grid_seconds /. float_of_int (max 1 replayed_lanes);
     }
   in
@@ -572,8 +571,9 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
       finish points ~fused_lanes ~fallback_lanes ~shards_used
         ~sources:(Array.make (Array.length points) Replayed)
         ~replayed_lanes:(Array.length points) ~surrogate_rounds:0 ~surrogate_max_abs_err:0.0
-        ~surrogate_mean_abs_err:0.0 ~grid_seconds
+        ~surrogate_mean_abs_err:0.0 ~grid_seconds ~model_seconds:0.0
   | Some steering ->
+      let t_steer = Pi_obs.Clock.now () in
       let feats = Array.map (fun (name, _) -> Pi_stats.Surrogate.predictor_features name) configs in
       (* Anchor the seed on the static predictors: the extreme ends of the
          accuracy range, and the only fallback (kernel-less) lanes. *)
@@ -635,6 +635,7 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
       let st =
         steer ~steering ~feats ~anchors:(List.rev !anchors) ~n_targets:2 ~cpi_target:1 ~replay n
       in
+      let steer_wall = Pi_obs.Clock.now () -. t_steer in
       let points =
         Array.init n (fun i ->
             {
@@ -647,6 +648,7 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
         ~shards_used:!shards_seen ~sources:st.st_sources ~replayed_lanes:st.st_replayed
         ~surrogate_rounds:st.st_rounds ~surrogate_max_abs_err:st.st_max_err
         ~surrogate_mean_abs_err:st.st_mean_err ~grid_seconds:!seconds
+        ~model_seconds:(steer_wall -. !seconds)
 
 (* ------------------------------------------------------------------ *)
 (* The cache-geometry axis (INTERPLAY's question): sweep way-disabled and
@@ -752,6 +754,7 @@ type cache_study = {
   cache_surrogate_max_abs_err : float;
   cache_surrogate_mean_abs_err : float;
   cache_grid_seconds : float;
+  cache_model_seconds : float;
   cache_lane_seconds : float;
 }
 
@@ -840,7 +843,8 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
     match surrogate with Some (Budget b) when b >= n -> None | s -> s
   in
   let finish points ~fused_lanes ~fallback_lanes ~shards_used ~sources ~replayed_lanes
-      ~surrogate_rounds ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds =
+      ~surrogate_rounds ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds
+      ~model_seconds =
     let is_seed p = p.l1i_geometry = l1i && p.l2_geometry = l2 in
     let seed_point =
       match Array.find_opt is_seed points with
@@ -881,6 +885,7 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
       cache_surrogate_max_abs_err = surrogate_max_abs_err;
       cache_surrogate_mean_abs_err = surrogate_mean_abs_err;
       cache_grid_seconds = grid_seconds;
+      cache_model_seconds = model_seconds;
       cache_lane_seconds = grid_seconds /. float_of_int (max 1 replayed_lanes);
     }
   in
@@ -892,8 +897,9 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
       finish points ~fused_lanes ~fallback_lanes ~shards_used
         ~sources:(Array.make (Array.length points) Replayed)
         ~replayed_lanes:(Array.length points) ~surrogate_rounds:0 ~surrogate_max_abs_err:0.0
-        ~surrogate_mean_abs_err:0.0 ~grid_seconds
+        ~surrogate_mean_abs_err:0.0 ~grid_seconds ~model_seconds:0.0
   | Some steering ->
+      let t_steer = Pi_obs.Clock.now () in
       let feats =
         Array.map
           (fun (_, gi, gd) ->
@@ -947,6 +953,7 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
         !out
       in
       let st = steer ~steering ~feats ~anchors ~n_targets:3 ~cpi_target:2 ~replay n in
+      let steer_wall = Pi_obs.Clock.now () -. t_steer in
       let points =
         Array.init n (fun i ->
             let name, gi, gd = configs.(i) in
@@ -963,3 +970,4 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
         ~shards_used:!shards_seen ~sources:st.st_sources ~replayed_lanes:st.st_replayed
         ~surrogate_rounds:st.st_rounds ~surrogate_max_abs_err:st.st_max_err
         ~surrogate_mean_abs_err:st.st_mean_err ~grid_seconds:!seconds
+        ~model_seconds:(steer_wall -. !seconds)

@@ -56,6 +56,9 @@ type study = {
           or when no steering round ran) *)
   surrogate_mean_abs_err : float;  (** mean of the same holdout errors *)
   grid_seconds : float;  (** wall seconds spent replaying the grid *)
+  model_seconds : float;
+      (** steered studies: wall seconds of steering outside replay (fits,
+          scoring, sampling); 0 for an unsteered study *)
   lane_seconds : float;  (** [grid_seconds / replayed_lanes] — the measured
       per-lane replay cost steering budgets against *)
 }
@@ -181,6 +184,7 @@ type cache_study = {
   cache_surrogate_max_abs_err : float;  (** percent CPI, replayed holdouts *)
   cache_surrogate_mean_abs_err : float;
   cache_grid_seconds : float;
+  cache_model_seconds : float;  (** as [model_seconds] *)
   cache_lane_seconds : float;
 }
 

@@ -9,6 +9,7 @@ let () =
    @ Test_core.suite
    @ Test_plot.suite @ Test_extensions.suite @ Test_characters.suite
    @ Test_analysis.suite @ Test_fuzz.suite @ Test_reproduction.suite @ Test_surrogate.suite
+   @ Test_surrogate_identity.suite
    @ Test_campaign.suite @ Test_resilience.suite @ Test_obs.suite
    @ Test_flight.suite
    @ Test_serve.suite @ Test_bundle.suite @ Test_distributed.suite)

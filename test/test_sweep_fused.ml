@@ -210,6 +210,117 @@ let test_configurations_memoized () =
     (Sweep.configurations () == Sweep.configurations ());
   Alcotest.(check int) "145 configurations" 145 (List.length (Sweep.configurations ()))
 
+(* ------------------------------------------------------------------ *)
+(* The per-domain scratch pool. A predictor-lane pass borrows whatever
+   scratch its domain last returned and may use any one at least as large
+   as it needs, so no pass may depend on which passes ran before it on
+   the same domain, or beside it on another thread. "Fresh" is a pass on a
+   newly spawned domain, whose pool starts empty. *)
+
+let fresh f = Domain.join (Domain.spawn f)
+
+(* Narrower L1I sets and wider L2 ways than the Xeon: a scratch shape
+   neither of the other machines needs. *)
+let wide_machine =
+  {
+    Machine.xeon_e5440 with
+    Pipeline.name = "wide";
+    l1i = { Pi_uarch.Cache.size_bytes = 32 * 1024; assoc = 4; line_bytes = 64 };
+    l2 = { Pi_uarch.Cache.size_bytes = 4 * 1024 * 1024; assoc = 16; line_bytes = 64 };
+  }
+
+let pick names =
+  Array.of_list (List.map (fun n -> List.find (fun (m, _) -> m = n) (Array.to_list configs)) names)
+
+(* 143 lanes; 4 lanes of the grid's largest tables; 2 lanes of small ones. *)
+let pool_batches =
+  [
+    ("grid", Replay.batch_of configs);
+    ("big-tables", Replay.batch_of (pick [ "gshare-16/12"; "gas-16/12"; "hybrid-16/12"; "bimodal-16" ]));
+    ("small-tables", Replay.batch_of (pick [ "bimodal-8"; "gshare-10/4" ]));
+  ]
+
+let check_lanes label got want =
+  Alcotest.(check int) (label ^ ": lanes") (Array.length want) (Array.length got);
+  Array.iteri (fun j c -> check_counts (Printf.sprintf "%s lane %d" label j) c want.(j)) got
+
+let test_pool_reuse () =
+  let p, trace = traced "400.perlbench" in
+  let placement = Placement.make p ~seed:2 in
+  let plans =
+    List.map
+      (fun (name, base) -> (name, Replay.compile base trace))
+      (machines @ [ ("wide", wide_machine) ])
+  in
+  let want =
+    List.concat_map
+      (fun (mname, plan) ->
+        List.map
+          (fun (bname, batch) ->
+            ((mname, bname), fresh (fun () -> Replay.run_many plan batch placement)))
+          pool_batches)
+      plans
+  in
+  (* Every (machine, batch) pass in one order and then in reverse, all on
+     this domain: each pass inherits the scratch the previous one left,
+     larger or smaller in lanes, table bytes, L1I sets and L2 shape. *)
+  let order =
+    List.concat_map (fun (m, _) -> List.map (fun (b, _) -> (m, b)) pool_batches) plans
+  in
+  List.iter
+    (fun ((mname, bname) as key) ->
+      let plan = List.assoc mname plans and batch = List.assoc bname pool_batches in
+      check_lanes
+        (Printf.sprintf "%s/%s after the pool's previous pass" mname bname)
+        (Replay.run_many plan batch placement)
+        (List.assoc key want))
+    (order @ List.rev order)
+
+let test_pool_sharded_domains () =
+  let p, trace = traced "429.mcf" in
+  let placement = Placement.make p ~seed:5 in
+  let plan = Replay.compile Machine.xeon_e5440 trace in
+  let study ?map_shards ~shards () =
+    Sweep.run_study ~plan ~shards ?map_shards ~benchmark:"429.mcf" trace placement
+  in
+  let want = fresh (fun () -> study ~shards:1 ()) in
+  (* Leave small scratches behind on this domain first. *)
+  List.iter (fun (_, b) -> ignore (Replay.run_many plan b placement)) (List.rev pool_batches);
+  check_studies_equal "2 shards on 2 domains"
+    (study ~shards:2 ~map_shards:(Pi_campaign.Campaign.sweep_shard_map ~jobs:2 ()) ())
+    want;
+  check_studies_equal "unsharded after the sharded run" (study ~shards:1 ()) want
+
+let test_pool_threads () =
+  (* A 40k-block trace: a 143-lane pass then outlasts the runtime's 50 ms
+     thread tick, so the threads' passes overlap. *)
+  let p = (Pi_workloads.Spec.find "445.gobmk").Pi_workloads.Bench.build ~scale:1 in
+  let trace = Pi_layout.Run_limiter.trace p ~budget_blocks:40_000 in
+  let placement = Placement.make p ~seed:3 in
+  let plan = Replay.compile Machine.netburst_like trace in
+  let grid = List.assoc "grid" pool_batches and small = List.assoc "big-tables" pool_batches in
+  let want_grid = fresh (fun () -> Replay.run_many plan grid placement) in
+  let want_small = fresh (fun () -> Replay.run_many plan small placement) in
+  (* Two systhreads of this domain, each alternating a 143-lane and a
+     4-lane pass; the runtime switches between them mid-pass, so one
+     thread's pass finds the pool empty or holding the other's scratch. *)
+  let results = Array.make 2 [] in
+  let worker t () =
+    for r = 0 to 3 do
+      let batch, want = if (r + t) mod 2 = 0 then (grid, want_grid) else (small, want_small) in
+      results.(t) <- (Replay.run_many plan batch placement, want) :: results.(t)
+    done
+  in
+  let threads = List.init 2 (fun t -> Thread.create (worker t) ()) in
+  List.iter Thread.join threads;
+  Array.iteri
+    (fun t rs ->
+      Alcotest.(check int) (Printf.sprintf "thread %d passes" t) 4 (List.length rs);
+      List.iteri
+        (fun r (got, want) -> check_lanes (Printf.sprintf "thread %d pass %d" t r) got want)
+        rs)
+    results
+
 let suite =
   [
     ( "sweep_fused",
@@ -222,5 +333,8 @@ let suite =
         Alcotest.test_case "study: fused == sequential, jobs 1 == jobs 4" `Quick
           test_study_fused_equals_sequential;
         Alcotest.test_case "configurations memoized" `Quick test_configurations_memoized;
+        Alcotest.test_case "scratch pool: any prior pass, any shape" `Quick test_pool_reuse;
+        Alcotest.test_case "scratch pool: 2 shards on 2 domains" `Quick test_pool_sharded_domains;
+        Alcotest.test_case "scratch pool: 2 systhreads on one domain" `Quick test_pool_threads;
       ] );
   ]

@@ -95,7 +95,10 @@ campaign-smoke:
 # jobs, and must leave a complete manifest. Leg 3 reruns the same spec
 # with --retries and must recover by itself; its dataset must be
 # byte-identical to the resumed one (faults and retries never change the
-# science). Fault seeds are deterministic, so this never flakes.
+# science). Leg 4 cuts the last row of a finished entry mid-row, as a
+# crash mid-append would: the rerun must recompute exactly that one
+# observation and leave the entry byte-identical again. Fault seeds are
+# deterministic, so this never flakes.
 resilience-smoke:
 	rm -rf _resilience-smoke && mkdir -p _resilience-smoke
 	! $(CLI) campaign --quick --bench 400.perlbench --bench 456.hmmer \
@@ -111,7 +114,12 @@ resilience-smoke:
 	  --fault-inject rate=0.3,kind=exn,seed=1 --retries 3
 	cmp _resilience-smoke/cache/400.perlbench.*.csv _resilience-smoke/retry/400.perlbench.*.csv
 	cmp _resilience-smoke/cache/456.hmmer.*.csv _resilience-smoke/retry/456.hmmer.*.csv
-	@echo "resilience-smoke OK: interrupt+resume complete, retried run bit-identical"
+	truncate -s -7 _resilience-smoke/retry/456.hmmer.*.csv
+	$(CLI) campaign --quick --bench 400.perlbench --bench 456.hmmer \
+	  --layouts 6 --jobs 2 --cache-dir _resilience-smoke/retry
+	grep -q '"computed_jobs":1,' _resilience-smoke/retry/manifest.json
+	cmp _resilience-smoke/cache/456.hmmer.*.csv _resilience-smoke/retry/456.hmmer.*.csv
+	@echo "resilience-smoke OK: interrupt+resume complete, retried run bit-identical, torn append recomputed"
 
 # Daemon crash-recovery, end to end: start `interferometry serve`, submit
 # a job, SIGKILL the daemon mid-run, restart on the same state directory.

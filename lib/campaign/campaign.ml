@@ -281,11 +281,10 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
                   ("secs", J.Float c.Scheduler.elapsed);
                   ("queue_depth", J.Int pending);
                 ]));
-        (* Incremental checkpointing: every completed observation reaches
-           disk immediately (on_finish callbacks are serialized, so the
-           merge-and-rename cannot race another store). A crash loses at
-           most the in-flight job; everything already observed resumes as
-           a cache hit. *)
+        (* Incremental checkpointing: every completed observation is
+           appended to its entry and fsynced as it finishes. A crash loses
+           at most the in-flight job (a torn row is dropped on the next
+           load); everything already observed resumes as a cache hit. *)
         match (cache, c.Scheduler.result) with
         | Some cache, Ok obs ->
             let bench_idx, seed = job_specs.(c.Scheduler.index) in
@@ -324,6 +323,18 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
         | Error _ -> assert false (* unprepared benchmarks enqueue no jobs *))
       (Array.length job_specs)
   in
+
+  (* The stores above appended rows in completion order, which --jobs N
+     shuffles (as may an earlier campaign that crashed before this point);
+     compaction restores each entry's canonical, seed-sorted bytes, and is
+     a no-op when the rows already arrived in order. *)
+  Option.iter
+    (fun cache ->
+      Array.iteri
+        (fun i (p : _ Scheduler.completion) ->
+          if Result.is_ok p.Scheduler.result then Obs_cache.compact cache ~bench:(name i) ~config)
+        prepared)
+    cache;
 
   (* Phase 4: assemble per-benchmark datasets by seed — completion order is
      irrelevant, which is what makes the parallel path bit-identical. *)

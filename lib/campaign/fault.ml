@@ -146,9 +146,11 @@ let maybe_corrupt t ~site path =
   match draw t ~site ~attempt:1 with
   | Some Corrupt_cache when Sys.file_exists path ->
       Metrics.inc m_corrupt;
-      (* A torn write: a valid-looking header followed by a truncated row,
-         exactly what a crash mid-write would leave if renames were not
-         atomic. Loaders must treat this entry as a miss. *)
+      (* Damage no crash of the cache's own writers can cause: a wrong
+         header followed by a truncated row, as from a non-atomic external
+         tool. A torn final row alone would be a crashed append, which
+         loaders drop quietly; the bad header makes the whole entry corrupt,
+         so loaders must count it, move it aside and treat it as a miss. *)
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)

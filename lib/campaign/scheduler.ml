@@ -173,7 +173,9 @@ let map ?jobs ?deadline ?(retries = 0) ?(backoff = 0.05) ?on_start ?on_retry ?on
               ( Error
                   {
                     message =
-                      Printf.sprintf "deadline exceeded: %.3fs > %.3fs limit" elapsed
+                      (* %.17g round-trips: a rounded elapsed could
+                         print above the completion's own figure. *)
+                      Printf.sprintf "deadline exceeded: %.17gs > %.3fs limit" elapsed
                         limit;
                     backtrace = "";
                   },

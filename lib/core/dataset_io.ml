@@ -67,6 +67,20 @@ let save path (dataset : Experiment.dataset) =
         (fun o -> output_string oc (observation_to_row o ^ "\n"))
         dataset.Experiment.observations)
 
+let observations_of_lines = function
+  | [] -> Error "empty file"
+  | header :: rows when String.trim header = header_line ->
+      let rec parse acc index = function
+        | [] -> Ok (Array.of_list (List.rev acc))
+        | row :: rest when String.trim row = "" -> parse acc (index + 1) rest
+        | row :: rest -> (
+            match observation_of_row row with
+            | Ok o -> parse (o :: acc) (index + 1) rest
+            | Error e -> Error (Printf.sprintf "line %d: %s" index e))
+      in
+      parse [] 2 rows
+  | _ -> Error "missing or unexpected header line"
+
 let load_observations path =
   let ic = open_in path in
   Fun.protect
@@ -78,18 +92,6 @@ let load_observations path =
            lines := input_line ic :: !lines
          done
        with End_of_file -> ());
-      match List.rev !lines with
-      | [] -> Error "empty file"
-      | header :: rows when String.trim header = header_line ->
-          let rec parse acc index = function
-            | [] -> Ok (Array.of_list (List.rev acc))
-            | row :: rest when String.trim row = "" -> parse acc (index + 1) rest
-            | row :: rest -> (
-                match observation_of_row row with
-                | Ok o -> parse (o :: acc) (index + 1) rest
-                | Error e -> Error (Printf.sprintf "line %d: %s" index e))
-          in
-          parse [] 2 rows
-      | _ -> Error "missing or unexpected header line")
+      observations_of_lines (List.rev !lines))
 
 let reattach prepared observations = { Experiment.prepared; observations }

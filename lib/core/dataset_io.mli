@@ -17,6 +17,11 @@ val save : string -> Experiment.dataset -> unit
 (** Write the dataset's observations to a file; raises [Sys_error] on I/O
     failure. *)
 
+val observations_of_lines : string list -> (Experiment.observation array, string) result
+(** Parse the lines of such a CSV (without their newlines): the header,
+    then one row per observation in file order; blank lines are skipped.
+    [Error] names the first bad line. *)
+
 val load_observations : string -> (Experiment.observation array, string) result
 (** Parse a CSV produced by {!save}. The prepared context (program, trace)
     is not stored; reattach with {!reattach}. *)

@@ -46,6 +46,9 @@ type prepared = {
   plan : Pi_uarch.Replay.plan;
       (* compiled once here; every observation replays it, and campaign
          workers share it read-only across domains *)
+  data : Pi_layout.Data_layout.t option;
+      (* the seed-invariant data layout, built once here when the config
+         makes one (bump heap, no ASLR); shared read-only like [plan] *)
 }
 
 let prepare ?(config = default_config) (bench : Pi_workloads.Bench.t) =
@@ -68,7 +71,11 @@ let prepare ?(config = default_config) (bench : Pi_workloads.Bench.t) =
         Span.with_ ~name:"compile" ~args:[ ("bench", name) ] (fun () ->
             Pi_uarch.Replay.compile config.machine trace)
       in
-      { bench; config; program; trace; warmup_blocks; plan })
+      let data =
+        Pi_layout.Placement.shared_data ~heap_random:config.heap_random ~aslr:config.aslr
+          program
+      in
+      { bench; config; program; trace; warmup_blocks; plan; data })
 
 type observation = {
   layout_seed : int;
@@ -82,12 +89,15 @@ let measurement_seed prepared layout_seed =
   let h = Hashtbl.hash (prepared.bench.Pi_workloads.Bench.name, layout_seed) in
   (prepared.config.master_seed * 1_000_003) + h
 
+let placement prepared ~seed =
+  match prepared.data with
+  | Some data -> Pi_layout.Placement.with_data data ~seed
+  | None ->
+      Pi_layout.Placement.make ~heap_random:prepared.config.heap_random
+        ~aslr:prepared.config.aslr prepared.program ~seed
+
 let exact_counts prepared ~seed =
-  let placement =
-    Span.with_ ~name:"layout" (fun () ->
-        Pi_layout.Placement.make ~heap_random:prepared.config.heap_random
-          ~aslr:prepared.config.aslr prepared.program ~seed)
-  in
+  let placement = Span.with_ ~name:"layout" (fun () -> placement prepared ~seed) in
   Span.with_ ~name:"replay" (fun () ->
       Pi_uarch.Replay.run ~warmup_blocks:prepared.warmup_blocks prepared.plan placement)
 

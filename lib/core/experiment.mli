@@ -36,11 +36,17 @@ type prepared = {
   warmup_blocks : int;
   plan : Pi_uarch.Replay.plan;
       (** compiled replay plan for [machine]/[trace]; placement-invariant *)
+  data : Pi_layout.Data_layout.t option;
+      (** the data layout shared by every seed, from
+          {!Pi_layout.Placement.shared_data}: [Some] under a bump heap
+          without ASLR (the default config), where only the code layout
+          changes from seed to seed; [None] when [heap_random] or [aslr]
+          is set, and each seed derives its own data layout *)
 }
 
 val prepare : ?config:config -> Pi_workloads.Bench.t -> prepared
-(** Build the program, its bounded trace, and the compiled replay plan once;
-    reused by every layout. *)
+(** Build the program, its bounded trace, the compiled replay plan and (when
+    seed-invariant) the data layout once; reused by every layout. *)
 
 type observation = {
   layout_seed : int;
@@ -53,8 +59,9 @@ type dataset = {
 }
 
 val observe_seed : prepared -> int -> observation
-(** Link the placement for one seed, run the machine, apply the
-    measurement protocol. *)
+(** Link the placement for one seed (only its code layout when
+    [prepared.data] is shared), run the machine, apply the measurement
+    protocol. *)
 
 val observe : prepared -> n_layouts:int -> dataset
 (** Observations for seeds [1 .. n_layouts]. *)
@@ -73,6 +80,11 @@ val mpkis : dataset -> float array
 val l1i_mpkis : dataset -> float array
 val l1d_mpkis : dataset -> float array
 val l2_mpkis : dataset -> float array
+
+val placement : prepared -> seed:int -> Pi_layout.Placement.t
+(** The placement {!observe_seed} replays for [seed]: equal to
+    [Pi_layout.Placement.make ~heap_random ~aslr program ~seed] under the
+    config's modes, sharing [prepared.data] when it is [Some]. *)
 
 val exact_counts : prepared -> seed:int -> Pi_uarch.Pipeline.counts
 (** Noise-free machine counts for one placement (simulator view). *)

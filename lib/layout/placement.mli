@@ -20,4 +20,15 @@ val make : ?heap_random:bool -> ?aslr:bool -> Pi_isa.Program.t -> seed:int -> t
 
 val natural : Pi_isa.Program.t -> t
 
+val shared_data : ?heap_random:bool -> ?aslr:bool -> Pi_isa.Program.t -> Data_layout.t option
+(** The data layout every seed shares, when the modes make it
+    seed-invariant: with neither [heap_random] nor [aslr] set, [make]
+    derives the same bump layout for every seed, so it can be built once.
+    [None] when either mode is set. *)
+
+val with_data : Data_layout.t -> seed:int -> t
+(** [with_data d ~seed] pairs a layout from {!shared_data} with the code
+    layout for [seed]; equal to [make d.program ~seed] under the same modes,
+    without rebuilding the data layout. *)
+
 val batch : ?heap_random:bool -> ?aslr:bool -> Pi_isa.Program.t -> seeds:int array -> t list

@@ -283,7 +283,9 @@ let evaluation_json (e : Predict.evaluation) =
    array plus whether anything had to be computed (prepare is only paid
    when a seed is missing). Fresh observations are stored one at a time:
    a crash mid-job loses at most the seed in flight, and the replayed job
-   resumes from what already reached the cache. *)
+   resumes from what already reached the cache. The entry is compacted
+   once the missing seeds are in, so its bytes never depend on which
+   earlier job stored which seed. *)
 let observations_for ~cache ~config ~layouts bench_name =
   let bench = Pi_workloads.Spec.find bench_name in
   let cached =
@@ -308,7 +310,8 @@ let observations_for ~cache ~config ~layouts bench_name =
             let obs = E.observe_seed prepared seed in
             Obs_cache.store cache ~bench:bench_name ~config [| obs |];
             Hashtbl.replace by_seed seed obs)
-          missing);
+          missing;
+        Obs_cache.compact cache ~bench:bench_name ~config);
   Array.init layouts (fun i -> Hashtbl.find by_seed (i + 1))
 
 let run_measure ~cache p =

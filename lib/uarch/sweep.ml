@@ -831,6 +831,49 @@ let geometry_feature_vector g =
   Pi_stats.Surrogate.geometry_features ~sets:(Cache.geometry_sets g) ~ways:g.Cache.assoc
     ~line_bytes:g.Cache.line_bytes ~size_bytes:g.Cache.size_bytes
 
+(* CPI against the two cache MPKIs. [Multireg.fit] needs a design of
+   full rank, and on some benchmarks a miss rate is flat across the
+   degraded grid (l1i_mpki is 0 at every geometry on hmmer, lbm and equake;
+   l2_mpki too on lbm). A flat predictor carries no information, so only
+   the varying ones are fitted; a flat one reports coefficient 0 and
+   standard error 0, and with none varying the fit is the mean CPI. The
+   F-test and adjusted R^2 count only the fitted predictors. *)
+let degradation_fit xs ys =
+  let k = Array.length xs.(0) in
+  let varies j = Array.exists (fun row -> row.(j) <> xs.(0).(j)) xs in
+  let kept = List.filter varies (List.init k Fun.id) |> Array.of_list in
+  if Array.length kept = k then Pi_stats.Multireg.fit xs ys
+  else
+    let expand fitted =
+      let full = Array.make k 0.0 in
+      Array.iteri (fun i j -> full.(j) <- fitted.(i)) kept;
+      full
+    in
+    if Array.length kept > 0 then
+      let m = Pi_stats.Multireg.fit (Array.map (fun row -> Array.map (Array.get row) kept) xs) ys in
+      {
+        m with
+        Pi_stats.Multireg.k;
+        coefficients = expand m.Pi_stats.Multireg.coefficients;
+        coefficient_standard_errors = expand m.Pi_stats.Multireg.coefficient_standard_errors;
+      }
+    else
+      let n = Array.length ys in
+      let mean = Pi_stats.Descriptive.mean ys in
+      let ss = Array.fold_left (fun acc y -> acc +. ((y -. mean) *. (y -. mean))) 0.0 ys in
+      {
+        Pi_stats.Multireg.coefficients = Array.make k 0.0;
+        intercept = mean;
+        n;
+        k;
+        r_squared = 0.0;
+        adjusted_r_squared = 0.0;
+        residual_standard_error = sqrt (ss /. float_of_int (max 1 (n - 1)));
+        f_statistic = 0.0;
+        f_p_value = 1.0;
+        coefficient_standard_errors = Array.make k 0.0;
+      }
+
 let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1)
     ?map_shards ?(fused = true) ?surrogate ~benchmark trace placement =
   let plan =
@@ -860,7 +903,7 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
     let degraded = Array.of_list (List.filter (fun p -> not (is_seed p)) (Array.to_list points)) in
     let xs = Array.map (fun p -> [| p.l1i_mpki; p.l2_mpki |]) degraded in
     let ys = Array.map (fun p -> p.cache_cpi) degraded in
-    let degradation = Pi_stats.Multireg.fit xs ys in
+    let degradation = degradation_fit xs ys in
     let predicted_seed_cpi =
       Pi_stats.Multireg.predict degradation [| seed_point.l1i_mpki; seed_point.l2_mpki |]
     in

@@ -171,7 +171,10 @@ type cache_study = {
   cache_points : cache_point array;  (** all 100 geometries, grid order *)
   seed_point : cache_point;  (** the lane matching the seed geometries *)
   degradation : Pi_stats.Multireg.t;
-      (** CPI ~ (L1I MPKI, L2 MPKI) over the 99 degraded points *)
+      (** CPI ~ (L1I MPKI, L2 MPKI) over the 99 degraded points. A miss
+          rate flat across them is left out of the fit (coefficient 0,
+          standard error 0; [k] stays 2); with both flat the fit is the
+          mean CPI ([r_squared] 0, [f_p_value] 1). *)
   predicted_seed_cpi : float;  (** the model at the seed point's miss rates *)
   seed_error_percent : float;  (** |predicted - actual| / actual * 100 *)
   cache_warmup_blocks : int;

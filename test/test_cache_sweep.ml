@@ -265,6 +265,51 @@ let test_batch_rejections () =
   check_invalid_arg "way-disabling beyond the seed" (fun () ->
       ignore (Sweep.apply_cache_variant { l1i with Cache.assoc = 4 } (Sweep.Ways 8)))
 
+(* A miss rate flat across the degraded grid (l1i_mpki on equake and
+   hmmer; both rates on lbm) used to make the fit's design singular and
+   the study raise. Flat predictors now get coefficient 0 and SE 0, and a
+   study whose predictors all vary still gets the plain [Multireg.fit]. *)
+let test_study_flat_predictors () =
+  let study name =
+    let p, trace = traced name in
+    let s = Sweep.run_cache_study ~benchmark:name trace (Placement.make p ~seed:1) in
+    let degraded =
+      List.filter (fun pt -> pt != s.Sweep.seed_point) (Array.to_list s.Sweep.cache_points)
+    in
+    let flat f = List.for_all (fun pt -> f pt = f (List.hd degraded)) degraded in
+    (s, degraded, flat (fun pt -> pt.Sweep.l1i_mpki), flat (fun pt -> pt.Sweep.l2_mpki))
+  in
+  let seen_flat = ref 0 in
+  List.iter
+    (fun name ->
+      let s, degraded, l1i_flat, l2_flat = study name in
+      let m = s.Sweep.degradation in
+      Alcotest.(check int) (name ^ ": two coefficients") 2 (Array.length m.Pi_stats.Multireg.coefficients);
+      List.iteri
+        (fun j is_flat ->
+          if is_flat then begin
+            incr seen_flat;
+            Alcotest.(check (float 0.0)) (Printf.sprintf "%s: flat x%d coefficient" name (j + 1)) 0.0
+              m.Pi_stats.Multireg.coefficients.(j);
+            Alcotest.(check (float 0.0)) (Printf.sprintf "%s: flat x%d SE" name (j + 1)) 0.0
+              m.Pi_stats.Multireg.coefficient_standard_errors.(j)
+          end)
+        [ l1i_flat; l2_flat ];
+      if l1i_flat && l2_flat then
+        Alcotest.(check (float 1e-12)) (name ^ ": intercept-only fit is the mean CPI")
+          (Pi_stats.Descriptive.mean (Array.of_list (List.map (fun pt -> pt.Sweep.cache_cpi) degraded)))
+          m.Pi_stats.Multireg.intercept;
+      if not (l1i_flat || l2_flat) then begin
+        let plain =
+          Pi_stats.Multireg.fit
+            (Array.of_list (List.map (fun pt -> [| pt.Sweep.l1i_mpki; pt.Sweep.l2_mpki |]) degraded))
+            (Array.of_list (List.map (fun pt -> pt.Sweep.cache_cpi) degraded))
+        in
+        Alcotest.(check bool) (name ^ ": varying predictors keep the plain fit") true (plain = m)
+      end)
+    [ "183.equake"; "470.lbm"; "456.hmmer"; "429.mcf" ];
+  Alcotest.(check bool) "some benchmark has a flat predictor" true (!seen_flat > 0)
+
 let suite =
   [
     ( "cache_sweep",
@@ -273,6 +318,8 @@ let suite =
           test_golden_matrix;
         Alcotest.test_case "golden with warmup" `Quick test_golden_with_warmup;
         Alcotest.test_case "shard partition and merge" `Quick test_shard_partition;
+        Alcotest.test_case "study: flat miss rates fit without raising" `Quick
+          test_study_flat_predictors;
         Alcotest.test_case "study: fused == sequential, jobs 1 == jobs 4" `Quick
           test_study_fused_equals_sequential;
         Alcotest.test_case "cache_configurations memoized and distinct" `Quick

@@ -176,8 +176,8 @@ let test_cache_entry_path_full_digest () =
 
 let test_cache_legacy_entry_migrates () =
   (* A cache written by the truncated-digest version keeps serving: load
-     falls back to the legacy name, and the next store rewrites the entry
-     under its full name and retires the legacy file. *)
+     falls back to the legacy name, and the next store creates the entry
+     under its full name from the legacy rows and retires the legacy file. *)
   let cache = Obs_cache.create ~dir:(temp_dir "pi-cache-legacy") in
   let bench = Spec.find "456.hmmer" in
   let prepared = E.prepare ~config:quick bench in

@@ -53,6 +53,70 @@ let test_extend_preserves_prefix () =
   let same = E.extend grown ~n_layouts:5 in
   Alcotest.(check int) "no shrink" 15 (Array.length same.E.observations)
 
+(* The data layout built once by [prepare] must give exactly what a fresh
+   per-seed [Placement.make] gives: same counts bit for bit, same
+   measurement. *)
+let test_shared_data_layout_identical () =
+  let fields (c : Pi_uarch.Pipeline.counts) =
+    Printf.sprintf "%h|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d" c.cycles c.instructions
+      c.cond_branches c.cond_mispredicts c.indirect_branches c.indirect_mispredicts
+      c.btb_misses c.l1i_accesses c.l1i_misses c.l1d_accesses c.l1d_misses c.l2_accesses
+      c.l2_misses
+  in
+  let measurement (m : Pi_uarch.Counters.measurement) =
+    Printf.sprintf "%h|%h|%h|%h|%h|%h|%h|%h|%h|%h|%h" m.cpi m.mpki m.l1i_mpki m.l1d_mpki
+      m.l2_mpki m.cycles m.instructions m.mispredicts m.l1i_misses m.l1d_misses m.l2_misses
+  in
+  List.iter
+    (fun name ->
+      let prepared = E.prepare ~config:quick (Spec.find name) in
+      Alcotest.(check bool) (name ^ ": default config shares one data layout") true
+        (Option.is_some prepared.E.data);
+      List.iter
+        (fun seed ->
+          let fresh =
+            Pi_uarch.Replay.run ~warmup_blocks:prepared.E.warmup_blocks prepared.E.plan
+              (Pi_layout.Placement.make prepared.E.program ~seed)
+          in
+          let label = Printf.sprintf "%s seed %d" name seed in
+          Alcotest.(check string) (label ^ " counts") (fields fresh)
+            (fields (E.exact_counts prepared ~seed));
+          let expected =
+            Pi_uarch.Counters.measure ~noise:quick.E.noise ~runs_per_group:quick.E.runs_per_group
+              ~seed:((quick.E.master_seed * 1_000_003) + Hashtbl.hash (name, seed))
+              fresh
+          in
+          Alcotest.(check string) (label ^ " measurement") (measurement expected)
+            (measurement (E.observe_seed prepared seed).E.measurement))
+        [ 0; 1; 2; 7; 33 ])
+    [ "429.mcf"; "400.perlbench" ]
+
+(* Heap randomization and ASLR make the data layout depend on the seed:
+   nothing is shared, and each seed still gets its own layout. *)
+let test_seeded_data_layout_varies () =
+  List.iter
+    (fun (label, config) ->
+      let prepared = E.prepare ~config (Spec.find "429.mcf") in
+      Alcotest.(check bool) (label ^ ": no shared data layout") true
+        (Option.is_none prepared.E.data);
+      let data seed = (E.placement prepared ~seed).Pi_layout.Placement.data in
+      let a = data 1 and b = data 2 in
+      Alcotest.(check bool) (label ^ ": data layouts differ across seeds") true
+        (a.Pi_layout.Data_layout.heap_base <> b.Pi_layout.Data_layout.heap_base);
+      let fresh =
+        Pi_layout.Placement.make ~heap_random:config.E.heap_random ~aslr:config.E.aslr
+          prepared.E.program ~seed:2
+      in
+      Alcotest.(check bool) (label ^ ": equals a fresh per-seed layout") true
+        (fresh.Pi_layout.Placement.data.Pi_layout.Data_layout.heap_base
+         = b.Pi_layout.Data_layout.heap_base
+        && fresh.Pi_layout.Placement.data.Pi_layout.Data_layout.global_base
+           = b.Pi_layout.Data_layout.global_base))
+    [
+      ("heap_random", { quick with E.heap_random = true });
+      ("aslr", { quick with E.aslr = true });
+    ]
+
 let test_columns_consistent () =
   let d = dataset "456.hmmer" in
   Alcotest.(check int) "cpis" 25 (Array.length (E.cpis d));
@@ -307,6 +371,10 @@ let suite =
         Alcotest.test_case "extend preserves prefix" `Quick test_extend_preserves_prefix;
         Alcotest.test_case "columns consistent" `Quick test_columns_consistent;
         Alcotest.test_case "warmup fraction" `Quick test_warmup_fraction_applied;
+        Alcotest.test_case "shared data layout == fresh placement" `Quick
+          test_shared_data_layout_identical;
+        Alcotest.test_case "heap_random/aslr layouts vary by seed" `Quick
+          test_seeded_data_layout_varies;
       ] );
     ( "core.model",
       [

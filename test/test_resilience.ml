@@ -275,6 +275,152 @@ let test_corrupt_entry_is_miss () =
   let warm = Campaign.run ~config:quick ~jobs:2 ~cache_dir:dir ~n_layouts:5 (benches ()) in
   Alcotest.(check int) "cache healed" 10 warm.Campaign.manifest.Manifest.cached_jobs
 
+(* ---------------- Append-log cache entries ---------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file ?(append = false) path text =
+  let flags = if append then [ Open_append; Open_binary ] else [ Open_trunc; Open_creat; Open_binary ] in
+  Out_channel.with_open_gen (Open_wronly :: flags) 0o644 path (fun oc ->
+      Out_channel.output_string oc text)
+
+let with_seed s (o : E.observation) = { o with E.layout_seed = s }
+
+(* The bytes every entry had before entries became logs: the header, then
+   one row per seed in ascending order. *)
+let canonical observations =
+  String.concat ""
+    (List.map
+       (fun l -> l ^ "\n")
+       (Interferometry.Dataset_io.header_line
+       :: List.map Interferometry.Dataset_io.observation_to_row (Array.to_list observations)))
+
+let corrupt_count () =
+  Pi_obs.Metrics.counter_value (Pi_obs.Metrics.counter "pi_obs_obs_cache_corrupt_total")
+
+let test_torn_tail_dropped_then_trimmed () =
+  let cache = Obs_cache.create ~dir:(temp_dir "pi-cache-torn") in
+  let obs = observations () in
+  let path = Obs_cache.entry_path cache ~bench:"456.hmmer" ~config:quick in
+  Obs_cache.store cache ~bench:"456.hmmer" ~config:quick (Array.sub obs 0 2);
+  (* A crash mid-append: part of the third row, no newline. *)
+  let row = Interferometry.Dataset_io.observation_to_row obs.(2) in
+  write_file ~append:true path (String.sub row 0 (String.length row - 7));
+  let before = corrupt_count () in
+  let loaded = Obs_cache.load cache ~bench:"456.hmmer" ~config:quick in
+  Alcotest.(check int) "complete rows load" 2 (Array.length loaded);
+  Alcotest.(check int) "torn tail is not corruption" before (corrupt_count ());
+  Alcotest.(check bool) "load leaves the file alone" true (Sys.file_exists path);
+  Obs_cache.store cache ~bench:"456.hmmer" ~config:quick [| obs.(2) |];
+  Alcotest.(check string) "store trimmed the fragment before appending" (canonical obs)
+    (read_file path);
+  Alcotest.(check int) "all rows load" 3
+    (Array.length (Obs_cache.load cache ~bench:"456.hmmer" ~config:quick))
+
+let test_corrupt_entry_moved_aside () =
+  let dir = temp_dir "pi-cache-aside" in
+  let cache = Obs_cache.create ~dir in
+  let path = Obs_cache.entry_path cache ~bench:"456.hmmer" ~config:quick in
+  let obs = observations () in
+  Obs_cache.store cache ~bench:"456.hmmer" ~config:quick obs;
+  (* A bad row mid-file is corruption, not a torn tail. *)
+  write_file ~append:true path "not,a,row\n";
+  Obs_cache.store cache ~bench:"456.hmmer" ~config:quick [| with_seed 9 obs.(0) |];
+  let before = corrupt_count () in
+  Alcotest.(check int) "corrupt entry reads as a miss" 0
+    (Array.length (Obs_cache.load cache ~bench:"456.hmmer" ~config:quick));
+  Alcotest.(check int) "corruption counted once" (before + 1) (corrupt_count ());
+  Alcotest.(check bool) "entry moved off its name" false (Sys.file_exists path);
+  let aside =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> not (String.equal n (Filename.basename path)))
+  in
+  (match aside with
+  | [ name ] ->
+      Alcotest.(check bool) "aside name is neither .csv nor .tmp" true
+        ((not (Filename.check_suffix name ".csv")) && not (Filename.check_suffix name ".tmp"))
+  | names -> Alcotest.failf "expected one file aside, got [%s]" (String.concat "; " names));
+  Alcotest.(check int) "stats skips the aside file" 0 (Obs_cache.stats cache).Obs_cache.entries;
+  (* The next campaign starts the entry fresh and heals it. *)
+  let healed = Campaign.run ~config:quick ~jobs:2 ~cache_dir:dir ~n_layouts:3 [ Spec.find "456.hmmer" ] in
+  Alcotest.(check int) "every seed recomputed" 3 healed.Campaign.manifest.Manifest.computed_jobs;
+  Alcotest.(check string) "healed entry is canonical" (canonical obs) (read_file path);
+  let warm = Campaign.run ~config:quick ~jobs:2 ~cache_dir:dir ~n_layouts:3 [ Spec.find "456.hmmer" ] in
+  Alcotest.(check int) "healed entry serves every seed" 3
+    warm.Campaign.manifest.Manifest.cached_jobs;
+  Alcotest.(check int) "no further corruption" (before + 1) (corrupt_count ())
+
+let test_concurrent_domains_lose_no_row () =
+  let cache = Obs_cache.create ~dir:(temp_dir "pi-cache-domains") in
+  let o = (observations ()).(0) in
+  let n = 60 in
+  let writer parity =
+    Domain.spawn (fun () ->
+        for s = 1 to n do
+          if s mod 2 = parity then Obs_cache.store cache ~bench:"456.hmmer" ~config:quick [| with_seed s o |]
+        done)
+  in
+  let a = writer 0 and b = writer 1 in
+  Domain.join a;
+  Domain.join b;
+  let loaded = Obs_cache.load cache ~bench:"456.hmmer" ~config:quick in
+  Alcotest.(check (list int)) "every seed from both domains" (List.init n (fun i -> i + 1))
+    (Array.to_list (Array.map (fun (o : E.observation) -> o.E.layout_seed) loaded));
+  Obs_cache.compact cache ~bench:"456.hmmer" ~config:quick;
+  Alcotest.(check string) "compacted to the canonical bytes"
+    (canonical (Array.init n (fun i -> with_seed (i + 1) o)))
+    (read_file (Obs_cache.entry_path cache ~bench:"456.hmmer" ~config:quick))
+
+let test_duplicate_store_last_wins () =
+  let cache = Obs_cache.create ~dir:(temp_dir "pi-cache-dup") in
+  let obs = observations () in
+  let first = with_seed 1 obs.(1) and second = with_seed 1 obs.(2) in
+  Obs_cache.store cache ~bench:"456.hmmer" ~config:quick [| first; obs.(0) |];
+  Obs_cache.store cache ~bench:"456.hmmer" ~config:quick [| second |];
+  let loaded = Obs_cache.load cache ~bench:"456.hmmer" ~config:quick in
+  Alcotest.(check int) "one observation per seed" 1 (Array.length loaded);
+  Alcotest.(check bool) "the last row for a seed wins" true (loaded.(0) = second);
+  Obs_cache.compact cache ~bench:"456.hmmer" ~config:quick;
+  Alcotest.(check string) "compaction keeps the winner only" (canonical [| second |])
+    (read_file (Obs_cache.entry_path cache ~bench:"456.hmmer" ~config:quick))
+
+let test_compact_canonical_bytes () =
+  (* Out-of-order appends compact to the canonical bytes; a canonical
+     entry is left untouched (same inode, no rewrite). *)
+  let cache = Obs_cache.create ~dir:(temp_dir "pi-cache-compact") in
+  let obs = observations () in
+  let path = Obs_cache.entry_path cache ~bench:"456.hmmer" ~config:quick in
+  List.iter
+    (fun i -> Obs_cache.store cache ~bench:"456.hmmer" ~config:quick [| obs.(i) |])
+    [ 2; 0; 1 ];
+  Alcotest.(check bool) "appended in arrival order" true (read_file path <> canonical obs);
+  Obs_cache.compact cache ~bench:"456.hmmer" ~config:quick;
+  Alcotest.(check string) "compacted" (canonical obs) (read_file path);
+  let inode () = (Unix.stat path).Unix.st_ino in
+  let before = inode () in
+  Obs_cache.compact cache ~bench:"456.hmmer" ~config:quick;
+  Alcotest.(check int) "canonical entry not rewritten" before (inode ());
+  Obs_cache.compact cache ~bench:"absent" ~config:quick;
+  Alcotest.(check bool) "compacting a missing entry creates nothing" false
+    (Sys.file_exists (Obs_cache.entry_path cache ~bench:"absent" ~config:quick));
+  (* End to end: whatever order --jobs 4 appended in, the finished entries
+     are the --jobs 1 bytes, which are the canonical bytes. *)
+  let run jobs =
+    let dir = temp_dir (Printf.sprintf "pi-cache-jobs%d" jobs) in
+    ignore (Campaign.run ~config:quick ~jobs ~cache_dir:dir ~n_layouts:8 (benches ()));
+    Obs_cache.create ~dir
+  in
+  let one = run 1 and four = run 4 in
+  List.iter
+    (fun b ->
+      let bench = b.Bench.name in
+      let bytes c = read_file (Obs_cache.entry_path c ~bench ~config:quick) in
+      Alcotest.(check string) (bench ^ ": --jobs 4 == --jobs 1") (bytes one) (bytes four);
+      Alcotest.(check string) (bench ^ ": canonical format")
+        (canonical (Obs_cache.load one ~bench ~config:quick))
+        (bytes one))
+    (benches ())
+
 (* ---------------- Faulty campaigns ---------------- *)
 
 let fault_exn rate seed = { Fault.rate; kinds = [ Fault.Exn ]; seed; delay = 0.0 }
@@ -512,6 +658,16 @@ let suite =
           test_sanitize_bench_name;
         Alcotest.test_case "cache: torn entry is a miss and heals" `Quick
           test_corrupt_entry_is_miss;
+        Alcotest.test_case "cache: torn tail dropped on load, trimmed on store" `Quick
+          test_torn_tail_dropped_then_trimmed;
+        Alcotest.test_case "cache: corrupt entry moved aside, next campaign heals" `Quick
+          test_corrupt_entry_moved_aside;
+        Alcotest.test_case "cache: two domains appending lose no row" `Quick
+          test_concurrent_domains_lose_no_row;
+        Alcotest.test_case "cache: duplicate stores, the last row wins" `Quick
+          test_duplicate_store_last_wins;
+        Alcotest.test_case "cache: compaction restores the canonical bytes" `Quick
+          test_compact_canonical_bytes;
         Alcotest.test_case "campaign: faults + retries == undisturbed run" `Quick
           test_campaign_faults_with_retries;
         Alcotest.test_case "campaign: unretried faults fail loudly" `Quick

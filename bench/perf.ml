@@ -26,7 +26,8 @@
    combined metric bag for `interferometry bundle diff`; default "-" =
    skip).
 
-   Exits nonzero when replay counts diverge from the legacy path, replay is
+   Exits nonzero when replay counts diverge from the legacy path (on either
+   leg: shared or heap-randomized data layouts), replay is
    slower than legacy, either fused sweep diverges from its sequential
    study, either fused speedup misses its gate, or the flight recorder's
    overhead exceeds its gate — so `make check` can use it as a regression
@@ -183,6 +184,10 @@ let () =
         (List.length manifest.Pi_campaign.Bundle.artifacts));
   if not r.Interferometry.Perf_bench.identical then begin
     prerr_endline "FAIL: replay counts differ from the legacy pipeline";
+    exit 1
+  end;
+  if not r.Interferometry.Perf_bench.heap_random_identical then begin
+    prerr_endline "FAIL: heap_random replay counts differ from the legacy pipeline";
     exit 1
   end;
   if r.Interferometry.Perf_bench.speedup < 1.0 then begin

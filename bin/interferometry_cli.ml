@@ -1360,6 +1360,10 @@ let perf_cmd =
       prerr_endline "FAIL: replay counts differ from the legacy pipeline";
       exit 1
     end;
+    if not r.Interferometry.Perf_bench.heap_random_identical then begin
+      prerr_endline "FAIL: heap_random replay counts differ from the legacy pipeline";
+      exit 1
+    end;
     if r.Interferometry.Perf_bench.speedup < 1.0 then begin
       Printf.eprintf "FAIL: replay slower than legacy (%.2fx)\n"
         r.Interferometry.Perf_bench.speedup;

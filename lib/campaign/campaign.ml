@@ -44,21 +44,20 @@ let sweep_shard_map ?jobs () : Pi_uarch.Sweep.shard_map =
          | Ok counts -> counts
          | Error e -> failwith (Printf.sprintf "sweep shard failed: %s" e.Scheduler.message))
 
-let fit_of dataset =
-  let cpis = E.cpis dataset and mpkis = E.mpkis dataset in
-  if Array.length cpis < 3 then None
-  else
-    match Linreg.fit mpkis cpis with
-    | reg ->
-        Some
-          {
-            Manifest.r_squared = reg.Linreg.r_squared;
-            slope = reg.Linreg.slope;
-            intercept = reg.Linreg.intercept;
-            mean_mpki = Pi_stats.Descriptive.mean mpkis;
-            mean_cpi = Pi_stats.Descriptive.mean cpis;
-          }
-    | exception _ -> None (* degenerate x range: no model for this benchmark *)
+let fit_of (dataset : E.dataset) =
+  let bench = dataset.E.prepared.E.bench.Bench.name in
+  match Interferometry.Model.fit_observations ~bench dataset.E.observations with
+  | m ->
+      let reg = m.Interferometry.Model.regression in
+      Some
+        {
+          Manifest.r_squared = reg.Linreg.r_squared;
+          slope = reg.Linreg.slope;
+          intercept = reg.Linreg.intercept;
+          mean_mpki = m.Interferometry.Model.mean_mpki;
+          mean_cpi = m.Interferometry.Model.mean_cpi;
+        }
+  | exception _ -> None (* under 3 layouts or a degenerate x range: no model for this benchmark *)
 
 let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null) ?deadline
     ?(retries = 0) ?(backoff = 0.05) ?fault ?checkpoint_path ?(config_args = []) ?label

@@ -49,6 +49,8 @@ type prepared = {
   data : Pi_layout.Data_layout.t option;
       (* the seed-invariant data layout, built once here when the config
          makes one (bump heap, no ASLR); shared read-only like [plan] *)
+  data_side : Pi_uarch.Replay.data_side option;
+      (* [data]'s L1D and prefetcher behaviour, simulated once here *)
 }
 
 let prepare ?(config = default_config) (bench : Pi_workloads.Bench.t) =
@@ -67,15 +69,16 @@ let prepare ?(config = default_config) (bench : Pi_workloads.Bench.t) =
         int_of_float
           (config.warmup_fraction *. float_of_int (Pi_isa.Trace.blocks_executed trace))
       in
-      let plan =
-        Span.with_ ~name:"compile" ~args:[ ("bench", name) ] (fun () ->
-            Pi_uarch.Replay.compile config.machine trace)
-      in
       let data =
         Pi_layout.Placement.shared_data ~heap_random:config.heap_random ~aslr:config.aslr
           program
       in
-      { bench; config; program; trace; warmup_blocks; plan; data })
+      let plan, data_side =
+        Span.with_ ~name:"compile" ~args:[ ("bench", name) ] (fun () ->
+            let plan = Pi_uarch.Replay.compile config.machine trace in
+            (plan, Option.map (Pi_uarch.Replay.data_side plan) data))
+      in
+      { bench; config; program; trace; warmup_blocks; plan; data; data_side })
 
 type observation = {
   layout_seed : int;
@@ -98,8 +101,11 @@ let placement prepared ~seed =
 
 let exact_counts prepared ~seed =
   let placement = Span.with_ ~name:"layout" (fun () -> placement prepared ~seed) in
+  (* Without a shared data side (heap_random, aslr), the replay builds this
+     seed's own, inside the span. *)
   Span.with_ ~name:"replay" (fun () ->
-      Pi_uarch.Replay.run ~warmup_blocks:prepared.warmup_blocks prepared.plan placement)
+      Pi_uarch.Replay.run ~warmup_blocks:prepared.warmup_blocks ?data_side:prepared.data_side
+        prepared.plan placement)
 
 let observe_seed prepared layout_seed =
   Span.with_ ~name:"observe"

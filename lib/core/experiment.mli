@@ -42,11 +42,21 @@ type prepared = {
           without ASLR (the default config), where only the code layout
           changes from seed to seed; [None] when [heap_random] or [aslr]
           is set, and each seed derives its own data layout *)
+  data_side : Pi_uarch.Replay.data_side option;
+      (** [Some] exactly when [data] is: that layout's resolved data
+          addresses, L1D hits and misses and prefetch decisions, simulated
+          once ({!Pi_uarch.Replay.data_side}). They depend only on the data
+          layout and the trace, never on code addresses, so every seed's
+          replay walks this one record instead of re-simulating L1D. When
+          [None], each seed's replay builds its own from its own data
+          layout. *)
 }
 
 val prepare : ?config:config -> Pi_workloads.Bench.t -> prepared
 (** Build the program, its bounded trace, the compiled replay plan and (when
-    seed-invariant) the data layout once; reused by every layout. *)
+    seed-invariant) the data layout and its data side once; reused by every
+    layout. The plan and the data side are built inside the [compile]
+    span. *)
 
 type observation = {
   layout_seed : int;

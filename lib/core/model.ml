@@ -9,19 +9,24 @@ type t = {
   perfect_prediction : Linreg.interval;
 }
 
+let fit_observations ~bench (observations : Experiment.observation array) =
+  let column f = Array.map (fun o -> f o.Experiment.measurement) observations in
+  let xs = column (fun m -> m.Pi_uarch.Counters.mpki) in
+  let ys = column (fun m -> m.Pi_uarch.Counters.cpi) in
+  let regression = Linreg.fit xs ys in
+  {
+    benchmark = bench;
+    regression;
+    n_layouts = Array.length xs;
+    mean_mpki = Pi_stats.Descriptive.mean xs;
+    mean_cpi = Pi_stats.Descriptive.mean ys;
+    perfect_prediction = Linreg.prediction_interval regression 0.0;
+  }
+
 let fit (dataset : Experiment.dataset) =
-  let benchmark = dataset.Experiment.prepared.Experiment.bench.Pi_workloads.Bench.name in
-  Pi_obs.Span.with_ ~name:"fit" ~args:[ ("bench", benchmark) ] (fun () ->
-      let xs = Experiment.mpkis dataset and ys = Experiment.cpis dataset in
-      let regression = Linreg.fit xs ys in
-      {
-        benchmark;
-        regression;
-        n_layouts = Array.length xs;
-        mean_mpki = Pi_stats.Descriptive.mean xs;
-        mean_cpi = Pi_stats.Descriptive.mean ys;
-        perfect_prediction = Linreg.prediction_interval regression 0.0;
-      })
+  let bench = dataset.Experiment.prepared.Experiment.bench.Pi_workloads.Bench.name in
+  Pi_obs.Span.with_ ~name:"fit" ~args:[ ("bench", bench) ] (fun () ->
+      fit_observations ~bench dataset.Experiment.observations)
 
 let predict_cpi ?(level = 0.95) t ~mpki = Linreg.prediction_interval ~level t.regression mpki
 

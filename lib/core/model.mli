@@ -16,6 +16,12 @@ type t = {
 }
 
 val fit : Experiment.dataset -> t
+(** [fit_observations] over the dataset's observations, in a [fit] span. *)
+
+val fit_observations : bench:string -> Experiment.observation array -> t
+(** The CPI ~ MPKI fit of bare observations, for callers that hold no
+    {!Experiment.prepared} (cache-served observations, campaign manifests).
+    Raises whatever {!Pi_stats.Linreg.fit} raises on a degenerate sample. *)
 
 val predict_cpi : ?level:float -> t -> mpki:float -> Pi_stats.Linreg.interval
 (** Prediction interval for the CPI of a hypothetical predictor achieving

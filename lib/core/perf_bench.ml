@@ -1,7 +1,11 @@
 (* Microbenchmark for the compiled-replay path: times plan compilation, the
    legacy interpreter and plan replay over the same placements, checks that
    both produce identical counts, and renders the numbers as JSON for the
-   perf trajectory (BENCH_pipeline.json). *)
+   perf trajectory (BENCH_pipeline.json). Two legs: the default config,
+   whose bump-heap data layout every seed shares, so its data side is
+   simulated once (as campaigns do) and timed on its own; and heap
+   randomization, where every seed has its own data layout and each
+   replay builds its own data side. *)
 
 module Pipeline = Pi_uarch.Pipeline
 module Replay = Pi_uarch.Replay
@@ -14,6 +18,7 @@ type result = {
   mem_events : int;
   plan_words : int;
   compile_seconds : float;
+  data_side_seconds : float;  (* the shared data side, built once for every layout *)
   legacy_seconds : float;  (* total wall time for [layouts] legacy observations *)
   replay_seconds : float;  (* same placements through the compiled plan *)
   legacy_obs_per_sec : float;
@@ -21,6 +26,12 @@ type result = {
   replay_blocks_per_sec : float;
   speedup : float;  (* replay_obs_per_sec / legacy_obs_per_sec *)
   identical : bool;  (* replay counts = legacy counts on every placement *)
+  (* The heap-randomized leg: per-seed data layouts and data sides. *)
+  heap_random_legacy_seconds : float;
+  heap_random_replay_seconds : float;  (* data side builds included *)
+  heap_random_replay_obs_per_sec : float;
+  heap_random_speedup : float;
+  heap_random_identical : bool;
 }
 
 (* Durations on the monotonic clock: an NTP step during a timed phase must
@@ -31,6 +42,33 @@ let now () = Pi_obs.Clock.now ()
 let grid_reps = 5
 
 module Span = Pi_obs.Span
+
+(* [f ()] and its wall time. *)
+let wall f =
+  let t0 = now () in
+  let result = f () in
+  (result, now () -. t0)
+
+(* [wall] inside a [name] span tagged with the benchmark. *)
+let timed ~bench name f = Span.with_ ~name ~args:[ ("bench", bench) ] (fun () -> wall f)
+
+(* The fastest of [reps] runs of [f] through [measure] ([wall] or
+   [timed]), and that run's result. The runs are deterministic, so the
+   spread between them is scheduler and clock noise, not workload
+   variance. *)
+let best_of ~reps measure f =
+  let result = ref None in
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let r, dt = measure f in
+    if dt < !best then begin
+      best := dt;
+      result := Some r
+    end
+  done;
+  (Option.get !result, !best)
+
+let per_sec count seconds = if seconds > 0.0 then count /. seconds else 0.0
 
 let run ?(bench = "400.perlbench") ?(scale = 4) ?(layouts = 12) () =
   if layouts < 1 then invalid_arg "Perf_bench.run: layouts < 1";
@@ -47,29 +85,35 @@ let run ?(bench = "400.perlbench") ?(scale = 4) ?(layouts = 12) () =
       (config.Experiment.warmup_fraction
       *. float_of_int (Pi_isa.Trace.blocks_executed trace))
   in
-  let placements =
-    Array.init layouts (fun i -> Pi_layout.Placement.make program ~seed:(i + 1))
+  let data = Option.get (Pi_layout.Placement.shared_data program) in
+  let placements = Array.init layouts (fun i -> Pi_layout.Placement.with_data data ~seed:(i + 1)) in
+  let heap_random_placements =
+    Array.init layouts (fun i -> Pi_layout.Placement.make ~heap_random:true program ~seed:(i + 1))
   in
   (* Warm both paths once outside the timed region (page faults, lazy
      initialization) using a placement that is not part of the measurement. *)
   let warm_placement = Pi_layout.Placement.make program ~seed:(layouts + 1) in
   ignore (Pipeline.run_unoptimized ~warmup_blocks machine trace warm_placement);
   ignore (Replay.run ~warmup_blocks (Replay.compile machine trace) warm_placement);
-  let timed name f =
-    Span.with_ ~name ~args:[ ("bench", bench) ] (fun () ->
-        let t0 = now () in
-        let result = f () in
-        (result, now () -. t0))
-  in
+  let timed name f = timed ~bench name f in
   let plan, compile_seconds = timed "perf.compile" (fun () -> Replay.compile machine trace) in
-  let legacy, legacy_seconds =
+  let data_side, data_side_seconds =
+    timed "perf.data_side" (fun () -> Replay.data_side plan data)
+  in
+  let legacy_leg placements =
     timed "perf.legacy" (fun () ->
         Array.map (fun p -> Pipeline.run_unoptimized ~warmup_blocks machine trace p) placements)
   in
+  let legacy, legacy_seconds = legacy_leg placements in
   let replayed, replay_seconds =
-    timed "perf.replay" (fun () -> Array.map (fun p -> Replay.run ~warmup_blocks plan p) placements)
+    timed "perf.replay" (fun () ->
+        Array.map (fun p -> Replay.run ~warmup_blocks ~data_side plan p) placements)
   in
-  let identical = legacy = replayed in
+  let hr_legacy, heap_random_legacy_seconds = legacy_leg heap_random_placements in
+  let hr_replayed, heap_random_replay_seconds =
+    timed "perf.replay" (fun () ->
+        Array.map (fun p -> Replay.run ~warmup_blocks plan p) heap_random_placements)
+  in
   let obs = float_of_int layouts in
   let blocks = Replay.blocks plan in
   {
@@ -80,14 +124,19 @@ let run ?(bench = "400.perlbench") ?(scale = 4) ?(layouts = 12) () =
     mem_events = Replay.mem_events plan;
     plan_words = Replay.words plan;
     compile_seconds;
+    data_side_seconds;
     legacy_seconds;
     replay_seconds;
-    legacy_obs_per_sec = (if legacy_seconds > 0.0 then obs /. legacy_seconds else 0.0);
-    replay_obs_per_sec = (if replay_seconds > 0.0 then obs /. replay_seconds else 0.0);
-    replay_blocks_per_sec =
-      (if replay_seconds > 0.0 then obs *. float_of_int blocks /. replay_seconds else 0.0);
-    speedup = (if replay_seconds > 0.0 then legacy_seconds /. replay_seconds else 0.0);
-    identical;
+    legacy_obs_per_sec = per_sec obs legacy_seconds;
+    replay_obs_per_sec = per_sec obs replay_seconds;
+    replay_blocks_per_sec = per_sec (obs *. float_of_int blocks) replay_seconds;
+    speedup = per_sec legacy_seconds replay_seconds;
+    identical = legacy = replayed;
+    heap_random_legacy_seconds;
+    heap_random_replay_seconds;
+    heap_random_replay_obs_per_sec = per_sec obs heap_random_replay_seconds;
+    heap_random_speedup = per_sec heap_random_legacy_seconds heap_random_replay_seconds;
+    heap_random_identical = hr_legacy = hr_replayed;
   }
 
 let to_json r =
@@ -101,13 +150,20 @@ let to_json r =
       Printf.sprintf "  \"mem_events_per_observation\": %d," r.mem_events;
       Printf.sprintf "  \"plan_words\": %d," r.plan_words;
       Printf.sprintf "  \"compile_seconds\": %.6f," r.compile_seconds;
+      Printf.sprintf "  \"data_side_seconds\": %.6f," r.data_side_seconds;
       Printf.sprintf "  \"legacy_seconds\": %.6f," r.legacy_seconds;
       Printf.sprintf "  \"replay_seconds\": %.6f," r.replay_seconds;
       Printf.sprintf "  \"legacy_obs_per_sec\": %.2f," r.legacy_obs_per_sec;
       Printf.sprintf "  \"replay_obs_per_sec\": %.2f," r.replay_obs_per_sec;
       Printf.sprintf "  \"replay_blocks_per_sec\": %.0f," r.replay_blocks_per_sec;
       Printf.sprintf "  \"speedup\": %.3f," r.speedup;
-      Printf.sprintf "  \"identical_counts\": %b" r.identical;
+      Printf.sprintf "  \"identical_counts\": %b," r.identical;
+      Printf.sprintf "  \"heap_random_legacy_seconds\": %.6f," r.heap_random_legacy_seconds;
+      Printf.sprintf "  \"heap_random_replay_seconds\": %.6f," r.heap_random_replay_seconds;
+      Printf.sprintf "  \"heap_random_replay_obs_per_sec\": %.2f,"
+        r.heap_random_replay_obs_per_sec;
+      Printf.sprintf "  \"heap_random_speedup\": %.3f," r.heap_random_speedup;
+      Printf.sprintf "  \"heap_random_identical_counts\": %b" r.heap_random_identical;
       "}";
     ]
 
@@ -121,15 +177,19 @@ let write_json ~path r =
 
 let summary r =
   Printf.sprintf
-    "%s scale %d: %d blocks/obs, compile %.1fms (amortized over every placement)\n\
+    "%s scale %d: %d blocks/obs, compile %.1fms + data side %.1fms (amortized over every \
+     placement)\n\
      legacy: %.2f obs/s (%.1fms/obs)   replay: %.2f obs/s (%.1fms/obs, %.2fM blocks/s)\n\
-     speedup: %.2fx   counts identical: %b   plan: %.1f MiB"
-    r.bench r.scale r.blocks (r.compile_seconds *. 1e3) r.legacy_obs_per_sec
+     speedup: %.2fx   counts identical: %b   plan: %.1f MiB\n\
+     heap_random (per-seed data sides): replay %.2f obs/s, speedup %.2fx, counts identical: %b"
+    r.bench r.scale r.blocks (r.compile_seconds *. 1e3) (r.data_side_seconds *. 1e3)
+    r.legacy_obs_per_sec
     (1e3 *. r.legacy_seconds /. float_of_int r.layouts)
     r.replay_obs_per_sec
     (1e3 *. r.replay_seconds /. float_of_int r.layouts)
     (r.replay_blocks_per_sec /. 1e6) r.speedup r.identical
     (float_of_int (r.plan_words * 8) /. 1024.0 /. 1024.0)
+    r.heap_random_replay_obs_per_sec r.heap_random_speedup r.heap_random_identical
 
 (* Fused-sweep benchmark (BENCH_sweep.json): the full 145-configuration
    predictor study through the sequential per-config loop versus the fused
@@ -182,32 +242,13 @@ let run_sweep ?(bench = "400.perlbench") ?(scale = 4) () =
      (the fallback/perfect/L-TAGE lanes go through the same Replay.run the
      baseline uses), plus page faults, the memoized grid and its scratch. *)
   ignore (Sweep.run_study ~plan ~warmup_blocks ~benchmark:bench trace placement);
-  let timed name f =
-    Span.with_ ~name ~args:[ ("bench", bench) ] (fun () ->
-        let t0 = now () in
-        let result = f () in
-        (result, now () -. t0))
-  in
   (* Time the 145-configuration grid through each path — the unit the
      fused engine replaces. The perfect/L-TAGE reference simulations and
      the regression are identical sequential work on both paths, so timing
      them would only blur the configs/sec ratio; the full studies are
      still run (untimed) below for the bit-identical check. Each path is
-     timed [grid_reps] times and the minimum kept: the grid is
-     deterministic, so the spread between reps is scheduler/clock noise,
-     not workload variance. *)
-  let best_of name f =
-    let result = ref None in
-    let best = ref infinity in
-    for _ = 1 to grid_reps do
-      let r, dt = timed name f in
-      if dt < !best then begin
-        best := dt;
-        result := Some r
-      end
-    done;
-    (Option.get !result, !best)
-  in
+     timed [grid_reps] times and the minimum kept. *)
+  let best_of name = best_of ~reps:grid_reps (timed ~bench name) in
   let (baseline_points, _, _, _, _), baseline_seconds =
     best_of "perf.sweep_baseline" (fun () ->
         Sweep.run_grid ~plan ~warmup_blocks ~fused:false trace placement)
@@ -328,24 +369,7 @@ let run_cache_sweep ?(bench = "400.perlbench") ?(scale = 4) () =
   let placement = Pi_layout.Placement.make program ~seed:1 in
   let plan = Pi_uarch.Replay.compile config.Experiment.machine trace in
   ignore (Sweep.run_cache_study ~plan ~warmup_blocks ~benchmark:bench trace placement);
-  let timed name f =
-    Span.with_ ~name ~args:[ ("bench", bench) ] (fun () ->
-        let t0 = now () in
-        let result = f () in
-        (result, now () -. t0))
-  in
-  let best_of name f =
-    let result = ref None in
-    let best = ref infinity in
-    for _ = 1 to grid_reps do
-      let r, dt = timed name f in
-      if dt < !best then begin
-        best := dt;
-        result := Some r
-      end
-    done;
-    (Option.get !result, !best)
-  in
+  let best_of name = best_of ~reps:grid_reps (timed ~bench name) in
   let (baseline_points, _, _, _, _), baseline_seconds =
     best_of "perf.cache_sweep_baseline" (fun () ->
         Sweep.run_cache_grid ~plan ~warmup_blocks ~fused:false trace placement)
@@ -460,20 +484,7 @@ let run_recorder ?(bench = "400.perlbench") ?(scale = 4) () =
   let placement = Pi_layout.Placement.make program ~seed:1 in
   let plan = Pi_uarch.Replay.compile config.Experiment.machine trace in
   ignore (Sweep.run_grid ~plan ~warmup_blocks trace placement);
-  let best_of f =
-    let result = ref None in
-    let best = ref infinity in
-    for _ = 1 to grid_reps do
-      let t0 = now () in
-      let r = f () in
-      let dt = now () -. t0 in
-      if dt < !best then begin
-        best := dt;
-        result := Some r
-      end
-    done;
-    (Option.get !result, !best)
-  in
+  let best_of = best_of ~reps:grid_reps wall in
   let was_enabled = Span.enabled () in
   (* Recorder off: no tracing, no scrape loop — the clean baseline. *)
   Span.set_enabled false;
@@ -607,20 +618,7 @@ let run_surrogate ?(bench = "183.equake") ?(scale = 2) ?(max_err = 1.0) () =
   (* Best-of-3, not [grid_reps]: each rep here is a whole study (grid +
      perfect/L-TAGE references + fits), and the gated quantity — the lane
      counts — is deterministic across reps anyway. *)
-  let best_of f =
-    let result = ref None in
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = now () in
-      let r = f () in
-      let dt = now () -. t0 in
-      if dt < !best then begin
-        best := dt;
-        result := Some r
-      end
-    done;
-    (Option.get !result, !best)
-  in
+  let best_of = best_of ~reps:3 wall in
   let full, full_seconds =
     best_of (fun () ->
         Sweep.run_study ~plan ~warmup_blocks ~benchmark:bench trace placement)
@@ -742,10 +740,13 @@ let surrogate_failures ~gate r =
 let history_metrics r =
   [
     ("compile_seconds", r.compile_seconds);
+    ("data_side_seconds", r.data_side_seconds);
     ("legacy_obs_per_sec", r.legacy_obs_per_sec);
     ("replay_obs_per_sec", r.replay_obs_per_sec);
     ("replay_blocks_per_sec", r.replay_blocks_per_sec);
     ("speedup", r.speedup);
+    ("heap_random_replay_obs_per_sec", r.heap_random_replay_obs_per_sec);
+    ("heap_random_speedup", r.heap_random_speedup);
   ]
 
 let sweep_history_metrics r =

@@ -3,7 +3,13 @@
     Times plan compilation, the legacy interpreter
     ({!Pi_uarch.Pipeline.run_unoptimized}) and plan replay over the same
     placements, verifies both produce identical counts, and renders the
-    numbers as JSON for the perf trajectory ([BENCH_pipeline.json]). *)
+    numbers as JSON for the perf trajectory ([BENCH_pipeline.json]).
+
+    Two legs. The default config's bump heap gives every seed the same
+    data layout, so replay runs the way campaigns run it: the data side
+    ({!Pi_uarch.Replay.data_side}) is built once, timed on its own, and
+    shared by every placement. Under heap randomization every seed has its
+    own data layout, so each replay builds its own data side. *)
 
 type result = {
   bench : string;
@@ -13,6 +19,7 @@ type result = {
   mem_events : int;
   plan_words : int;  (** plan footprint, machine words *)
   compile_seconds : float;
+  data_side_seconds : float;  (** the shared data side, built once *)
   legacy_seconds : float;  (** total for [layouts] legacy observations *)
   replay_seconds : float;  (** same placements through the compiled plan *)
   legacy_obs_per_sec : float;
@@ -20,12 +27,17 @@ type result = {
   replay_blocks_per_sec : float;
   speedup : float;  (** legacy_seconds / replay_seconds *)
   identical : bool;  (** replay counts = legacy counts on every placement *)
+  heap_random_legacy_seconds : float;  (** the heap-randomized leg *)
+  heap_random_replay_seconds : float;  (** per-seed data side builds included *)
+  heap_random_replay_obs_per_sec : float;
+  heap_random_speedup : float;
+  heap_random_identical : bool;
 }
 
 val run : ?bench:string -> ?scale:int -> ?layouts:int -> unit -> result
 (** Build the benchmark (default 400.perlbench at scale 4), trace it once,
-    then time [layouts] observations through each path. Both paths are
-    warmed with an extra untimed placement first. *)
+    then time [layouts] observations through each path on each leg. Both
+    paths are warmed with an extra untimed placement first. *)
 
 val to_json : result -> string
 val write_json : path:string -> result -> unit

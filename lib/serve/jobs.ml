@@ -238,25 +238,11 @@ let fit_json (m : Model.t) =
       ("perfect_prediction", interval_json m.Model.perfect_prediction);
     ]
 
-(* The same fit [Model.fit] computes, but from bare observations — the
-   cache fast path has no [prepared] (and must not pay for one). *)
-let fit_of_observations ~bench (observations : E.observation array) =
-  let xs = Array.map (fun o -> o.E.measurement.C.mpki) observations in
-  let ys = Array.map (fun o -> o.E.measurement.C.cpi) observations in
-  let regression = Linreg.fit xs ys in
-  {
-    Model.benchmark = bench;
-    regression;
-    n_layouts = Array.length xs;
-    mean_mpki = Pi_stats.Descriptive.mean xs;
-    mean_cpi = Pi_stats.Descriptive.mean ys;
-    perfect_prediction = Linreg.prediction_interval regression 0.0;
-  }
-
 let bench_doc ~bench ~config (observations : E.observation array) =
   let fit =
     Span.with_ ~cat:"serve" ~name:"job.fit" ~args:[ ("bench", bench) ] (fun () ->
-        fit_of_observations ~bench observations)
+        (* The cache fast path has no [prepared] (and must not pay for one). *)
+        Model.fit_observations ~bench observations)
   in
   J.Obj
     [
@@ -453,7 +439,7 @@ let run_estimate ~cache p =
                (Array.length obs)) );
       ]
   else begin
-    let fit = fit_of_observations ~bench:bench_name obs in
+    let fit = Model.fit_observations ~bench:bench_name obs in
     (* Honest error bar on the CPI ~ MPKI map: held-out fold residuals of
        a one-feature surrogate, not the in-sample fit error (which is ~0
        whenever the fit near-interpolates a small cache). *)

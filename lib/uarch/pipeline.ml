@@ -304,6 +304,28 @@ let run_unoptimized ?(warmup_blocks = 0) config (trace : Trace.t) (placement : P
   }
 
 (* ------------------------------------------------------------------ *)
+(* The data side: L1D and the prefetcher see only data addresses and
+   memory-op ids, never code addresses, predictors, L1I or L2. [data_side]
+   simulates them once per data layout, recording the L2 operations they
+   issue and the line a wrong-path run touches in L2; every replay body
+   applies those operations at the events that issued them, in the order
+   a full simulation performs them. *)
+
+type data_side = {
+  ds_trace : Trace.t;  (** the trace it was simulated over *)
+  ds_data : Pi_layout.Data_layout.t;  (** the data layout it was simulated under *)
+  ds_l1d : Cache.geometry;
+  ds_prefetcher : bool;
+  ds_ops : int array;
+      (** L2 operations in issue order, two words each: the code [2k] (event
+          [k] missed L1D at the address) or [2k + 1] (event [k]'s prefetch
+          filled the line at the address), then the address; ends in a
+          [max_int] code, so a walk needs no bound check *)
+  ds_peek : int array;  (** per event: the L1D line of its address *)
+  ds_misses : int;  (** L1D misses over the whole trace *)
+}
+
+(* ------------------------------------------------------------------ *)
 (* Compiled replay plans.
 
    Interferometry runs one trace under hundreds of placements, so the
@@ -319,24 +341,27 @@ let run_unoptimized ?(warmup_blocks = 0) config (trace : Trace.t) (placement : P
 
    A plan is immutable after [compile] and holds no simulation state
    (caches and predictors are created per [replay] call), so one plan can be
-   replayed concurrently from many domains. *)
+   replayed concurrently from many domains; its one mutable slot only
+   caches the immutable data side last built for it. *)
 
 type plan = {
   plan_config : config;
   plan_trace : Trace.t;
   (* Per dynamic block, indexed by execution ordinal: *)
   step_block : int array;  (** static block id *)
-  step_instrs : int array;  (** retired instructions of the block *)
-  step_cost : float array;  (** static issue cost of the block, cycles *)
-  step_mem_start : int array;  (** first index of the block's span in [mem_events] *)
-  step_mem_count : int array;  (** memory events issued by the block *)
+  step_mem_end : int array;  (** index in [mem_events] just past the block's events *)
   step_kind : int array;  (** 0 none, 1 cond not-taken, 2 cond taken, 3 indirect *)
   step_id : int array;  (** branch id (kind 1/2) or ibr id (kind 3) *)
   step_next : int array;  (** kind 3: dynamic successor block id *)
   step_alt : int array;  (** wrong-path alternate block id; -1 when none *)
+  (* Per static block, indexed by block id: *)
+  block_instrs : int array;  (** retired instructions of the block *)
+  block_cost : float array;  (** static issue cost of the block, cycles *)
   (* Per dynamic memory event, aligned with [trace.mem_events]: *)
   ev_factor : float array;  (** (store ? store_miss_factor : 1) x overlap *)
   ev_mem_id : int array;  (** static memory-op id (prefetcher key) *)
+  last_data_side : data_side option Atomic.t;
+      (** reused by the next [data_side] call for the same data layout *)
 }
 
 let plan_config plan = plan.plan_config
@@ -346,8 +371,8 @@ let plan_mem_events plan = Array.length plan.ev_mem_id
 
 let plan_words plan =
   (* Rough heap footprint in machine words, for reporting. *)
-  (7 * Array.length plan.step_block)
-  + (2 * Array.length plan.step_cost)
+  (6 * Array.length plan.step_block)
+  + (3 * Array.length plan.block_cost)
   + Array.length plan.ev_mem_id
   + (2 * Array.length plan.ev_factor)
 
@@ -403,10 +428,7 @@ let compile config (trace : Trace.t) =
   let n = Array.length seq in
   let n_events = Array.length mem_events in
   let step_block = Array.make n 0 in
-  let step_instrs = Array.make n 0 in
-  let step_cost = Array.make n 0.0 in
-  let step_mem_start = Array.make n 0 in
-  let step_mem_count = Array.make n 0 in
+  let step_mem_end = Array.make n 0 in
   let step_kind = Array.make n 0 in
   let step_id = Array.make n 0 in
   let step_next = Array.make n 0 in
@@ -418,12 +440,9 @@ let compile config (trace : Trace.t) =
   for i = 0 to n - 1 do
     let b = seq.(i) in
     step_block.(i) <- b;
-    step_instrs.(i) <- block_instrs.(b);
-    step_cost.(i) <- base_cost.(b);
     let ids = block_mem_ids.(b) in
     let count = Array.length ids in
-    step_mem_start.(i) <- !cursor;
-    step_mem_count.(i) <- count;
+    step_mem_end.(i) <- !cursor + count;
     for k = 0 to count - 1 do
       let id = ids.(k) in
       let e = mem_events.(!cursor + k) in
@@ -460,16 +479,16 @@ let compile config (trace : Trace.t) =
     plan_config = config;
     plan_trace = trace;
     step_block;
-    step_instrs;
-    step_cost;
-    step_mem_start;
-    step_mem_count;
+    step_mem_end;
     step_kind;
     step_id;
     step_next;
     step_alt;
+    block_instrs;
+    block_cost = base_cost;
     ev_factor;
     ev_mem_id;
+    last_data_side = Atomic.make None;
   }
 
 (* The plan depends on [config] only through the instruction costs, the
@@ -505,28 +524,94 @@ let log2_exact v =
   let rec go k v = if v = 1 then k else go (k + 1) (v lsr 1) in
   go 0 v
 
-let replay ?(warmup_blocks = 0) plan (placement : Pi_layout.Placement.t) =
+(* A data side is valid for any plan over the same trace whose machine has
+   the same L1D and prefetcher; [plan_with_config] can change either after
+   the build, so every use checks. *)
+let data_side_fits plan ds =
+  ds.ds_trace == plan.plan_trace
+  && ds.ds_l1d = plan.plan_config.l1d
+  && ds.ds_prefetcher = plan.plan_config.data_prefetcher
+
+let simulate_data_side plan (data : Pi_layout.Data_layout.t) =
   let config = plan.plan_config in
-  let trace = plan.plan_trace in
+  let mem_events = plan.plan_trace.Trace.mem_events in
+  let n_events = Array.length mem_events in
+  let l1d = Cache.create config.l1d in
+  let prefetcher = if config.data_prefetcher then Some (Prefetcher.create ()) else None in
+  let line_mask = lnot (config.l1d.Cache.line_bytes - 1) in
+  (* Without prefetches an event issues at most one operation, so the
+     buffer never grows. *)
+  let ops = Pi_isa.Int_vec.create ~capacity:((2 * n_events) + 2) () in
+  let push code addr = Pi_isa.Int_vec.push ops code; Pi_isa.Int_vec.push ops addr in
+  let peek = Array.make n_events 0 in
+  for k = 0 to n_events - 1 do
+    let addr = Pi_layout.Data_layout.address data mem_events.(k) in
+    peek.(k) <- addr land line_mask;
+    if not (Cache.access l1d addr) then push (2 * k) addr;
+    match prefetcher with
+    | Some pf -> (
+        match Prefetcher.observe pf ~mem_id:plan.ev_mem_id.(k) ~addr with
+        | Some (first, count) ->
+            (* Fills L1D here and L2 in the walk, with no cycle charge. *)
+            for p = 0 to count - 1 do
+              let line_addr = first + (p * 64) in
+              push ((2 * k) + 1) line_addr;
+              Cache.fill l1d line_addr
+            done
+        | None -> ())
+    | None -> ()
+  done;
+  push max_int 0;
+  {
+    ds_trace = plan.plan_trace;
+    ds_data = data;
+    ds_l1d = config.l1d;
+    ds_prefetcher = config.data_prefetcher;
+    ds_ops = Pi_isa.Int_vec.to_array ops;
+    ds_peek = peek;
+    ds_misses = Cache.misses l1d;
+  }
+
+let data_side plan data =
+  match Atomic.get plan.last_data_side with
+  | Some ds when ds.ds_data == data && data_side_fits plan ds -> ds
+  | _ ->
+      let ds = simulate_data_side plan data in
+      Atomic.set plan.last_data_side (Some ds);
+      ds
+
+let data_side_for who plan placement = function
+  | None -> data_side plan placement.Pi_layout.Placement.data
+  | Some ds when data_side_fits plan ds -> ds
+  | Some _ -> invalid_arg (who ^ ": the data side was built for another trace, L1D or prefetcher")
+
+(* L1D (accesses, misses) measured from block [warmup] on: every event is
+   one access and every even op code one miss. *)
+let data_l1d plan ds ~warmup =
+  let first = if warmup = 0 then 0 else plan.step_mem_end.(warmup - 1) in
+  let misses_before = ref 0 and k = ref 0 in
+  while ds.ds_ops.(!k) < 2 * first do
+    if ds.ds_ops.(!k) land 1 = 0 then incr misses_before;
+    k := !k + 2
+  done;
+  (Array.length ds.ds_peek - first, ds.ds_misses - !misses_before)
+
+let replay ?(warmup_blocks = 0) ?data_side plan (placement : Pi_layout.Placement.t) =
+  let ds = data_side_for "Pipeline.replay" plan placement data_side in
+  let config = plan.plan_config in
   let code = placement.Pi_layout.Placement.code in
-  let data = placement.Pi_layout.Placement.data in
   let predictor = config.make_predictor () in
   let indirect_predictor = config.make_indirect () in
-  let prefetcher = if config.data_prefetcher then Some (Prefetcher.create ()) else None in
   let trace_cache = Option.map Trace_cache.create config.trace_cache in
   let l1i = Cache.create config.l1i in
-  let l1d = Cache.create config.l1d in
   let l2 = Cache.create config.l2 in
   let block_addr = code.Pi_layout.Code_layout.block_addr in
   let block_bytes = code.Pi_layout.Code_layout.block_bytes in
   let branch_pc = code.Pi_layout.Code_layout.branch_pc in
   let ibr_pc = code.Pi_layout.Code_layout.ibr_pc in
-  let global_base = data.Pi_layout.Data_layout.global_base in
-  let heap_base = data.Pi_layout.Data_layout.heap_base in
   let line_shift = log2_exact config.l1i.Cache.line_bytes in
   let l1i_tags, l1i_set_mask, l1i_assoc, _ = Cache.hot l1i in
   let l1i_line_mask = lnot (config.l1i.Cache.line_bytes - 1) in
-  let data_line_mask = lnot (config.l1d.Cache.line_bytes - 1) in
   let pen = config.penalties in
   (* Hoisted penalty constants; [l2_fetch_penalty] matches the legacy
      [pen.l2_miss *. 0.7] computed inline (same operands, same product). *)
@@ -538,18 +623,15 @@ let replay ?(warmup_blocks = 0) plan (placement : Pi_layout.Placement.t) =
   let btb_miss_penalty = pen.btb_miss in
   let pkernel = predictor.Predictor.kernel in
   let step_block = plan.step_block in
-  let step_instrs = plan.step_instrs in
-  let step_cost = plan.step_cost in
-  let step_mem_start = plan.step_mem_start in
-  let step_mem_count = plan.step_mem_count in
+  let block_instrs = plan.block_instrs in
+  let block_cost = plan.block_cost in
+  let step_mem_end = plan.step_mem_end in
   let step_kind = plan.step_kind in
   let step_id = plan.step_id in
   let step_next = plan.step_next in
   let step_alt = plan.step_alt in
   let ev_factor = plan.ev_factor in
-  let ev_mem_id = plan.ev_mem_id in
-  let mem_events = trace.Trace.mem_events in
-  let n_events = Array.length mem_events in
+  let ops = ds.ds_ops and peek = ds.ds_peek in
   let acc = { cycles = 0.0 } in
   let cond_mispredicts = ref 0 in
   let indirect_mispredicts = ref 0 in
@@ -557,7 +639,8 @@ let replay ?(warmup_blocks = 0) plan (placement : Pi_layout.Placement.t) =
   let cond_branches = ref 0 in
   let indirect_branches = ref 0 in
   let instructions = ref 0 in
-  let l1i_base = ref (0, 0) and l1d_base = ref (0, 0) and l2_base = ref (0, 0) in
+  let l1i_base = ref (0, 0) and l2_base = ref (0, 0) in
+  let op = ref 0 in
   let wrong_path_runs = ref 0 in
   let last_prefetch_cursor = ref (-1) in
   let wrong_path = config.wrong_path in
@@ -569,11 +652,9 @@ let replay ?(warmup_blocks = 0) plan (placement : Pi_layout.Placement.t) =
       if (not (Cache.probe l1i alt_line)) && Cache.probe l2 alt_line then
         Cache.touch l1i alt_line;
       incr wrong_path_runs;
-      if !wrong_path_runs land 7 = 0 && !last_prefetch_cursor <> cursor && cursor < n_events
+      if !wrong_path_runs land 7 = 0 && !last_prefetch_cursor <> cursor && cursor < Array.length peek
       then begin
-        let next_event = Array.unsafe_get mem_events cursor in
-        let addr = Pi_layout.Data_layout.address data next_event in
-        Cache.touch l2 (addr land data_line_mask);
+        Cache.touch l2 (Array.unsafe_get peek cursor);
         last_prefetch_cursor := cursor
       end
     end
@@ -590,12 +671,11 @@ let replay ?(warmup_blocks = 0) plan (placement : Pi_layout.Placement.t) =
       indirect_branches := 0;
       instructions := 0;
       l1i_base := (Cache.accesses l1i, Cache.misses l1i);
-      l1d_base := (Cache.accesses l1d, Cache.misses l1d);
       l2_base := (Cache.accesses l2, Cache.misses l2)
     end;
     let b = Array.unsafe_get step_block i in
-    instructions := !instructions + Array.unsafe_get step_instrs i;
-    acc.cycles <- acc.cycles +. Array.unsafe_get step_cost i;
+    instructions := !instructions + Array.unsafe_get block_instrs b;
+    acc.cycles <- acc.cycles +. Array.unsafe_get block_cost b;
     let trace_cache_hit =
       match trace_cache with
       | Some tc -> Trace_cache.access tc ~block_id:b
@@ -619,35 +699,18 @@ let replay ?(warmup_blocks = 0) plan (placement : Pi_layout.Placement.t) =
         end
       done
     end;
-    let mstart = Array.unsafe_get step_mem_start i in
-    let mcount = Array.unsafe_get step_mem_count i in
-    if mcount > 0 then begin
-      for k = mstart to mstart + mcount - 1 do
-        let e = Array.unsafe_get mem_events k in
-        let addr =
-          let offset = Trace.mem_offset e in
-          match Trace.mem_space e with
-          | Program.Global -> global_base.(Trace.mem_target e) + offset
-          | Program.Heap -> heap_base.(Trace.mem_target e).(Trace.mem_obj e) + offset
-        in
-        if not (Cache.access l1d addr) then begin
-          let factor = Array.unsafe_get ev_factor k in
-          if Cache.access l2 addr then acc.cycles <- acc.cycles +. (l1d_miss_penalty *. factor)
-          else acc.cycles <- acc.cycles +. (l2_miss_penalty *. factor)
-        end;
-        match prefetcher with
-        | Some pf -> (
-            match Prefetcher.observe pf ~mem_id:(Array.unsafe_get ev_mem_id k) ~addr with
-            | Some (first, count) ->
-                for p = 0 to count - 1 do
-                  let line_addr = first + (p * 64) in
-                  Cache.fill l2 line_addr;
-                  Cache.fill l1d line_addr
-                done
-            | None -> ())
-        | None -> ()
-      done
-    end;
+    let mend = Array.unsafe_get step_mem_end i in
+    while Array.unsafe_get ops !op < 2 * mend do
+      let code = Array.unsafe_get ops !op in
+      let addr = Array.unsafe_get ops (!op + 1) in
+      if code land 1 = 0 then begin
+        let factor = Array.unsafe_get ev_factor (code lsr 1) in
+        if Cache.access l2 addr then acc.cycles <- acc.cycles +. (l1d_miss_penalty *. factor)
+        else acc.cycles <- acc.cycles +. (l2_miss_penalty *. factor)
+      end
+      else Cache.fill l2 addr;
+      op := !op + 2
+    done;
     let kind = Array.unsafe_get step_kind i in
     if kind <> 0 then
       if kind < 3 then begin
@@ -711,7 +774,7 @@ let replay ?(warmup_blocks = 0) plan (placement : Pi_layout.Placement.t) =
         if not correct then begin
           incr cond_mispredicts;
           acc.cycles <- acc.cycles +. mispredict_penalty;
-          wrong_path_effects (Array.unsafe_get step_alt i) (mstart + mcount)
+          wrong_path_effects (Array.unsafe_get step_alt i) mend
         end
       end
       else begin
@@ -726,13 +789,13 @@ let replay ?(warmup_blocks = 0) plan (placement : Pi_layout.Placement.t) =
           incr btb_misses;
           acc.cycles <- acc.cycles +. btb_miss_penalty;
           let alt = Array.unsafe_get step_alt i in
-          if alt >= 0 then wrong_path_effects alt (mstart + mcount)
+          if alt >= 0 then wrong_path_effects alt mend
         end
       end
   done;
   let delta (a0, m0) cache = (Cache.accesses cache - a0, Cache.misses cache - m0) in
   let l1i_acc, l1i_miss = delta !l1i_base l1i in
-  let l1d_acc, l1d_miss = delta !l1d_base l1d in
+  let l1d_acc, l1d_miss = data_l1d plan ds ~warmup in
   let l2_acc, l2_miss = delta !l2_base l2 in
   Pi_obs.Metrics.inc m_replay_runs;
   Pi_obs.Metrics.add m_replay_blocks (Array.length step_block);
@@ -762,15 +825,15 @@ let run ?warmup_blocks config trace placement =
 (* Fused multi-predictor sweeps.
 
    A predictor sweep replays the *same* plan under the *same* placement once
-   per configuration, yet the trace walk, the data-side memory hierarchy and
-   the indirect-target predictor never depend on the direction predictor.
+   per configuration, yet the trace walk, the data side and the
+   indirect-target predictor never depend on the direction predictor.
    [replay_many] walks the plan once for a whole batch of predictor lanes,
    sharing everything that is predictor-invariant and keeping per-lane
    copies of exactly the state a lane's own mispredictions can perturb:
 
-   - shared: block sequence and decoded steps, trace cache, L1D, the data
-     prefetcher, the indirect predictor/BTB, and the instruction/branch
-     event counters — their inputs are placement- and trace-derived only;
+   - shared: block sequence and decoded steps, the [data_side], trace
+     cache, the indirect predictor/BTB, and the instruction/branch event
+     counters — their inputs are placement- and trace-derived only;
    - per lane: cycles, conditional mispredicts, and the L1I and L2 images.
      The caches must be replicated because wrong-path effects (fetching the
      alternate target into L1I, speculatively touching the next data line in
@@ -1238,22 +1301,17 @@ let[@inline] lane_promote (tags : int array) base way (tag : int) =
   done;
   Array.unsafe_set tags base tag
 
-let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_layout.Placement.t) =
+let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
+    (placement : Pi_layout.Placement.t) =
   let config = plan.plan_config in
   let nl = batch.batch_n in
-  let trace = plan.plan_trace in
   let code = placement.Pi_layout.Placement.code in
-  let data = placement.Pi_layout.Placement.data in
   let indirect_predictor = config.make_indirect () in
-  let prefetcher = if config.data_prefetcher then Some (Prefetcher.create ()) else None in
   let trace_cache = Option.map Trace_cache.create config.trace_cache in
-  let l1d = Cache.create config.l1d in
   let block_addr = code.Pi_layout.Code_layout.block_addr in
   let block_bytes = code.Pi_layout.Code_layout.block_bytes in
   let branch_pc = code.Pi_layout.Code_layout.branch_pc in
   let ibr_pc = code.Pi_layout.Code_layout.ibr_pc in
-  let global_base = data.Pi_layout.Data_layout.global_base in
-  let heap_base = data.Pi_layout.Data_layout.heap_base in
   let l1i_shift = log2_exact config.l1i.Cache.line_bytes in
   let l1i_sets = Cache.geometry_sets config.l1i in
   let l1i_set_mask = l1i_sets - 1 in
@@ -1312,7 +1370,6 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
     end
   in
   let l1i_line_mask = lnot (config.l1i.Cache.line_bytes - 1) in
-  let data_line_mask = lnot (config.l1d.Cache.line_bytes - 1) in
   let pen = config.penalties in
   let l1i_miss_penalty = pen.l1i_miss in
   let l2_fetch_penalty = pen.l2_miss *. 0.7 in
@@ -1321,18 +1378,15 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
   let mispredict_penalty = pen.mispredict in
   let btb_miss_penalty = pen.btb_miss in
   let step_block = plan.step_block in
-  let step_instrs = plan.step_instrs in
-  let step_cost = plan.step_cost in
-  let step_mem_start = plan.step_mem_start in
-  let step_mem_count = plan.step_mem_count in
+  let block_instrs = plan.block_instrs in
+  let block_cost = plan.block_cost in
+  let step_mem_end = plan.step_mem_end in
   let step_kind = plan.step_kind in
   let step_id = plan.step_id in
   let step_next = plan.step_next in
   let step_alt = plan.step_alt in
   let ev_factor = plan.ev_factor in
-  let ev_mem_id = plan.ev_mem_id in
-  let mem_events = trace.Trace.mem_events in
-  let n_events = Array.length mem_events in
+  let ops = ds.ds_ops and peek = ds.ds_peek in
   (* Lane predictor state: one byte image for every counter table plus the
      shared global history register. *)
   let tab = scratch.bs_tab in
@@ -1364,7 +1418,7 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
      [l1i_acc] holds only the lane-specific wrong-path touches. *)
   let fetch_lines = ref 0 in
   let fetch_lines0 = ref 0 in
-  let l1d_base = ref (0, 0) in
+  let op = ref 0 in
   let wrong_path = config.wrong_path in
   (* Counted L2 reference for one lane; mirrors [Cache.access]. The way-0
      check is open-coded: [lane_find_way]/[lane_promote] contain loops, so
@@ -1430,10 +1484,8 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
     if (not (l1i_probe j alt_line)) && l2_probe j alt_line then l1i_touch j alt_line;
     let r = Array.unsafe_get wrong_runs j + 1 in
     Array.unsafe_set wrong_runs j r;
-    if r land 7 = 0 && Array.unsafe_get last_pf j <> cursor && cursor < n_events then begin
-      let next_event = Array.unsafe_get mem_events cursor in
-      let addr = Pi_layout.Data_layout.address data next_event in
-      ignore (l2_ref j (addr land data_line_mask));
+    if r land 7 = 0 && Array.unsafe_get last_pf j <> cursor && cursor < Array.length peek then begin
+      ignore (l2_ref j (Array.unsafe_get peek cursor));
       Array.unsafe_set last_pf j cursor
     end
   in
@@ -1452,12 +1504,11 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
       Array.blit l1i_acc 0 l1i_acc0 0 nl;
       Array.blit l1i_mis 0 l1i_mis0 0 nl;
       Array.blit l2_acc 0 l2_acc0 0 nl;
-      Array.blit l2_mis 0 l2_mis0 0 nl;
-      l1d_base := (Cache.accesses l1d, Cache.misses l1d)
+      Array.blit l2_mis 0 l2_mis0 0 nl
     end;
     let b = Array.unsafe_get step_block i in
-    instructions := !instructions + Array.unsafe_get step_instrs i;
-    let cost = Array.unsafe_get step_cost i in
+    instructions := !instructions + Array.unsafe_get block_instrs b;
+    let cost = Array.unsafe_get block_cost b in
     for j = 0 to nl - 1 do
       Array.unsafe_set cyc j (Array.unsafe_get cyc j +. cost)
     done;
@@ -1522,65 +1573,46 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
         end
       done
     end;
-    let mstart = Array.unsafe_get step_mem_start i in
-    let mcount = Array.unsafe_get step_mem_count i in
-    if mcount > 0 then begin
-      for k = mstart to mstart + mcount - 1 do
-        let e = Array.unsafe_get mem_events k in
-        let addr =
-          let offset = Trace.mem_offset e in
-          match Trace.mem_space e with
-          | Program.Global -> global_base.(Trace.mem_target e) + offset
-          | Program.Heap -> heap_base.(Trace.mem_target e).(Trace.mem_obj e) + offset
-        in
-        if not (Cache.access l1d addr) then begin
-          let factor = Array.unsafe_get ev_factor k in
-          let hit_pen = l1d_miss_penalty *. factor in
-          let miss_pen = l2_miss_penalty *. factor in
-          (* Inlined [l2_ref] with the set strip hoisted out of the lane
-             loop: every lane references the same L2 set. *)
-          let line = addr lsr l2_shift in
-          let strip = l2_strip (line land l2_set_mask) in
-          for j = 0 to nl - 1 do
-            Array.unsafe_set l2_acc j (Array.unsafe_get l2_acc j + 1);
-            let base = j * l2_assoc in
-            if Array.unsafe_get strip base = line then
+    let mend = Array.unsafe_get step_mem_end i in
+    while Array.unsafe_get ops !op < 2 * mend do
+      let code = Array.unsafe_get ops !op in
+      (* Inlined [l2_ref] with the set strip hoisted out of the lane loop:
+         every lane references the same L2 set. *)
+      let line = Array.unsafe_get ops (!op + 1) lsr l2_shift in
+      let strip = l2_strip (line land l2_set_mask) in
+      if code land 1 = 0 then begin
+        let factor = Array.unsafe_get ev_factor (code lsr 1) in
+        let hit_pen = l1d_miss_penalty *. factor in
+        let miss_pen = l2_miss_penalty *. factor in
+        for j = 0 to nl - 1 do
+          Array.unsafe_set l2_acc j (Array.unsafe_get l2_acc j + 1);
+          let base = j * l2_assoc in
+          if Array.unsafe_get strip base = line then
+            Array.unsafe_set cyc j (Array.unsafe_get cyc j +. hit_pen)
+          else begin
+            let way = lane_find_way strip base l2_assoc line in
+            if way >= 0 then begin
+              lane_promote strip base way line;
               Array.unsafe_set cyc j (Array.unsafe_get cyc j +. hit_pen)
-            else begin
-              let way = lane_find_way strip base l2_assoc line in
-              if way >= 0 then begin
-                lane_promote strip base way line;
-                Array.unsafe_set cyc j (Array.unsafe_get cyc j +. hit_pen)
-              end
-              else begin
-                Array.unsafe_set l2_mis j (Array.unsafe_get l2_mis j + 1);
-                lane_promote strip base (l2_assoc - 1) line;
-                Array.unsafe_set cyc j (Array.unsafe_get cyc j +. miss_pen)
-              end
             end
-          done
-        end;
-        match prefetcher with
-        | Some pf -> (
-            match Prefetcher.observe pf ~mem_id:(Array.unsafe_get ev_mem_id k) ~addr with
-            | Some (first, count) ->
-                for p = 0 to count - 1 do
-                  let line_addr = first + (p * 64) in
-                  let line = line_addr lsr l2_shift in
-                  let strip = l2_strip (line land l2_set_mask) in
-                  for j = 0 to nl - 1 do
-                    let base = j * l2_assoc in
-                    if Array.unsafe_get strip base <> line then begin
-                      let way = lane_find_way strip base l2_assoc line in
-                      lane_promote strip base (if way >= 0 then way else l2_assoc - 1) line
-                    end
-                  done;
-                  Cache.fill l1d line_addr
-                done
-            | None -> ())
-        | None -> ()
-      done
-    end;
+            else begin
+              Array.unsafe_set l2_mis j (Array.unsafe_get l2_mis j + 1);
+              lane_promote strip base (l2_assoc - 1) line;
+              Array.unsafe_set cyc j (Array.unsafe_get cyc j +. miss_pen)
+            end
+          end
+        done
+      end
+      else
+        for j = 0 to nl - 1 do
+          let base = j * l2_assoc in
+          if Array.unsafe_get strip base <> line then begin
+            let way = lane_find_way strip base l2_assoc line in
+            lane_promote strip base (if way >= 0 then way else l2_assoc - 1) line
+          end
+        done;
+      op := !op + 2
+    done;
     let kind = Array.unsafe_get step_kind i in
     if kind <> 0 then
       if kind < 3 then begin
@@ -1588,7 +1620,6 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
         let taken_int = kind - 1 in
         let hashed = Array.unsafe_get branch_pc (Array.unsafe_get step_id i) lsr 1 in
         let h_all = !history in
-        let cursor = mstart + mcount in
         let alt = Array.unsafe_get step_alt i in
         (* Per-kind lane loops, each reproducing the matching [replay]
            kernel arm decision-for-decision on the lane's packed tables. *)
@@ -1605,7 +1636,7 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
                is measurable at ~1M events per pass *)
             Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
-            if wrong_path then wrong_path_effects j alt cursor
+            if wrong_path then wrong_path_effects j alt mend
           end
         done;
         for j = bim_hi to gsh_hi - 1 do
@@ -1622,7 +1653,7 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
                is measurable at ~1M events per pass *)
             Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
-            if wrong_path then wrong_path_effects j alt cursor
+            if wrong_path then wrong_path_effects j alt mend
           end
         done;
         for j = gsh_hi to gas_hi - 1 do
@@ -1642,7 +1673,7 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
                is measurable at ~1M events per pass *)
             Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
-            if wrong_path then wrong_path_effects j alt cursor
+            if wrong_path then wrong_path_effects j alt mend
           end
         done;
         for j = gas_hi to nl - 1 do
@@ -1683,7 +1714,7 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
                is measurable at ~1M events per pass *)
             Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
-            if wrong_path then wrong_path_effects j alt cursor
+            if wrong_path then wrong_path_effects j alt mend
           end
         done;
         history := ((h_all lsl 1) lor taken_int) land hist_keep
@@ -1699,17 +1730,14 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
           incr indirect_mispredicts;
           incr btb_misses;
           let alt = Array.unsafe_get step_alt i in
-          let cursor = mstart + mcount in
           for j = 0 to nl - 1 do
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. btb_miss_penalty);
-            if alt >= 0 && wrong_path then wrong_path_effects j alt cursor
+            if alt >= 0 && wrong_path then wrong_path_effects j alt mend
           done
         end
       end
   done;
-  let l1d_a0, l1d_m0 = !l1d_base in
-  let l1d_accesses = Cache.accesses l1d - l1d_a0 in
-  let l1d_misses = Cache.misses l1d - l1d_m0 in
+  let l1d_accesses, l1d_misses = data_l1d plan ds ~warmup in
   (let m_passes, m_blocks, g_lanes = pred_metrics in
    Pi_obs.Metrics.inc m_passes;
    Pi_obs.Metrics.add m_blocks (nl * n);
@@ -1734,11 +1762,10 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
 
 (* The cache-axis fused pass. The direction predictor is shared (its inputs
    are the PC/outcome stream, never cache state), so branch decisions,
-   mispredict counts, the indirect predictor, trace cache, prefetcher
-   decisions and the whole L1D are lane-invariant; one instance of each
-   serves every lane. Per lane remain cycles, the L1I and L2 tag images and
-   their access/miss counters — exactly the state a lane's own geometry
-   perturbs. Even the wrong-path run counter and its dedup cursor are
+   mispredict counts, the indirect predictor, trace cache and the data side
+   are lane-invariant; one instance of each serves every lane. Per lane
+   remain cycles, the L1I and L2 tag images and their access/miss counters
+   — exactly the state a lane's own geometry perturbs. Even the wrong-path run counter and its dedup cursor are
    shared: mispredicts fire at the same steps in every lane, so the
    every-8th-run gate opens lane-invariantly (only the touched cache state
    differs per lane).
@@ -1749,8 +1776,8 @@ let replay_many_body ~warmup_blocks plan (batch : pred_lanes) (placement : Pi_la
    of the same line (straight-line code) cost one compare for the whole
    batch. A wrong-path touch that promotes a different line invalidates it
    conservatively. *)
-let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : Pi_layout.Placement.t)
-    =
+let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
+    (placement : Pi_layout.Placement.t) =
   let config = plan.plan_config in
   let nl = cb.cb_n in
   if config.l1i.Cache.line_bytes <> cb.cb_i_line || config.l2.Cache.line_bytes <> cb.cb_d_line then
@@ -1759,20 +1786,14 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
          "Pipeline.replay_many: cache batch was built for %dB/%dB L1I/L2 lines but the plan's \
           machine has %dB/%dB"
          cb.cb_i_line cb.cb_d_line config.l1i.Cache.line_bytes config.l2.Cache.line_bytes);
-  let trace = plan.plan_trace in
   let code = placement.Pi_layout.Placement.code in
-  let data = placement.Pi_layout.Placement.data in
   let predictor = config.make_predictor () in
   let indirect_predictor = config.make_indirect () in
-  let prefetcher = if config.data_prefetcher then Some (Prefetcher.create ()) else None in
   let trace_cache = Option.map Trace_cache.create config.trace_cache in
-  let l1d = Cache.create config.l1d in
   let block_addr = code.Pi_layout.Code_layout.block_addr in
   let block_bytes = code.Pi_layout.Code_layout.block_bytes in
   let branch_pc = code.Pi_layout.Code_layout.branch_pc in
   let ibr_pc = code.Pi_layout.Code_layout.ibr_pc in
-  let global_base = data.Pi_layout.Data_layout.global_base in
-  let heap_base = data.Pi_layout.Data_layout.heap_base in
   let i_shift = log2_exact cb.cb_i_line in
   let d_shift = log2_exact cb.cb_d_line in
   let i_off = cb.cb_i_off and i_mask = cb.cb_i_mask and i_assoc = cb.cb_i_assoc in
@@ -1795,7 +1816,6 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
   let l2_img = scratch.cs_l2 in
   let mru = ref (-1) in
   let l1i_line_mask = lnot (cb.cb_i_line - 1) in
-  let data_line_mask = lnot (config.l1d.Cache.line_bytes - 1) in
   let pen = config.penalties in
   let l1i_miss_penalty = pen.l1i_miss in
   let l2_fetch_penalty = pen.l2_miss *. 0.7 in
@@ -1804,17 +1824,15 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
   let mispredict_penalty = pen.mispredict in
   let btb_miss_penalty = pen.btb_miss in
   let step_block = plan.step_block in
-  let step_instrs = plan.step_instrs in
-  let step_cost = plan.step_cost in
-  let step_mem_start = plan.step_mem_start in
-  let step_mem_count = plan.step_mem_count in
+  let block_instrs = plan.block_instrs in
+  let block_cost = plan.block_cost in
+  let step_mem_end = plan.step_mem_end in
   let step_kind = plan.step_kind in
   let step_id = plan.step_id in
   let step_next = plan.step_next in
   let step_alt = plan.step_alt in
   let ev_factor = plan.ev_factor in
-  let mem_events = trace.Trace.mem_events in
-  let n_events = Array.length mem_events in
+  let ops = ds.ds_ops and peek = ds.ds_peek in
   (* Per-lane accumulators and cache counters (with warmup snapshots). *)
   let cyc = Array.make nl 0.0 in
   let l1i_acc = Array.make nl 0 and l1i_mis = Array.make nl 0 in
@@ -1830,7 +1848,7 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
   let instructions = ref 0 in
   let fetch_lines = ref 0 in
   let fetch_lines0 = ref 0 in
-  let l1d_base = ref (0, 0) in
+  let op = ref 0 in
   let wrong_runs = ref 0 in
   let last_pf = ref (-1) in
   let wrong_path = config.wrong_path in
@@ -1917,10 +1935,8 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
       if (not (l1i_probe j alt_line)) && l2_probe j alt_line then l1i_touch j alt_line
     done;
     incr wrong_runs;
-    if !wrong_runs land 7 = 0 && !last_pf <> cursor && cursor < n_events then begin
-      let next_event = Array.unsafe_get mem_events cursor in
-      let addr = Pi_layout.Data_layout.address data next_event in
-      let line_addr = addr land data_line_mask in
+    if !wrong_runs land 7 = 0 && !last_pf <> cursor && cursor < Array.length peek then begin
+      let line_addr = Array.unsafe_get peek cursor in
       for j = 0 to nl - 1 do
         ignore (l2_ref j line_addr)
       done;
@@ -1942,12 +1958,11 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
       Array.blit l1i_acc 0 l1i_acc0 0 nl;
       Array.blit l1i_mis 0 l1i_mis0 0 nl;
       Array.blit l2_acc 0 l2_acc0 0 nl;
-      Array.blit l2_mis 0 l2_mis0 0 nl;
-      l1d_base := (Cache.accesses l1d, Cache.misses l1d)
+      Array.blit l2_mis 0 l2_mis0 0 nl
     end;
     let b = Array.unsafe_get step_block i in
-    instructions := !instructions + Array.unsafe_get step_instrs i;
-    let cost = Array.unsafe_get step_cost i in
+    instructions := !instructions + Array.unsafe_get block_instrs b;
+    let cost = Array.unsafe_get block_cost b in
     for j = 0 to nl - 1 do
       Array.unsafe_set cyc j (Array.unsafe_get cyc j +. cost)
     done;
@@ -1989,41 +2004,25 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
         end
       done
     end;
-    let mstart = Array.unsafe_get step_mem_start i in
-    let mcount = Array.unsafe_get step_mem_count i in
-    if mcount > 0 then begin
-      for k = mstart to mstart + mcount - 1 do
-        let e = Array.unsafe_get mem_events k in
-        let addr =
-          let offset = Trace.mem_offset e in
-          match Trace.mem_space e with
-          | Program.Global -> global_base.(Trace.mem_target e) + offset
-          | Program.Heap -> heap_base.(Trace.mem_target e).(Trace.mem_obj e) + offset
-        in
-        if not (Cache.access l1d addr) then begin
-          let factor = Array.unsafe_get ev_factor k in
-          let hit_pen = l1d_miss_penalty *. factor in
-          let miss_pen = l2_miss_penalty *. factor in
-          for j = 0 to nl - 1 do
-            if l2_ref j addr then Array.unsafe_set cyc j (Array.unsafe_get cyc j +. hit_pen)
-            else Array.unsafe_set cyc j (Array.unsafe_get cyc j +. miss_pen)
-          done
-        end;
-        match prefetcher with
-        | Some pf -> (
-            match Prefetcher.observe pf ~mem_id:(Array.unsafe_get plan.ev_mem_id k) ~addr with
-            | Some (first, count) ->
-                for p = 0 to count - 1 do
-                  let line_addr = first + (p * 64) in
-                  for j = 0 to nl - 1 do
-                    l2_fill j line_addr
-                  done;
-                  Cache.fill l1d line_addr
-                done
-            | None -> ())
-        | None -> ()
-      done
-    end;
+    let mend = Array.unsafe_get step_mem_end i in
+    while Array.unsafe_get ops !op < 2 * mend do
+      let code = Array.unsafe_get ops !op in
+      let addr = Array.unsafe_get ops (!op + 1) in
+      if code land 1 = 0 then begin
+        let factor = Array.unsafe_get ev_factor (code lsr 1) in
+        let hit_pen = l1d_miss_penalty *. factor in
+        let miss_pen = l2_miss_penalty *. factor in
+        for j = 0 to nl - 1 do
+          if l2_ref j addr then Array.unsafe_set cyc j (Array.unsafe_get cyc j +. hit_pen)
+          else Array.unsafe_set cyc j (Array.unsafe_get cyc j +. miss_pen)
+        done
+      end
+      else
+        for j = 0 to nl - 1 do
+          l2_fill j addr
+        done;
+      op := !op + 2
+    done;
     let kind = Array.unsafe_get step_kind i in
     if kind <> 0 then
       if kind < 3 then begin
@@ -2040,7 +2039,7 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
           for j = 0 to nl - 1 do
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty)
           done;
-          if wrong_path then wrong_path_effects (Array.unsafe_get step_alt i) (mstart + mcount)
+          if wrong_path then wrong_path_effects (Array.unsafe_get step_alt i) mend
         end
       end
       else begin
@@ -2057,13 +2056,11 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. btb_miss_penalty)
           done;
           let alt = Array.unsafe_get step_alt i in
-          if alt >= 0 && wrong_path then wrong_path_effects alt (mstart + mcount)
+          if alt >= 0 && wrong_path then wrong_path_effects alt mend
         end
       end
   done;
-  let l1d_a0, l1d_m0 = !l1d_base in
-  let l1d_accesses = Cache.accesses l1d - l1d_a0 in
-  let l1d_misses = Cache.misses l1d - l1d_m0 in
+  let l1d_accesses, l1d_misses = data_l1d plan ds ~warmup in
   (let m_passes, m_blocks, g_lanes = cache_metrics in
    Pi_obs.Metrics.inc m_passes;
    Pi_obs.Metrics.add m_blocks (nl * n);
@@ -2085,7 +2082,7 @@ let replay_many_cache_body ~warmup_blocks plan (cb : cache_lanes) (placement : P
         l2_misses = l2_mis.(j) - l2_mis0.(j);
       })
 
-let replay_many ?(warmup_blocks = 0) plan batch placement =
+let replay_many ?(warmup_blocks = 0) ?data_side plan batch placement =
   if batch_lanes batch = 0 then [||]
   else
     Pi_obs.Span.with_ ~name:"replay.fused"
@@ -2096,9 +2093,10 @@ let replay_many ?(warmup_blocks = 0) plan batch placement =
           ("blocks", string_of_int (Array.length plan.step_block));
         ]
       (fun () ->
+        let ds = data_side_for "Pipeline.replay_many" plan placement data_side in
         match batch with
-        | Predictor_lanes b -> replay_many_body ~warmup_blocks plan b placement
-        | Cache_lanes c -> replay_many_cache_body ~warmup_blocks plan c placement)
+        | Predictor_lanes b -> replay_many_body ~warmup_blocks plan ds b placement
+        | Cache_lanes c -> replay_many_cache_body ~warmup_blocks plan ds c placement)
 
 let cpi c =
   if c.instructions = 0 then 0.0 else c.cycles /. float_of_int c.instructions

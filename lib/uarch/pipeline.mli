@@ -104,16 +104,42 @@ type plan
     per-memory-event arrays carrying everything {!replay} needs that does not
     depend on the placement (static costs, mem-op spans with pre-resolved
     overlap factors, pre-decoded terminators). Immutable and free of
-    simulation state, so one plan may be replayed from many domains
+    simulation state (its one mutable slot caches the last {!data_side}
+    built for it), so one plan may be replayed from many domains
     concurrently. *)
 
 val compile : config -> Pi_isa.Trace.t -> plan
 (** One-time O(trace) compilation; see {!plan}. *)
 
-val replay : ?warmup_blocks:int -> plan -> Pi_layout.Placement.t -> counts
+type data_side
+(** The data side of one replay, simulated ahead of it: every memory
+    event's resolved address, the whole L1D and the data prefetcher. L1D
+    and the prefetcher see only data addresses and memory-op ids, so for
+    a given data layout their behaviour is fixed by the trace; what
+    remains recorded is the ordered stream of L2 operations they issue
+    (each L1D miss and each prefetch fill) and the line a wrong-path run
+    touches in L2. Immutable, so one data side may be shared by every
+    replay and domain that needs it. *)
+
+val data_side : plan -> Pi_layout.Data_layout.t -> data_side
+(** Simulate the data side of [plan]'s trace under one data layout. It is
+    valid for any plan over the same trace whose machine has the same L1D
+    geometry and prefetcher flag, whatever its code layout, predictors or
+    L1I/L2 geometries; {!replay} and {!replay_many} raise
+    [Invalid_argument] on any other plan. Under a bump heap without ASLR
+    the data layout does not depend on the layout seed, so one data side
+    serves every seed of a benchmark. The plan remembers the last data
+    side built for it: a second call with the same (physically equal) data
+    layout returns it without simulating again. *)
+
+val replay :
+  ?warmup_blocks:int -> ?data_side:data_side -> plan -> Pi_layout.Placement.t -> counts
 (** Simulate the compiled trace under one placement. Bit-identical to
     {!run_unoptimized} with the plan's config and trace: the same floats are
-    accumulated in the same order. *)
+    accumulated in the same order. Without [data_side] the data side is
+    built from [placement]'s data layout first; with it, the placement's
+    data layout is not read, and the caller vouches that the data side was
+    built from the same layout. *)
 
 val plan_with_config : plan -> config -> plan
 (** Rebind a plan to a new machine config. Reuses the compiled arrays when
@@ -146,8 +172,9 @@ type batch
     ({!cache_batch_of}) pack every lane's L1I and L2 tag images as
     lane-major slices of one flat int arena, addressed through per-lane
     offset/set-mask/assoc arrays, while one shared direction predictor,
-    indirect predictor, trace cache, prefetcher and L1D serve all lanes
-    (their inputs are lane-invariant).
+    indirect predictor and trace cache serve all lanes (their inputs are
+    lane-invariant). Both axes share one {!data_side}: no lane varies the
+    L1D or the prefetcher.
 
     Lane metadata is immutable and per-pass simulation state is rebuilt
     inside {!replay_many}. The bulk state of a predictor-lane pass
@@ -206,15 +233,18 @@ val batch_shard : batch -> shards:int -> batch array
     A 1-shard split returns the batch itself (a cache batch keeps its warm
     arenas); every split of 2+ builds fresh sub-batches. *)
 
-val replay_many : ?warmup_blocks:int -> plan -> batch -> Pi_layout.Placement.t -> counts array
+val replay_many :
+  ?warmup_blocks:int -> ?data_side:data_side -> plan -> batch -> Pi_layout.Placement.t ->
+  counts array
 (** Walk the compiled plan {e once} for every lane in the batch, sharing
     all lane-invariant work and keeping per-lane only what the axis
     varies: predictor lanes keep per-lane cycles, conditional mispredicts
     and L1I/L2 images (wrong-path effects depend on each lane's own
-    mispredictions); cache lanes share one direction/indirect predictor,
-    trace cache, prefetcher and L1D (their inputs never depend on cache
-    geometry) and keep per-lane cycles and L1I/L2 tag images and
-    counters. Result is indexed in the batch's internal lane order (see
+    mispredictions); cache lanes share one direction/indirect predictor
+    and trace cache (their inputs never depend on cache geometry) and keep
+    per-lane cycles and L1I/L2 tag images and counters. Every lane applies
+    the L2 operations of one [data_side] (built from [placement]'s data
+    layout when absent). Result is indexed in the batch's internal lane order (see
     {!batch_src}); each element is bit-identical to {!replay} of the same
     configuration — same floats accumulated in the same order, same state
     transitions in the same sequence. For a cache batch the plan's

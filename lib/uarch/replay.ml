@@ -5,6 +5,10 @@
 type plan = Pipeline.plan
 
 let compile = Pipeline.compile
+
+type data_side = Pipeline.data_side
+
+let data_side = Pipeline.data_side
 let run = Pipeline.replay
 let with_config = Pipeline.plan_with_config
 let config = Pipeline.plan_config

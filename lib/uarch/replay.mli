@@ -15,8 +15,18 @@ type plan = Pipeline.plan
 val compile : Pipeline.config -> Pi_isa.Trace.t -> plan
 (** One-time O(trace) compilation of the placement-invariant work. *)
 
-val run : ?warmup_blocks:int -> plan -> Pi_layout.Placement.t -> Pipeline.counts
-(** Replay under one placement; bit-identical to the legacy interpreter. *)
+type data_side = Pipeline.data_side
+
+val data_side : plan -> Pi_layout.Data_layout.t -> data_side
+(** Simulate the data side (address resolution, L1D, data prefetcher) of
+    the plan's trace under one data layout, once, for every replay that
+    shares that layout; see {!Pipeline.data_side}. *)
+
+val run :
+  ?warmup_blocks:int -> ?data_side:data_side -> plan -> Pi_layout.Placement.t -> Pipeline.counts
+(** Replay under one placement; bit-identical to the legacy interpreter.
+    [data_side], built from the placement's data layout, skips simulating
+    the data side again; without it the replay builds its own. *)
 
 val with_config : plan -> Pipeline.config -> plan
 (** Rebind to a new machine config, reusing the compiled arrays when only
@@ -76,6 +86,9 @@ val shard : batch -> shards:int -> batch array
     (e.g. on {!Pi_campaign.Scheduler} domains) and merging by
     {!batch_src} equals replaying the whole batch. *)
 
-val run_many : ?warmup_blocks:int -> plan -> batch -> Pi_layout.Placement.t -> Pipeline.counts array
+val run_many :
+  ?warmup_blocks:int -> ?data_side:data_side -> plan -> batch -> Pi_layout.Placement.t ->
+  Pipeline.counts array
 (** One pass over the plan, all lanes at once; bit-identical per lane to
-    the sequential path. *)
+    the sequential path. No axis varies the L1D, so every lane walks the
+    one [data_side] (built from the placement when absent). *)

@@ -454,24 +454,28 @@ let steer ~steering ~feats ~anchors ~n_targets ~cpi_target ~replay n =
     st_mean_err = (if !err_n = 0 then 0.0 else !err_sum /. float_of_int !err_n);
   }
 
-let simulate ~warmup_blocks base plan placement name make =
+(* A study's plan and the data side every one of its replays shares: no
+   sweep axis varies the L1D or the prefetcher, so the data side is
+   simulated at most once per study, not once per lane, pass or sub-batch
+   (and not at all when the plan already holds one for this placement). *)
+let study_plan ~base plan trace placement =
+  let plan = match plan with Some p -> p | None -> Replay.compile base trace in
+  (plan, Replay.data_side plan placement.Pi_layout.Placement.data)
+
+let simulate ~warmup_blocks ~data_side base plan placement name make =
   let config = Machine.with_predictor base ~name make in
   let config = if name = "perfect" then { config with Pipeline.perfect_btb = true } else config in
   (* Swapping the predictor never invalidates the compiled arrays, so this
      rebind is free: one compile serves the whole ~150-config study. *)
-  let counts = Replay.run ~warmup_blocks (Replay.with_config plan config) placement in
+  let counts = Replay.run ~warmup_blocks ~data_side (Replay.with_config plan config) placement in
   { config_name = name; mpki = Pipeline.mpki counts; cpi = Pipeline.cpi counts }
 
 (* The 145-configuration grid through either path; the timing target of
    BENCH_sweep.json. Returns
    (points, fused_lanes, fallback_lanes, shards, grid_seconds). *)
-let run_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1) ?map_shards
-    ?(fused = true) trace placement =
-  let plan =
-    match plan with Some p -> p | None -> Replay.compile base trace
-  in
+let grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement =
   let t0 = Pi_obs.Clock.now () in
-  let simulate = simulate ~warmup_blocks base plan placement in
+  let simulate = simulate ~warmup_blocks ~data_side base plan placement in
   let configs = Array.of_list (configurations ()) in
   let n = Array.length configs in
   let points = Array.make n { config_name = ""; mpki = 0.0; cpi = 0.0 } in
@@ -486,7 +490,7 @@ let run_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 
     let batch = grid_batch () in
     let sub = Replay.shard batch ~shards in
     let n_shards = Array.length sub in
-    let run_shard s = Replay.run_many ~warmup_blocks plan sub.(s) placement in
+    let run_shard s = Replay.run_many ~warmup_blocks ~data_side plan sub.(s) placement in
     let shard_counts =
       match map_shards with
       | Some m when n_shards > 1 -> m run_shard n_shards
@@ -513,11 +517,14 @@ let run_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 
       Pi_obs.Clock.now () -. t0 )
   end
 
+let run_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1) ?map_shards
+    ?(fused = true) trace placement =
+  let plan, data_side = study_plan ~base plan trace placement in
+  grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement
+
 let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1) ?map_shards
     ?(fused = true) ?surrogate ~benchmark trace placement =
-  let plan =
-    match plan with Some p -> p | None -> Replay.compile base trace
-  in
+  let plan, data_side = study_plan ~base plan trace placement in
   let configs = Array.of_list (configurations ()) in
   let n = Array.length configs in
   (* A budget that covers the whole grid IS the fused path: shortcut to it
@@ -525,7 +532,7 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
   let surrogate =
     match surrogate with Some (Budget b) when b >= n -> None | s -> s
   in
-  let simulate = simulate ~warmup_blocks base plan placement in
+  let simulate = simulate ~warmup_blocks ~data_side base plan placement in
   let finish points ~fused_lanes ~fallback_lanes ~shards_used ~sources ~replayed_lanes
       ~surrogate_rounds ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds
       ~model_seconds =
@@ -566,7 +573,7 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
   match surrogate with
   | None ->
       let points, fused_lanes, fallback_lanes, shards_used, grid_seconds =
-        run_grid ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused trace placement
+        grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement
       in
       finish points ~fused_lanes ~fallback_lanes ~shards_used
         ~sources:(Array.make (Array.length points) Replayed)
@@ -600,7 +607,7 @@ let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards =
           let sub = Replay.shard batch ~shards in
           let n_shards = Array.length sub in
           shards_seen := max !shards_seen n_shards;
-          let run_shard s = Replay.run_many ~warmup_blocks plan sub.(s) placement in
+          let run_shard s = Replay.run_many ~warmup_blocks ~data_side plan sub.(s) placement in
           let shard_counts =
             match map_shards with
             | Some m when n_shards > 1 -> m run_shard n_shards
@@ -768,20 +775,16 @@ let cache_point_of name gi gd counts =
     cache_cpi = Pipeline.cpi counts;
   }
 
-let simulate_cache ~warmup_blocks base plan placement name gi gd =
+let simulate_cache ~warmup_blocks ~data_side base plan placement name gi gd =
   (* Geometry changes never touch costs/overlap/store factors, so the
      rebind reuses the compiled arrays, like the predictor sweep's. *)
   let config = { base with Pipeline.l1i = gi; l2 = gd } in
-  let counts = Replay.run ~warmup_blocks (Replay.with_config plan config) placement in
+  let counts = Replay.run ~warmup_blocks ~data_side (Replay.with_config plan config) placement in
   cache_point_of name gi gd counts
 
 (* The 100-geometry grid through either path; the timing target of
-   BENCH_cache_sweep.json. Same contract as [run_grid]. *)
-let run_cache_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1)
-    ?map_shards ?(fused = true) trace placement =
-  let plan =
-    match plan with Some p -> p | None -> Replay.compile base trace
-  in
+   BENCH_cache_sweep.json. Same contract as [grid]. *)
+let cache_grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement =
   let t0 = Pi_obs.Clock.now () in
   let configs =
     materialize_cache_configurations ~l1i:base.Pipeline.l1i ~l2:base.Pipeline.l2
@@ -801,7 +804,7 @@ let run_cache_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sha
   if not fused then begin
     Array.iteri
       (fun i (name, gi, gd) ->
-        points.(i) <- simulate_cache ~warmup_blocks base plan placement name gi gd)
+        points.(i) <- simulate_cache ~warmup_blocks ~data_side base plan placement name gi gd)
       configs;
     (points, 0, n, 0, Pi_obs.Clock.now () -. t0)
   end
@@ -809,7 +812,7 @@ let run_cache_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sha
     let batch = cache_grid_batch ~l1i:base.Pipeline.l1i ~l2:base.Pipeline.l2 in
     let sub = Replay.shard batch ~shards in
     let n_shards = Array.length sub in
-    let run_shard s = Replay.run_many ~warmup_blocks plan sub.(s) placement in
+    let run_shard s = Replay.run_many ~warmup_blocks ~data_side plan sub.(s) placement in
     let shard_counts =
       match map_shards with
       | Some m when n_shards > 1 -> m run_shard n_shards
@@ -826,6 +829,11 @@ let run_cache_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sha
       shard_counts;
     (points, Replay.batch_lanes batch, 0, n_shards, Pi_obs.Clock.now () -. t0)
   end
+
+let run_cache_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1)
+    ?map_shards ?(fused = true) trace placement =
+  let plan, data_side = study_plan ~base plan trace placement in
+  cache_grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement
 
 let geometry_feature_vector g =
   Pi_stats.Surrogate.geometry_features ~sets:(Cache.geometry_sets g) ~ways:g.Cache.assoc
@@ -876,9 +884,7 @@ let degradation_fit xs ys =
 
 let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1)
     ?map_shards ?(fused = true) ?surrogate ~benchmark trace placement =
-  let plan =
-    match plan with Some p -> p | None -> Replay.compile base trace
-  in
+  let plan, data_side = study_plan ~base plan trace placement in
   let l1i = base.Pipeline.l1i and l2 = base.Pipeline.l2 in
   let configs = materialize_cache_configurations ~l1i ~l2 in
   let n = Array.length configs in
@@ -935,7 +941,7 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
   match surrogate with
   | None ->
       let points, fused_lanes, fallback_lanes, shards_used, grid_seconds =
-        run_cache_grid ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused trace placement
+        cache_grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement
       in
       finish points ~fused_lanes ~fallback_lanes ~shards_used
         ~sources:(Array.make (Array.length points) Replayed)
@@ -964,7 +970,8 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
           Array.iter
             (fun gi_idx ->
               let name, gi, gd = configs.(gi_idx) in
-              emit gi_idx (simulate_cache ~warmup_blocks base plan placement name gi gd))
+              emit gi_idx
+                (simulate_cache ~warmup_blocks ~data_side base plan placement name gi gd))
             idxs;
           fallback_total := !fallback_total + Array.length idxs
         end
@@ -974,7 +981,7 @@ let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(sh
           let sub = Replay.shard batch ~shards in
           let n_shards = Array.length sub in
           shards_seen := max !shards_seen n_shards;
-          let run_shard s = Replay.run_many ~warmup_blocks plan sub.(s) placement in
+          let run_shard s = Replay.run_many ~warmup_blocks ~data_side plan sub.(s) placement in
           let shard_counts =
             match map_shards with
             | Some m when n_shards > 1 -> m run_shard n_shards

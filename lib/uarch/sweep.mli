@@ -103,6 +103,9 @@ val run_study :
     for [base] and the trace (callers running several studies on one trace
     — a placement sweep, or benchmarking — compile once and pass it here);
     it must be [Replay.compile base trace] or the study is meaningless.
+    The study simulates the placement's data side ({!Replay.data_side})
+    once and every replay in it, fused or sequential, shares it; a
+    repeated study of the same plan and placement reuses the last one.
 
     By default ([fused], on) every kernel-bearing configuration is swept in
     one {!Replay.run_many} pass over the compiled plan — optionally split

@@ -72,6 +72,8 @@ let test_shared_data_layout_identical () =
       let prepared = E.prepare ~config:quick (Spec.find name) in
       Alcotest.(check bool) (name ^ ": default config shares one data layout") true
         (Option.is_some prepared.E.data);
+      Alcotest.(check bool) (name ^ ": and one data side") true
+        (Option.is_some prepared.E.data_side);
       List.iter
         (fun seed ->
           let fresh =
@@ -99,6 +101,21 @@ let test_seeded_data_layout_varies () =
       let prepared = E.prepare ~config (Spec.find "429.mcf") in
       Alcotest.(check bool) (label ^ ": no shared data layout") true
         (Option.is_none prepared.E.data);
+      Alcotest.(check bool) (label ^ ": no shared data side") true
+        (Option.is_none prepared.E.data_side);
+      (* Each seed's replay builds its own data side; it must match the
+         legacy interpreter field for field. *)
+      List.iter
+        (fun seed ->
+          let legacy =
+            Pi_uarch.Pipeline.run_unoptimized ~warmup_blocks:prepared.E.warmup_blocks
+              config.E.machine prepared.E.trace (E.placement prepared ~seed)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed %d: per-seed data side == legacy" label seed)
+            true
+            (E.exact_counts prepared ~seed = legacy))
+        [ 1; 2 ];
       let data seed = (E.placement prepared ~seed).Pi_layout.Placement.data in
       let a = data 1 and b = data 2 in
       Alcotest.(check bool) (label ^ ": data layouts differ across seeds") true

@@ -1,8 +1,9 @@
 (* Golden-equivalence tests for the compiled replay path: Replay.run must
    reproduce Pipeline.run_unoptimized field-for-field (bit-identical cycles
-   included) over a matrix of benchmarks x seeds x machines, with and
-   without warmup, and for every predictor family that has an inline
-   kernel. *)
+   included) over a matrix of benchmarks x seeds x machines x data-layout
+   modes, with and without warmup, and for every predictor family that has
+   an inline kernel. A data side shared across seeds must equal per-seed
+   builds, and one built for another machine or trace must be refused. *)
 
 module Pipeline = Pi_uarch.Pipeline
 module Replay = Pi_uarch.Replay
@@ -30,6 +31,15 @@ let check_counts label (a : Pipeline.counts) (b : Pipeline.counts) =
 let benches = [ "400.perlbench"; "403.gcc"; "429.mcf"; "445.gobmk" ]
 let seeds = [ 1; 2; 3 ]
 
+(* The bump heap's data layout is seed-invariant; heap randomization and
+   ASLR give every seed its own, so each replay builds its own data side. *)
+let data_modes =
+  [
+    ("bump", fun p ~seed -> Placement.make p ~seed);
+    ("heap_random", fun p ~seed -> Placement.make ~heap_random:true p ~seed);
+    ("aslr", fun p ~seed -> Placement.make ~aslr:true p ~seed);
+  ]
+
 let machines =
   [
     ("xeon_e5440", Machine.xeon_e5440);
@@ -51,12 +61,17 @@ let test_golden_matrix () =
         (fun (machine_name, config) ->
           let plan = Replay.compile config trace in
           List.iter
-            (fun seed ->
-              let placement = Placement.make p ~seed in
-              let label = Printf.sprintf "%s/%s/seed%d" bench_name machine_name seed in
-              let legacy = Pipeline.run_unoptimized config trace placement in
-              check_counts label (Replay.run plan placement) legacy)
-            seeds)
+            (fun (mode, make) ->
+              List.iter
+                (fun seed ->
+                  let placement = make p ~seed in
+                  let label =
+                    Printf.sprintf "%s/%s/%s/seed%d" bench_name machine_name mode seed
+                  in
+                  let legacy = Pipeline.run_unoptimized config trace placement in
+                  check_counts label (Replay.run plan placement) legacy)
+                seeds)
+            data_modes)
         machines)
     benches
 
@@ -132,6 +147,100 @@ let test_with_config () =
         (Pipeline.run_unoptimized config trace placement))
     variants
 
+(* One data side built from the shared (bump) data layout, replayed for
+   seeds in shuffled order, scalar and fused, must equal replays that build
+   a fresh data side from each seed's own placement: the data side is
+   read-only, so the order and number of replays sharing it cannot
+   matter. *)
+let test_shared_data_side () =
+  let p, trace = traced "429.mcf" in
+  let pred_batch =
+    Replay.batch_of
+      [|
+        ("bimodal", fun () -> Pi_uarch.Bimodal.create ~entries_log2:10);
+        ("gshare", fun () -> Pi_uarch.Gshare.create ~entries_log2:12 ~history_bits:8);
+        ("hybrid", Pi_uarch.Hybrid.xeon_like);
+      |]
+  in
+  List.iter
+    (fun (machine_name, config) ->
+      let plan = Replay.compile config trace in
+      let data = Option.get (Placement.shared_data p) in
+      let data_side = Replay.data_side plan data in
+      let l1i = config.Pipeline.l1i and l2 = config.Pipeline.l2 in
+      let cache_batch =
+        Replay.cache_batch_of ~l1i ~l2
+          [|
+            ("seed", l1i, l2);
+            ("half-l2", l1i, { l2 with Pi_uarch.Cache.size_bytes = l2.Pi_uarch.Cache.size_bytes / 2 });
+          |]
+      in
+      List.iter
+        (fun seed ->
+          let label = Printf.sprintf "%s seed%d shared data side" machine_name seed in
+          let shared = Placement.with_data data ~seed in
+          let fresh = Placement.make p ~seed in
+          check_counts label
+            (Replay.run ~warmup_blocks:700 ~data_side plan shared)
+            (Replay.run ~warmup_blocks:700 plan fresh);
+          List.iter
+            (fun batch ->
+              Array.iteri
+                (fun j c -> check_counts (Printf.sprintf "%s, fused lane %d" label j) c
+                  (Replay.run_many ~warmup_blocks:700 plan batch fresh).(j))
+                (Replay.run_many ~warmup_blocks:700 ~data_side plan batch shared))
+            [ pred_batch; cache_batch ])
+        [ 9; 2; 31; 1; 2; 17 ])
+    machines
+
+(* A data side is only valid for the L1D, prefetcher flag and trace it was
+   simulated with; [with_config] can change the first two after the build,
+   so replays must refuse a mismatch rather than return wrong counts. *)
+let test_data_side_mismatch () =
+  let p, trace = traced "429.mcf" in
+  let base = Machine.xeon_e5440 in
+  let plan = Replay.compile base trace in
+  let placement = Placement.make p ~seed:4 in
+  let data_side = Replay.data_side plan placement.Placement.data in
+  let l1d = base.Pipeline.l1d in
+  let raises label f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" label
+    | exception Invalid_argument _ -> ()
+  in
+  let batch = Replay.batch_of [| ("bimodal", fun () -> Pi_uarch.Bimodal.create ~entries_log2:10) |] in
+  let bigger_l1d =
+    { base with Pipeline.l1d = { l1d with Pi_uarch.Cache.size_bytes = 2 * l1d.Pi_uarch.Cache.size_bytes } }
+  in
+  List.iter
+    (fun (label, other) ->
+      raises (label ^ ", scalar") (fun () -> Replay.run ~data_side other placement);
+      raises (label ^ ", fused") (fun () -> Replay.run_many ~data_side other batch placement))
+    [
+      ("L1D size", Replay.with_config plan bigger_l1d);
+      ( "L1D line",
+        Replay.with_config plan
+          { base with Pipeline.l1d = { l1d with Pi_uarch.Cache.line_bytes = 2 * l1d.Pi_uarch.Cache.line_bytes } } );
+      ("prefetcher flag", Replay.with_config plan (Machine.with_data_prefetcher base));
+      ("another trace", Replay.compile base (Pi_layout.Run_limiter.trace p ~budget_blocks:8_000));
+    ];
+  (* A predictor swap keeps the data side valid. *)
+  let swapped =
+    { base with Pipeline.make_predictor = (fun () -> Pi_uarch.Bimodal.create ~entries_log2:10) }
+  in
+  check_counts "predictor swap reuses the data side"
+    (Replay.run ~data_side (Replay.with_config plan swapped) placement)
+    (Pipeline.run_unoptimized swapped trace placement);
+  (* The plan remembers its last data side, and hands it back only for the
+     same data layout on a machine it fits. *)
+  let data = placement.Placement.data in
+  Alcotest.(check bool) "same layout: the remembered data side" true
+    (Replay.data_side plan data == data_side);
+  let other = Replay.with_config plan bigger_l1d in
+  check_counts "other L1D: a data side of its own"
+    (Replay.run ~data_side:(Replay.data_side other data) other placement)
+    (Pipeline.run_unoptimized bigger_l1d trace placement)
+
 let test_plan_introspection () =
   let _, trace = traced "429.mcf" in
   let plan = Replay.compile Machine.xeon_e5440 trace in
@@ -151,5 +260,9 @@ let suite =
         Alcotest.test_case "predictor kernels match closures" `Quick test_kernel_families;
         Alcotest.test_case "with_config reuse and recompile" `Quick test_with_config;
         Alcotest.test_case "plan introspection" `Quick test_plan_introspection;
+        Alcotest.test_case "shared data side == per-seed data sides, any order" `Quick
+          test_shared_data_side;
+        Alcotest.test_case "data side for another L1D, prefetcher or trace is refused" `Quick
+          test_data_side_mismatch;
       ] );
   ]

@@ -26,7 +26,8 @@
    combined metric bag for `interferometry bundle diff`; default "-" =
    skip).
 
-   Exits nonzero when replay counts diverge from the legacy path (on either
+   Exits nonzero when the one-pass trace differs from the two-pass
+   reference, replay counts diverge from the legacy path (on either
    leg: shared or heap-randomized data layouts), replay is
    slower than legacy, either fused sweep diverges from its sequential
    study, either fused speedup misses its gate, or the flight recorder's
@@ -182,6 +183,10 @@ let () =
       in
       Printf.printf "bundle: %s (%d pinned artifacts)\n" dir
         (List.length manifest.Pi_campaign.Bundle.artifacts));
+  if not r.Interferometry.Perf_bench.trace_identical then begin
+    prerr_endline "FAIL: one-pass Run_limiter.trace differs from the two-pass reference";
+    exit 1
+  end;
   if not r.Interferometry.Perf_bench.identical then begin
     prerr_endline "FAIL: replay counts differ from the legacy pipeline";
     exit 1

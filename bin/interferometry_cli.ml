@@ -1356,6 +1356,10 @@ let perf_cmd =
              (Interferometry.Perf_bench.sweep_history_metrics s));
         Printf.printf "history: %s\n" path)
       history;
+    if not r.Interferometry.Perf_bench.trace_identical then begin
+      prerr_endline "FAIL: one-pass Run_limiter.trace differs from the two-pass reference";
+      exit 1
+    end;
     if not r.Interferometry.Perf_bench.identical then begin
       prerr_endline "FAIL: replay counts differ from the legacy pipeline";
       exit 1
@@ -1416,11 +1420,13 @@ let perf_cmd =
          [
            `S Manpage.s_description;
            `P
-             "Compiles a replay plan for one benchmark trace, then times the same \
+             "Traces one benchmark, timing the one-pass run-length \
+              instrumentation and checking it against the two-pass reference; \
+              compiles a replay plan for the trace, then times the same \
               placements through Pipeline.run_unoptimized and Replay.run, and the \
               145-configuration predictor grid through the sequential per-config \
               loop and the fused one-pass engine (Replay.run_many). Fails (exit 1) \
-              if either pair of paths disagrees on any counter or if replay is \
+              if the two traces or either pair of paths disagree, or if replay is \
               slower than legacy. See docs/PERF.md.";
          ])
     Term.(const run $ bench_term $ perf_scale_term $ sweep_scale_term $ perf_layouts_term

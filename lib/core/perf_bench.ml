@@ -1,4 +1,5 @@
-(* Microbenchmark for the compiled-replay path: times plan compilation, the
+(* Microbenchmark for the compiled-replay path: times the one-pass trace
+   build (checked against the two-pass reference), plan compilation, the
    legacy interpreter and plan replay over the same placements, checks that
    both produce identical counts, and renders the numbers as JSON for the
    perf trajectory (BENCH_pipeline.json). Two legs: the default config,
@@ -17,6 +18,8 @@ type result = {
   blocks : int;  (* dynamic blocks per observation *)
   mem_events : int;
   plan_words : int;
+  trace_seconds : float;  (* one-pass Run_limiter.trace, best of [grid_reps] *)
+  trace_identical : bool;  (* that trace = the two-pass reference *)
   compile_seconds : float;
   data_side_seconds : float;  (* the shared data side, built once for every layout *)
   legacy_seconds : float;  (* total wall time for [layouts] legacy observations *)
@@ -70,21 +73,35 @@ let best_of ~reps measure f =
 
 let per_sec count seconds = if seconds > 0.0 then count /. seconds else 0.0
 
-let run ?(bench = "400.perlbench") ?(scale = 4) ?(layouts = 12) () =
-  if layouts < 1 then invalid_arg "Perf_bench.run: layouts < 1";
-  let b = Pi_workloads.Spec.find bench in
+let trace_of config program =
+  Pi_layout.Run_limiter.trace ~seed:config.Experiment.master_seed program
+    ~budget_blocks:config.Experiment.budget_blocks
+
+(* Every benchmark's prologue: the workload's config and program, its trace
+   and warmup length, built as [Experiment.prepare] builds them. *)
+let subject ~bench ~scale =
   let config = { Experiment.default_config with scale } in
-  let machine = config.Experiment.machine in
-  let program = b.Pi_workloads.Bench.build ~scale in
-  let trace =
-    Pi_layout.Run_limiter.trace ~seed:config.Experiment.master_seed program
-      ~budget_blocks:config.Experiment.budget_blocks
-  in
+  let program = (Pi_workloads.Spec.find bench).Pi_workloads.Bench.build ~scale in
+  let trace = trace_of config program in
   let warmup_blocks =
     int_of_float
       (config.Experiment.warmup_fraction
       *. float_of_int (Pi_isa.Trace.blocks_executed trace))
   in
+  (config, program, trace, warmup_blocks)
+
+let two_pass_trace ?(seed = 42) program ~budget_blocks =
+  let limits =
+    match Pi_layout.Run_limiter.choose ~seed program ~budget_blocks with
+    | None -> { Pi_isa.Interp.max_blocks = budget_blocks; stop_proc = None }
+    | Some t -> Pi_layout.Run_limiter.limits t
+  in
+  Pi_isa.Interp.run ~seed ~limits program
+
+let run ?(bench = "400.perlbench") ?(scale = 4) ?(layouts = 12) () =
+  if layouts < 1 then invalid_arg "Perf_bench.run: layouts < 1";
+  let config, program, trace, warmup_blocks = subject ~bench ~scale in
+  let machine = config.Experiment.machine in
   let data = Option.get (Pi_layout.Placement.shared_data program) in
   let placements = Array.init layouts (fun i -> Pi_layout.Placement.with_data data ~seed:(i + 1)) in
   let heap_random_placements =
@@ -96,6 +113,14 @@ let run ?(bench = "400.perlbench") ?(scale = 4) ?(layouts = 12) () =
   ignore (Pipeline.run_unoptimized ~warmup_blocks machine trace warm_placement);
   ignore (Replay.run ~warmup_blocks (Replay.compile machine trace) warm_placement);
   let timed name f = timed ~bench name f in
+  let _, trace_seconds =
+    best_of ~reps:grid_reps (timed "perf.trace") (fun () -> trace_of config program)
+  in
+  let trace_identical =
+    trace
+    = two_pass_trace ~seed:config.Experiment.master_seed program
+        ~budget_blocks:config.Experiment.budget_blocks
+  in
   let plan, compile_seconds = timed "perf.compile" (fun () -> Replay.compile machine trace) in
   let data_side, data_side_seconds =
     timed "perf.data_side" (fun () -> Replay.data_side plan data)
@@ -123,6 +148,8 @@ let run ?(bench = "400.perlbench") ?(scale = 4) ?(layouts = 12) () =
     blocks;
     mem_events = Replay.mem_events plan;
     plan_words = Replay.words plan;
+    trace_seconds;
+    trace_identical;
     compile_seconds;
     data_side_seconds;
     legacy_seconds;
@@ -149,6 +176,8 @@ let to_json r =
       Printf.sprintf "  \"blocks_per_observation\": %d," r.blocks;
       Printf.sprintf "  \"mem_events_per_observation\": %d," r.mem_events;
       Printf.sprintf "  \"plan_words\": %d," r.plan_words;
+      Printf.sprintf "  \"trace_seconds\": %.6f," r.trace_seconds;
+      Printf.sprintf "  \"trace_identical\": %b," r.trace_identical;
       Printf.sprintf "  \"compile_seconds\": %.6f," r.compile_seconds;
       Printf.sprintf "  \"data_side_seconds\": %.6f," r.data_side_seconds;
       Printf.sprintf "  \"legacy_seconds\": %.6f," r.legacy_seconds;
@@ -177,12 +206,13 @@ let write_json ~path r =
 
 let summary r =
   Printf.sprintf
-    "%s scale %d: %d blocks/obs, compile %.1fms + data side %.1fms (amortized over every \
-     placement)\n\
+    "%s scale %d: %d blocks/obs, trace %.1fms (identical to two passes: %b)\n\
+     compile %.1fms + data side %.1fms (amortized over every placement)\n\
      legacy: %.2f obs/s (%.1fms/obs)   replay: %.2f obs/s (%.1fms/obs, %.2fM blocks/s)\n\
      speedup: %.2fx   counts identical: %b   plan: %.1f MiB\n\
      heap_random (per-seed data sides): replay %.2f obs/s, speedup %.2fx, counts identical: %b"
-    r.bench r.scale r.blocks (r.compile_seconds *. 1e3) (r.data_side_seconds *. 1e3)
+    r.bench r.scale r.blocks (r.trace_seconds *. 1e3) r.trace_identical
+    (r.compile_seconds *. 1e3) (r.data_side_seconds *. 1e3)
     r.legacy_obs_per_sec
     (1e3 *. r.legacy_seconds /. float_of_int r.layouts)
     r.replay_obs_per_sec
@@ -221,18 +251,7 @@ let studies_identical (a : Sweep.study) (b : Sweep.study) =
   && a.Sweep.predicted_ltage_cpi = b.Sweep.predicted_ltage_cpi
 
 let run_sweep ?(bench = "400.perlbench") ?(scale = 4) () =
-  let b = Pi_workloads.Spec.find bench in
-  let config = { Experiment.default_config with scale } in
-  let program = b.Pi_workloads.Bench.build ~scale in
-  let trace =
-    Pi_layout.Run_limiter.trace ~seed:config.Experiment.master_seed program
-      ~budget_blocks:config.Experiment.budget_blocks
-  in
-  let warmup_blocks =
-    int_of_float
-      (config.Experiment.warmup_fraction
-      *. float_of_int (Pi_isa.Trace.blocks_executed trace))
-  in
+  let config, program, trace, warmup_blocks = subject ~bench ~scale in
   let placement = Pi_layout.Placement.make program ~seed:1 in
   (* Compile once and hand the plan to every study: a caller sweeping one
      trace would do the same, and the timed studies should measure the
@@ -354,18 +373,7 @@ let cache_studies_identical (a : Sweep.cache_study) (b : Sweep.cache_study) =
   && a.Sweep.predicted_seed_cpi = b.Sweep.predicted_seed_cpi
 
 let run_cache_sweep ?(bench = "400.perlbench") ?(scale = 4) () =
-  let b = Pi_workloads.Spec.find bench in
-  let config = { Experiment.default_config with scale } in
-  let program = b.Pi_workloads.Bench.build ~scale in
-  let trace =
-    Pi_layout.Run_limiter.trace ~seed:config.Experiment.master_seed program
-      ~budget_blocks:config.Experiment.budget_blocks
-  in
-  let warmup_blocks =
-    int_of_float
-      (config.Experiment.warmup_fraction
-      *. float_of_int (Pi_isa.Trace.blocks_executed trace))
-  in
+  let config, program, trace, warmup_blocks = subject ~bench ~scale in
   let placement = Pi_layout.Placement.make program ~seed:1 in
   let plan = Pi_uarch.Replay.compile config.Experiment.machine trace in
   ignore (Sweep.run_cache_study ~plan ~warmup_blocks ~benchmark:bench trace placement);
@@ -469,18 +477,7 @@ type recorder_result = {
 }
 
 let run_recorder ?(bench = "400.perlbench") ?(scale = 4) () =
-  let b = Pi_workloads.Spec.find bench in
-  let config = { Experiment.default_config with scale } in
-  let program = b.Pi_workloads.Bench.build ~scale in
-  let trace =
-    Pi_layout.Run_limiter.trace ~seed:config.Experiment.master_seed program
-      ~budget_blocks:config.Experiment.budget_blocks
-  in
-  let warmup_blocks =
-    int_of_float
-      (config.Experiment.warmup_fraction
-      *. float_of_int (Pi_isa.Trace.blocks_executed trace))
-  in
+  let config, program, trace, warmup_blocks = subject ~bench ~scale in
   let placement = Pi_layout.Placement.make program ~seed:1 in
   let plan = Pi_uarch.Replay.compile config.Experiment.machine trace in
   ignore (Sweep.run_grid ~plan ~warmup_blocks trace placement);
@@ -600,18 +597,7 @@ type surrogate_result = {
 }
 
 let run_surrogate ?(bench = "183.equake") ?(scale = 2) ?(max_err = 1.0) () =
-  let b = Pi_workloads.Spec.find bench in
-  let config = { Experiment.default_config with scale } in
-  let program = b.Pi_workloads.Bench.build ~scale in
-  let trace =
-    Pi_layout.Run_limiter.trace ~seed:config.Experiment.master_seed program
-      ~budget_blocks:config.Experiment.budget_blocks
-  in
-  let warmup_blocks =
-    int_of_float
-      (config.Experiment.warmup_fraction
-      *. float_of_int (Pi_isa.Trace.blocks_executed trace))
-  in
+  let config, program, trace, warmup_blocks = subject ~bench ~scale in
   let placement = Pi_layout.Placement.make program ~seed:1 in
   let plan = Pi_uarch.Replay.compile config.Experiment.machine trace in
   ignore (Sweep.run_grid ~plan ~warmup_blocks trace placement);
@@ -739,6 +725,7 @@ let surrogate_failures ~gate r =
 
 let history_metrics r =
   [
+    ("trace_seconds", r.trace_seconds);
     ("compile_seconds", r.compile_seconds);
     ("data_side_seconds", r.data_side_seconds);
     ("legacy_obs_per_sec", r.legacy_obs_per_sec);

@@ -18,6 +18,9 @@ type result = {
   blocks : int;  (** dynamic blocks per observation *)
   mem_events : int;
   plan_words : int;  (** plan footprint, machine words *)
+  trace_seconds : float;
+      (** best-of-5 wall time of the one-pass {!Pi_layout.Run_limiter.trace} *)
+  trace_identical : bool;  (** that trace = {!two_pass_trace}, field for field *)
   compile_seconds : float;
   data_side_seconds : float;  (** the shared data side, built once *)
   legacy_seconds : float;  (** total for [layouts] legacy observations *)
@@ -35,9 +38,17 @@ type result = {
 }
 
 val run : ?bench:string -> ?scale:int -> ?layouts:int -> unit -> result
-(** Build the benchmark (default 400.perlbench at scale 4), trace it once,
-    then time [layouts] observations through each path on each leg. Both
-    paths are warmed with an extra untimed placement first. *)
+(** Build the benchmark (default 400.perlbench at scale 4), trace it (and
+    time that, best of five, against {!two_pass_trace}), then time
+    [layouts] observations through each path on each leg. Both paths are
+    warmed with an extra untimed placement first. *)
+
+val two_pass_trace : ?seed:int -> Pi_isa.Program.t -> budget_blocks:int -> Pi_isa.Trace.t
+(** The reference for {!Pi_layout.Run_limiter.trace}: the paper's two
+    separate executions, composed from {!Pi_layout.Run_limiter.choose},
+    {!Pi_layout.Run_limiter.limits} and {!Pi_isa.Interp.run} — profile,
+    then run again under the instrumentation's limits (or the profile's
+    own, when there is nothing to instrument). *)
 
 val to_json : result -> string
 val write_json : path:string -> result -> unit

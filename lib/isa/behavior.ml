@@ -87,6 +87,14 @@ module State = struct
     in
     t.last_outcome.(id) <- outcome;
     outcome
+
+  let copy t =
+    {
+      t with
+      counters = Array.copy t.counters;
+      last_outcome = Array.copy t.last_outcome;
+      rng = Rng.copy t.rng;
+    }
 end
 
 module Selector = struct
@@ -125,5 +133,7 @@ module Selector = struct
           let pos = t.counters.(id) in
           t.counters.(id) <- (pos + 1) mod Array.length seq;
           seq.(pos)
+
+    let copy t = { t with counters = Array.copy t.counters; rng = Rng.copy t.rng }
   end
 end

@@ -51,6 +51,9 @@ module State : sig
   val next_outcome : t -> int -> bool
   (** [next_outcome state branch_id] produces the branch's next direction and
       advances its state. *)
+
+  val copy : t -> t
+  (** Independent copy with identical future outcomes. *)
 end
 
 (** Target selectors for indirect branches. *)
@@ -71,5 +74,8 @@ module Selector : sig
 
     val next_target : t -> int -> int
     (** Index of the chosen target; advances the state. *)
+
+    val copy : t -> t
+    (** Independent copy with identical future targets. *)
   end
 end

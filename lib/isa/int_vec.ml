@@ -19,4 +19,8 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Int_vec.get: out of bounds";
   t.data.(i)
 
+let truncate t len =
+  if len < 0 || len > t.len then invalid_arg "Int_vec.truncate: length out of bounds";
+  t.len <- len
+
 let to_array t = Array.sub t.data 0 t.len

@@ -135,6 +135,19 @@ let prop_fuzz_layout_invariance =
       a.Pi_uarch.Pipeline.instructions = b.Pi_uarch.Pipeline.instructions
       && a.Pi_uarch.Pipeline.cond_branches = b.Pi_uarch.Pipeline.cond_branches)
 
+let prop_fuzz_one_pass_trace =
+  QCheck.Test.make ~name:"random programs: one-pass Run_limiter.trace = two passes" ~count:60
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let p = random_program seed in
+      List.for_all
+        (fun budget_blocks ->
+          Test_layout.trace_diff
+            (Pi_layout.Run_limiter.trace ~seed p ~budget_blocks)
+            (Interferometry.Perf_bench.two_pass_trace ~seed p ~budget_blocks)
+          = [])
+        [ 1; 2; 11; 97; 500; 3_000 ])
+
 (* ---- hostile JSON at the network boundary ------------------------- *)
 (* Telemetry.parse guards the pi_serve submission endpoint: whatever a
    client sends, the parser must return Error — never raise, never
@@ -229,6 +242,7 @@ let suite =
       [
         QCheck_alcotest.to_alcotest prop_fuzz_valid_and_runnable;
         QCheck_alcotest.to_alcotest prop_fuzz_layout_invariance;
+        QCheck_alcotest.to_alcotest prop_fuzz_one_pass_trace;
       ] );
     ( "fuzz.json",
       [

@@ -218,6 +218,177 @@ let test_limiter_near_end_criterion () =
       in
       Alcotest.(check bool) "stops near the profile point" true (delta < 0.15)
 
+(* The fields of [a] and [b] that differ; [program] is the input itself. *)
+let trace_diff (a : Trace.t) (b : Trace.t) =
+  List.filter_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("block_seq", a.Trace.block_seq = b.Trace.block_seq);
+      ("mem_events", a.Trace.mem_events = b.Trace.mem_events);
+      ("instructions", a.Trace.instructions = b.Trace.instructions);
+      ("cond_branches", a.Trace.cond_branches = b.Trace.cond_branches);
+      ("taken_branches", a.Trace.taken_branches = b.Trace.taken_branches);
+      ("indirect_branches", a.Trace.indirect_branches = b.Trace.indirect_branches);
+      ("calls", a.Trace.calls = b.Trace.calls);
+      ("mem_refs", a.Trace.mem_refs = b.Trace.mem_refs);
+      ("proc_invocations", a.Trace.proc_invocations = b.Trace.proc_invocations);
+    ]
+
+let check_one_pass ?seed ~what p ~budget_blocks =
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s, budget %d: one pass = two passes" what budget_blocks)
+    []
+    (trace_diff
+       (Run_limiter.trace ?seed p ~budget_blocks)
+       (Interferometry.Perf_bench.two_pass_trace ?seed p ~budget_blocks))
+
+let test_limiter_one_pass_every_bench () =
+  List.iter
+    (fun (bench : Pi_workloads.Bench.t) ->
+      List.iter
+        (fun scale ->
+          let p = bench.Pi_workloads.Bench.build ~scale in
+          let what = Printf.sprintf "%s scale %d" bench.Pi_workloads.Bench.name scale in
+          List.iter
+            (fun (seed, budget_blocks) -> check_one_pass ~seed ~what p ~budget_blocks)
+            [ (1, 220_000); (7, 60_000); (42, 30_000); (3, 1); (5, 2); (9, 11) ])
+        [ 1; 2 ])
+    (Pi_workloads.Spec.everything ())
+
+(* Every budget from 1 to 400 on [long_program]: among them are budgets
+   whose chosen procedure is last entered exactly at the snapshot's
+   boundary ([near_end]), where a snapshot taken one block late would miss
+   the halting invocation. *)
+let test_limiter_one_pass_budget_sweep () =
+  let p = long_program () in
+  let boundary = ref 0 in
+  for budget_blocks = 1 to 400 do
+    check_one_pass ~what:"long" p ~budget_blocks;
+    match Run_limiter.choose p ~budget_blocks with
+    | None -> ()
+    | Some t ->
+        let profile =
+          Pi_isa.Interp.run ~limits:{ Pi_isa.Interp.max_blocks = budget_blocks; stop_proc = None } p
+        in
+        let entry = p.Program.procs.(t.Run_limiter.stop_proc).Program.entry in
+        let last = ref (-1) in
+        Array.iteri (fun i b -> if b = entry then last := i) profile.Trace.block_seq;
+        if !last = budget_blocks * 9 / 10 then incr boundary
+  done;
+  Alcotest.(check bool) "some budget puts the last entry at the boundary" true (!boundary > 0)
+
+(* A program that halts after the snapshot point but inside the budget:
+   no instrumentation, and the trace is the profile itself. *)
+let test_limiter_one_pass_halts_after_snapshot () =
+  let p = sample_program () in
+  let blocks = Trace.blocks_executed (Pi_isa.Interp.run p) in
+  let budget_blocks = blocks + 5 in
+  Alcotest.(check bool) "halts past the snapshot point" true
+    (blocks > (budget_blocks * 9 / 10) - 1);
+  Alcotest.(check bool) "no instrumentation" true
+    (Option.is_none (Run_limiter.choose p ~budget_blocks));
+  check_one_pass ~what:"sample" p ~budget_blocks
+
+(* [rare]'s entry block is also the target of a [Jump], so the profile
+   counts three entries per invocation and the instrumented run overshoots
+   the profile: the resumed run must continue past the profile's end, up to
+   twice its length. The builder never emits such an edge, so this program
+   is written out by hand. *)
+let reentry_program () =
+  let block block_id proc instrs term = { Program.block_id; proc; instrs; term } in
+  let program =
+    {
+      Program.name = "reentry";
+      objects = [| { Program.obj_id = 0; obj_name = "a.o"; procs = [| 0; 1; 2 |] } |];
+      procs =
+        [|
+          { Program.proc_id = 0; proc_name = "main"; entry = 0; blocks = [| 0; 1; 2; 3 |] };
+          { Program.proc_id = 1; proc_name = "common"; entry = 4; blocks = [| 4 |] };
+          { Program.proc_id = 2; proc_name = "rare"; entry = 5; blocks = [| 5; 6; 7; 8 |] };
+        |];
+      blocks =
+        [|
+          block 0 0 [| Program.Plain 1 |] (Program.Jump 1);
+          block 1 0 [||] (Program.Call { callee = 1; return_to = 2 });
+          block 2 0 [||] (Program.Branch { branch = 0; taken = 1; not_taken = 3 });
+          block 3 0 [||] (Program.Call { callee = 2; return_to = 1 });
+          block 4 1 [| Program.Plain 2; Program.Mem 0 |] Program.Return;
+          block 5 2 [| Program.Plain 3 |] (Program.Jump 6);
+          block 6 2 [||] (Program.Branch { branch = 1; taken = 7; not_taken = 8 });
+          block 7 2 [| Program.Mem 1 |] (Program.Jump 5);
+          block 8 2 [||] Program.Return;
+        |];
+      branches =
+        [|
+          {
+            Program.branch_id = 0;
+            owner = 2;
+            behavior = Behavior.Bernoulli { p_taken = 0.9 };
+            label = None;
+            resolved_src = -1;
+          };
+          {
+            Program.branch_id = 1;
+            owner = 6;
+            behavior = Behavior.Loop_trip { trips = 3 };
+            label = None;
+            resolved_src = -1;
+          };
+        |];
+      ibrs = [||];
+      mem_ops =
+        [|
+          { Program.mem_id = 0; space = Program.Global; target = 0; pattern = Program.Random_uniform; is_store = false };
+          { Program.mem_id = 1; space = Program.Global; target = 0; pattern = Program.Chase { perm_seed = 5 }; is_store = true };
+        |];
+      globals = [| { Program.global_id = 0; global_name = "g"; size = 4096 } |];
+      heap_sites = [||];
+      entry_proc = 0;
+    }
+  in
+  (match Program.validate program with Ok () -> () | Error e -> failwith e);
+  program
+
+let test_limiter_one_pass_continues_past_profile () =
+  let p = reentry_program () in
+  List.iter
+    (fun budget_blocks ->
+      (match Run_limiter.choose p ~budget_blocks with
+      | Some t when t.Run_limiter.stop_proc = 2 -> ()
+      | _ -> Alcotest.fail "expected rare to be chosen");
+      let trace = Run_limiter.trace p ~budget_blocks in
+      Alcotest.(check bool) "ran past the profile" true
+        (Trace.blocks_executed trace > budget_blocks);
+      check_one_pass ~what:"reentry" p ~budget_blocks)
+    [ 100; 1_000; 20_000 ]
+
+(* Ties go to the lowest procedure id: [rare0] and [rare1] run equally
+   often and both near the end, and [rare1] is entered last. *)
+let test_limiter_tie_lowest_id () =
+  let b = B.create ~name:"tie" in
+  let o = B.add_object b "a.o" in
+  let rare0 = B.proc b ~obj:o ~name:"rare0" [ B.work 5 ] in
+  let rare1 = B.proc b ~obj:o ~name:"rare1" [ B.work 5 ] in
+  let common = B.proc b ~obj:o ~name:"common" [ B.work 2 ] in
+  let main =
+    B.proc b ~obj:o ~name:"main"
+      [
+        B.for_ ~trips:1_000_000
+          [
+            B.call common;
+            B.if_
+              (Behavior.Periodic { pattern = Behavior.loop_pattern ~trips:16 })
+              [ B.work 1 ]
+              [ B.call rare0; B.call rare1 ];
+          ];
+      ]
+  in
+  B.entry b main;
+  let p = B.finish b in
+  match Run_limiter.choose p ~budget_blocks:20_000 with
+  | None -> Alcotest.fail "expected instrumentation"
+  | Some t -> Alcotest.(check int) "lowest id wins the tie" 0 t.Run_limiter.stop_proc
+
 let qcheck t = QCheck_alcotest.to_alcotest t
 
 let suite =
@@ -254,6 +425,15 @@ let suite =
         Alcotest.test_case "picks rare procedure" `Quick test_limiter_picks_low_frequency_proc;
         Alcotest.test_case "bounded and stable" `Quick test_limiter_trace_bounded_and_stable;
         Alcotest.test_case "near-end criterion" `Quick test_limiter_near_end_criterion;
+        Alcotest.test_case "ties go to the lowest id" `Quick test_limiter_tie_lowest_id;
+        Alcotest.test_case "one pass = two passes, every bench" `Quick
+          test_limiter_one_pass_every_bench;
+        Alcotest.test_case "one pass = two passes, budgets 1..400" `Quick
+          test_limiter_one_pass_budget_sweep;
+        Alcotest.test_case "one pass: halt after the snapshot" `Quick
+          test_limiter_one_pass_halts_after_snapshot;
+        Alcotest.test_case "one pass: run past the profile" `Quick
+          test_limiter_one_pass_continues_past_profile;
       ] );
   ]
 

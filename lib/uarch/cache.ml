@@ -89,13 +89,6 @@ let fill t addr =
   let way = find_way t base line in
   promote t base (if way >= 0 then way else t.geometry.assoc - 1) line
 
-(* Hot-path internals for callers that inline the MRU-hit check (the replay
-   fetch loop): when [tags.((line land set_mask) * assoc) = line] the access
-   is an MRU hit — [promote] would be a no-op — so the caller only needs
-   [count_hit]; any other case must go through [access]. *)
-let hot t = (t.tags, t.sets - 1, t.geometry.assoc, t.line_shift)
-let count_hit t = t.accesses <- t.accesses + 1
-
 let access_range t ~addr ~bytes =
   if bytes <= 0 then 0
   else begin

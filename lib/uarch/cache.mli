@@ -32,19 +32,6 @@ val access_range : t -> addr:int -> bytes:int -> int
 (** Access every line overlapping [\[addr, addr+bytes)]; returns the number
     of misses (used for instruction fetch of a basic block). *)
 
-val hot : t -> int array * int * int * int
-(** [(tags, set_mask, assoc, line_shift)] — internals for hot loops that
-    inline the MRU-hit check: with [line = addr lsr line_shift] and
-    [base = (line land set_mask) * assoc], if [tags.(base) = line] the
-    access is an MRU hit whose LRU promotion is a no-op, so the caller may
-    record it with {!count_hit} and skip {!access}. Every other case must
-    go through {!access}. The array is the live tag store — read-only for
-    callers. *)
-
-val count_hit : t -> unit
-(** Count one hit access without touching cache state; only valid when the
-    MRU-hit condition of {!hot} held. *)
-
 val reset : t -> unit
 
 val accesses : t -> int

@@ -334,15 +334,17 @@ type data_side = {
    re-pattern-matching every dynamic block's terminator — is pure waste
    after the first run. [compile] performs all of that work once, producing
    flat arrays indexed by dynamic-block ordinal; [replay] then walks those
-   arrays with no per-event allocation or variant matching. Replay output is
+   arrays with no per-event allocation or variant matching (it is the
+   one-lane instance of the cache-lane walk below). Replay output is
    bit-identical to [run_unoptimized]: the same floats are accumulated in
    the same order and the same cache/predictor state transitions happen in
    the same sequence.
 
    A plan is immutable after [compile] and holds no simulation state
-   (caches and predictors are created per [replay] call), so one plan can be
-   replayed concurrently from many domains; its one mutable slot only
-   caches the immutable data side last built for it. *)
+   (predictors are created per replay call, cache images live in a pooled
+   per-domain scratch), so one plan can be replayed concurrently from many
+   domains; its one mutable slot only caches the immutable data side last
+   built for it. *)
 
 type plan = {
   plan_config : config;
@@ -507,10 +509,6 @@ let plan_with_config plan config =
   end
   else compile config plan.plan_trace
 
-(* Unboxed cycle accumulator: a [float ref] would box a fresh float on every
-   update, several allocations per simulated block. *)
-type cycle_acc = { mutable cycles : float }
-
 (* Branchless saturating two-bit counter update: exactly
    [if taken then min 3 (c + 1) else max 0 (c - 1)] for [c] in [0,3] and
    [taken_int] in {0,1}. Data-dependent branches on the simulated outcome
@@ -596,233 +594,15 @@ let data_l1d plan ds ~warmup =
   done;
   (Array.length ds.ds_peek - first, ds.ds_misses - !misses_before)
 
-let replay ?(warmup_blocks = 0) ?data_side plan (placement : Pi_layout.Placement.t) =
-  let ds = data_side_for "Pipeline.replay" plan placement data_side in
-  let config = plan.plan_config in
-  let code = placement.Pi_layout.Placement.code in
-  let predictor = config.make_predictor () in
-  let indirect_predictor = config.make_indirect () in
-  let trace_cache = Option.map Trace_cache.create config.trace_cache in
-  let l1i = Cache.create config.l1i in
-  let l2 = Cache.create config.l2 in
-  let block_addr = code.Pi_layout.Code_layout.block_addr in
-  let block_bytes = code.Pi_layout.Code_layout.block_bytes in
-  let branch_pc = code.Pi_layout.Code_layout.branch_pc in
-  let ibr_pc = code.Pi_layout.Code_layout.ibr_pc in
-  let line_shift = log2_exact config.l1i.Cache.line_bytes in
-  let l1i_tags, l1i_set_mask, l1i_assoc, _ = Cache.hot l1i in
-  let l1i_line_mask = lnot (config.l1i.Cache.line_bytes - 1) in
-  let pen = config.penalties in
-  (* Hoisted penalty constants; [l2_fetch_penalty] matches the legacy
-     [pen.l2_miss *. 0.7] computed inline (same operands, same product). *)
-  let l1i_miss_penalty = pen.l1i_miss in
-  let l2_fetch_penalty = pen.l2_miss *. 0.7 in
-  let l1d_miss_penalty = pen.l1d_miss in
-  let l2_miss_penalty = pen.l2_miss in
-  let mispredict_penalty = pen.mispredict in
-  let btb_miss_penalty = pen.btb_miss in
-  let pkernel = predictor.Predictor.kernel in
-  let step_block = plan.step_block in
-  let block_instrs = plan.block_instrs in
-  let block_cost = plan.block_cost in
-  let step_mem_end = plan.step_mem_end in
-  let step_kind = plan.step_kind in
-  let step_id = plan.step_id in
-  let step_next = plan.step_next in
-  let step_alt = plan.step_alt in
-  let ev_factor = plan.ev_factor in
-  let ops = ds.ds_ops and peek = ds.ds_peek in
-  let acc = { cycles = 0.0 } in
-  let cond_mispredicts = ref 0 in
-  let indirect_mispredicts = ref 0 in
-  let btb_misses = ref 0 in
-  let cond_branches = ref 0 in
-  let indirect_branches = ref 0 in
-  let instructions = ref 0 in
-  let l1i_base = ref (0, 0) and l2_base = ref (0, 0) in
-  let op = ref 0 in
-  let wrong_path_runs = ref 0 in
-  let last_prefetch_cursor = ref (-1) in
-  let wrong_path = config.wrong_path in
-  (* [cursor] is the index of the first memory event of the *next* block,
-     exactly the legacy [mem_cursor] at wrong-path time. *)
-  let wrong_path_effects alternate_block cursor =
-    if wrong_path then begin
-      let alt_line = Array.unsafe_get block_addr alternate_block land l1i_line_mask in
-      if (not (Cache.probe l1i alt_line)) && Cache.probe l2 alt_line then
-        Cache.touch l1i alt_line;
-      incr wrong_path_runs;
-      if !wrong_path_runs land 7 = 0 && !last_prefetch_cursor <> cursor && cursor < Array.length peek
-      then begin
-        Cache.touch l2 (Array.unsafe_get peek cursor);
-        last_prefetch_cursor := cursor
-      end
-    end
-  in
-  let n = Array.length step_block in
-  let warmup = min warmup_blocks (max 0 (n - 1)) in
-  for i = 0 to n - 1 do
-    if i = warmup then begin
-      acc.cycles <- 0.0;
-      cond_mispredicts := 0;
-      indirect_mispredicts := 0;
-      btb_misses := 0;
-      cond_branches := 0;
-      indirect_branches := 0;
-      instructions := 0;
-      l1i_base := (Cache.accesses l1i, Cache.misses l1i);
-      l2_base := (Cache.accesses l2, Cache.misses l2)
-    end;
-    let b = Array.unsafe_get step_block i in
-    instructions := !instructions + Array.unsafe_get block_instrs b;
-    acc.cycles <- acc.cycles +. Array.unsafe_get block_cost b;
-    let trace_cache_hit =
-      match trace_cache with
-      | Some tc -> Trace_cache.access tc ~block_id:b
-      | None -> false
-    in
-    if not trace_cache_hit then begin
-      let addr = Array.unsafe_get block_addr b in
-      let first = addr lsr line_shift in
-      let last = (addr + Array.unsafe_get block_bytes b - 1) lsr line_shift in
-      for l = first to last do
-        (* Fetches overwhelmingly hit the L1I MRU way (straight-line code
-           re-reads the same line); that case is inlined and the full
-           [Cache.access] path only runs when the MRU check fails. *)
-        if Array.unsafe_get l1i_tags ((l land l1i_set_mask) * l1i_assoc) = l then
-          Cache.count_hit l1i
-        else begin
-          let line_addr = l lsl line_shift in
-          if not (Cache.access l1i line_addr) then
-            if Cache.access l2 line_addr then acc.cycles <- acc.cycles +. l1i_miss_penalty
-            else acc.cycles <- acc.cycles +. l2_fetch_penalty
-        end
-      done
-    end;
-    let mend = Array.unsafe_get step_mem_end i in
-    while Array.unsafe_get ops !op < 2 * mend do
-      let code = Array.unsafe_get ops !op in
-      let addr = Array.unsafe_get ops (!op + 1) in
-      if code land 1 = 0 then begin
-        let factor = Array.unsafe_get ev_factor (code lsr 1) in
-        if Cache.access l2 addr then acc.cycles <- acc.cycles +. (l1d_miss_penalty *. factor)
-        else acc.cycles <- acc.cycles +. (l2_miss_penalty *. factor)
-      end
-      else Cache.fill l2 addr;
-      op := !op + 2
-    done;
-    let kind = Array.unsafe_get step_kind i in
-    if kind <> 0 then
-      if kind < 3 then begin
-        incr cond_branches;
-        let taken_int = kind - 1 in
-        let pc = Array.unsafe_get branch_pc (Array.unsafe_get step_id i) in
-        (* Predictor kernels: the table-indexed predictors are advanced
-           inline, with branchless counter updates, instead of paying a
-           closure call whose saturating-counter branches the host CPU
-           cannot predict. Each arm reproduces the matching [on_branch]
-           closure decision-for-decision on the shared live state. *)
-        let correct =
-          match pkernel with
-          | Some (Predictor.Hybrid_k k) ->
-              let hashed = pc lsr 1 in
-              let h = !(k.history) in
-              let gidx = (hashed lxor h) land k.gas_index_mask land k.gas_mask in
-              let bidx = hashed land k.bim_mask in
-              let cidx = hashed land k.cho_mask in
-              let gc = Char.code (Bytes.unsafe_get k.gas gidx) in
-              let bc = Char.code (Bytes.unsafe_get k.bim bidx) in
-              let cc = Char.code (Bytes.unsafe_get k.cho cidx) in
-              let gp = (gc lsr 1) land 1 in
-              let bp = (bc lsr 1) land 1 in
-              let sel = -((cc lsr 1) land 1) in
-              let p = (gp land sel) lor (bp land lnot sel) in
-              Bytes.unsafe_set k.gas gidx (Char.unsafe_chr (sat2_update gc taken_int));
-              Bytes.unsafe_set k.bim bidx (Char.unsafe_chr (sat2_update bc taken_int));
-              (* Chooser trains toward whichever component was right, and
-                 only when they disagree; expressed as an always-write with
-                 a disagreement mask so there is no data-dependent branch. *)
-              let nsel = -(gp lxor bp) in
-              let cc' = sat2_update cc (1 - (gp lxor taken_int)) in
-              Bytes.unsafe_set k.cho cidx
-                (Char.unsafe_chr ((cc' land nsel) lor (cc land lnot nsel)));
-              k.history := ((h lsl 1) lor taken_int) land k.history_mask;
-              p = taken_int
-          | Some (Predictor.Bimodal_k k) ->
-              let idx = (pc lsr 1) land k.mask in
-              let c = Char.code (Bytes.unsafe_get k.counters idx) in
-              Bytes.unsafe_set k.counters idx (Char.unsafe_chr (sat2_update c taken_int));
-              (c lsr 1) land 1 = taken_int
-          | Some (Predictor.Gshare_k k) ->
-              let h = !(k.history) in
-              let idx = ((pc lsr 1) lxor h) land k.mask in
-              let c = Char.code (Bytes.unsafe_get k.counters idx) in
-              Bytes.unsafe_set k.counters idx (Char.unsafe_chr (sat2_update c taken_int));
-              k.history := ((h lsl 1) lor taken_int) land k.history_mask;
-              (c lsr 1) land 1 = taken_int
-          | Some (Predictor.Gas_k k) ->
-              let h = !(k.history) in
-              let idx =
-                ((((pc lsr 1) land k.addr_mask) lsl k.history_bits) lor h) land k.mask
-              in
-              let c = Char.code (Bytes.unsafe_get k.counters idx) in
-              Bytes.unsafe_set k.counters idx (Char.unsafe_chr (sat2_update c taken_int));
-              k.history := ((h lsl 1) lor taken_int) land k.history_mask;
-              (c lsr 1) land 1 = taken_int
-          | None -> predictor.Predictor.on_branch ~pc ~taken:(taken_int <> 0)
-        in
-        if not correct then begin
-          incr cond_mispredicts;
-          acc.cycles <- acc.cycles +. mispredict_penalty;
-          wrong_path_effects (Array.unsafe_get step_alt i) mend
-        end
-      end
-      else begin
-        incr indirect_branches;
-        let target_addr = Array.unsafe_get block_addr (Array.unsafe_get step_next i) in
-        let pc = Array.unsafe_get ibr_pc (Array.unsafe_get step_id i) in
-        let hit =
-          config.perfect_btb || indirect_predictor.Indirect.on_indirect ~pc ~target:target_addr
-        in
-        if not hit then begin
-          incr indirect_mispredicts;
-          incr btb_misses;
-          acc.cycles <- acc.cycles +. btb_miss_penalty;
-          let alt = Array.unsafe_get step_alt i in
-          if alt >= 0 then wrong_path_effects alt mend
-        end
-      end
-  done;
-  let delta (a0, m0) cache = (Cache.accesses cache - a0, Cache.misses cache - m0) in
-  let l1i_acc, l1i_miss = delta !l1i_base l1i in
-  let l1d_acc, l1d_miss = data_l1d plan ds ~warmup in
-  let l2_acc, l2_miss = delta !l2_base l2 in
-  Pi_obs.Metrics.inc m_replay_runs;
-  Pi_obs.Metrics.add m_replay_blocks (Array.length step_block);
-  Pi_obs.Metrics.add m_branches (!cond_branches + !indirect_branches);
-  Pi_obs.Metrics.add m_mispredicts (!cond_mispredicts + !indirect_mispredicts);
-  Pi_obs.Metrics.add m_cache_probes (l1i_acc + l1d_acc + l2_acc);
-  {
-    cycles = acc.cycles;
-    instructions = !instructions;
-    cond_branches = !cond_branches;
-    cond_mispredicts = !cond_mispredicts;
-    indirect_branches = !indirect_branches;
-    indirect_mispredicts = !indirect_mispredicts;
-    btb_misses = !btb_misses;
-    l1i_accesses = l1i_acc;
-    l1i_misses = l1i_miss;
-    l1d_accesses = l1d_acc;
-    l1d_misses = l1d_miss;
-    l2_accesses = l2_acc;
-    l2_misses = l2_miss;
-  }
-
-let run ?warmup_blocks config trace placement =
-  replay ?warmup_blocks (compile config trace) placement
-
 (* ------------------------------------------------------------------ *)
-(* Fused multi-predictor sweeps.
+(* The replay walkers: fused multi-lane sweeps, and scalar replay.
+
+   Two walkers replay a plan, one per sweep axis. The cache-lane walk
+   ([walk_cache_lanes]) simulates one shared direction predictor, indirect
+   predictor and trace cache and per-lane L1I/L2 images; a one-lane batch
+   over the machine's own geometries is exactly a scalar replay, so
+   [replay] is that walk. The predictor-lane walk ([walk_pred_lanes]) is
+   the rest of this section.
 
    A predictor sweep replays the *same* plan under the *same* placement once
    per configuration, yet the trace walk, the data side and the
@@ -852,9 +632,9 @@ let run ?warmup_blocks config trace placement =
    lane loop of one fetch or data reference scans contiguous memory.
 
    The correctness bar is the repo's standing invariant: each lane's counts
-   are bit-identical to a sequential [replay] of that configuration — the
-   same floats accumulated in the same order, the same state transitions in
-   the same sequence. *)
+   are bit-identical to a sequential [replay] of that configuration (and so
+   to [run_unoptimized]) — the same floats accumulated in the same order,
+   the same state transitions in the same sequence. *)
 
 type pred_lanes = {
   batch_n : int;  (** fused lanes *)
@@ -883,34 +663,38 @@ type pred_lanes = {
   hist_keep : int;  (** OR of all [hmask]: shared-history retention mask *)
 }
 
-(* Bulk per-pass state of a predictor-lane pass: the counter-table image
-   [bs_tab] (a blit of [tab_init]), the L1I image and its MRU summaries,
-   and the L2 image. The L2 image is lazy: strips (one [nl * assoc] tag
-   block per L2 set, set-major) are allocated on first touch and
-   invalidated per pass through the [seen] bitmap, so a pass only clears
-   the sets it actually references.
+(* Bulk per-pass state of a walk. A predictor-lane pass uses the
+   counter-table image [bs_tab] (a blit of [tab_init]), the L1I image and
+   its MRU summaries, and the L2 strips. The L2 image is lazy: strips (one
+   [nl * assoc] tag block per L2 set, set-major) are allocated on first
+   touch and invalidated per pass through the [seen] bitmap, so a pass only
+   clears the sets it actually references. A cache-lane pass (scalar replay
+   included) uses [bs_l1i] as its lane-major L1I arena and [bs_l2] as its
+   L2 arena.
 
-   One scratch per domain serves every pass, whatever its batch: a pass
-   borrows it, grows whatever is too small, and returns it. A scratch at
-   least as large as a pass needs is as good as an exact one, because the
-   pass indexes and resets only prefixes bounded by its own lane count,
+   One scratch per domain serves every pass, whatever its batch or axis: a
+   pass borrows it, grows whatever is too small, and returns it. A scratch
+   at least as large as a pass needs is as good as an exact one, because
+   the pass indexes and resets only prefixes bounded by its own lane count,
    table size and cache geometry; an L2 strip shorter than [nl * assoc] is
    regrown on first touch. So a 5-lane sub-batch replays inside the
-   memoized 143-lane grid's idle scratch instead of allocating its own. *)
-type pred_scratch = {
+   memoized 143-lane grid's idle scratch instead of allocating its own, and
+   a scalar replay allocates no tag arrays. *)
+type scratch = {
   bs_strips : int array array;
   bs_seen : Bytes.t;
   bs_tab : Bytes.t;
   bs_l1i : int array;
   bs_set_mru : int array;
   bs_lane_mru : int array;
+  bs_l2 : int array;
 }
 
 (* The pool holds at most one idle scratch per domain. Taking is an
    atomic exchange, so systhreads sharing a domain (the daemon's workers)
    never share a scratch: a pass that finds the pool empty allocates its
    own, and whichever pass returns last leaves its scratch behind. *)
-let scratch_pool : pred_scratch option Atomic.t Domain.DLS.key =
+let scratch_pool : scratch option Atomic.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Atomic.make None)
 
 let no_scratch =
@@ -921,9 +705,10 @@ let no_scratch =
     bs_l1i = [||];
     bs_set_mru = [||];
     bs_lane_mru = [||];
+    bs_l2 = [||];
   }
 
-let borrow_scratch ~l2_sets ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words =
+let borrow_scratch ~l2_sets ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words ~l2_words =
   let s = Option.value (Atomic.exchange (Domain.DLS.get scratch_pool) None) ~default:no_scratch in
   let grow a len fill = if Array.length a >= len then a else Array.make len fill in
   let strips, seen =
@@ -937,6 +722,8 @@ let borrow_scratch ~l2_sets ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words =
   Array.fill l1i 0 l1i_words (-1);
   let set_mru = grow s.bs_set_mru l1i_sets (-1) in
   Array.fill set_mru 0 l1i_sets (-1);
+  let l2 = grow s.bs_l2 l2_words (-1) in
+  Array.fill l2 0 l2_words (-1);
   (* [bs_lane_mru] needs no reset: it is only read on sets already marked
      mixed, and the divergence that marks a set mixed fills its lane row
      first. *)
@@ -947,6 +734,7 @@ let borrow_scratch ~l2_sets ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words =
     bs_l1i = l1i;
     bs_set_mru = set_mru;
     bs_lane_mru = grow s.bs_lane_mru lane_mru_words (-1);
+    bs_l2 = l2;
   }
 
 let return_scratch s = Atomic.set (Domain.DLS.get scratch_pool) (Some s)
@@ -978,12 +766,7 @@ type cache_lanes = {
   cb_d_mask : int array;
   cb_d_assoc : int array;
   cb_d_words : int;  (** total L2 arena words *)
-  mutable cache_scratch : cache_scratch option;
-      (** reusable tag arenas, reset (not reallocated) across passes;
-          concurrent passes must use distinct batches (shards are) *)
 }
-
-and cache_scratch = { cs_l1i : int array; cs_l2 : int array }
 
 (* A fused batch is a set of lanes varying along exactly one axis; every
    batch operation ({!batch_shard}, {!replay_many}, the accessors) is
@@ -1125,7 +908,7 @@ let batch_of (configs : (string * (unit -> Predictor.t)) array) =
    lanes), and be distinct as an (l1i, l2) pair — a duplicate pair would
    silently burn a lane re-measuring the same machine, so it is rejected by
    name rather than asserted. *)
-let cache_batch_of ~(l1i : Cache.geometry) ~(l2 : Cache.geometry)
+let cache_lanes_of ~(l1i : Cache.geometry) ~(l2 : Cache.geometry)
     (configs : (string * Cache.geometry * Cache.geometry) array) =
   let n = Array.length configs in
   let seen = Hashtbl.create (2 * n) in
@@ -1166,24 +949,24 @@ let cache_batch_of ~(l1i : Cache.geometry) ~(l2 : Cache.geometry)
   in
   let i_off, i_words = off_of (fun gi _ -> Cache.geometry_sets gi * gi.Cache.assoc) in
   let d_off, d_words = off_of (fun _ gd -> Cache.geometry_sets gd * gd.Cache.assoc) in
-  Cache_lanes
-    {
-      cb_n = n;
-      cb_names = Array.map (fun (name, _, _) -> name) configs;
-      cb_src = Array.init n (fun i -> i);
-      cb_geoms = Array.map (fun (_, gi, gd) -> (gi, gd)) configs;
-      cb_i_line = l1i.Cache.line_bytes;
-      cb_d_line = l2.Cache.line_bytes;
-      cb_i_off = i_off;
-      cb_i_mask = Array.map (fun (_, gi, _) -> Cache.geometry_sets gi - 1) configs;
-      cb_i_assoc = Array.map (fun (_, gi, _) -> gi.Cache.assoc) configs;
-      cb_i_words = i_words;
-      cb_d_off = d_off;
-      cb_d_mask = Array.map (fun (_, _, gd) -> Cache.geometry_sets gd - 1) configs;
-      cb_d_assoc = Array.map (fun (_, _, gd) -> gd.Cache.assoc) configs;
-      cb_d_words = d_words;
-      cache_scratch = None;
-    }
+  {
+    cb_n = n;
+    cb_names = Array.map (fun (name, _, _) -> name) configs;
+    cb_src = Array.init n (fun i -> i);
+    cb_geoms = Array.map (fun (_, gi, gd) -> (gi, gd)) configs;
+    cb_i_line = l1i.Cache.line_bytes;
+    cb_d_line = l2.Cache.line_bytes;
+    cb_i_off = i_off;
+    cb_i_mask = Array.map (fun (_, gi, _) -> Cache.geometry_sets gi - 1) configs;
+    cb_i_assoc = Array.map (fun (_, gi, _) -> gi.Cache.assoc) configs;
+    cb_i_words = i_words;
+    cb_d_off = d_off;
+    cb_d_mask = Array.map (fun (_, _, gd) -> Cache.geometry_sets gd - 1) configs;
+    cb_d_assoc = Array.map (fun (_, _, gd) -> gd.Cache.assoc) configs;
+    cb_d_words = d_words;
+  }
+
+let cache_batch_of ~l1i ~l2 configs = Cache_lanes (cache_lanes_of ~l1i ~l2 configs)
 
 (* Split a batch into [shards] contiguous sub-batches of near-equal lane
    count. Lane tables are allocated in internal-lane order, so a shard's
@@ -1234,7 +1017,7 @@ let pred_shard (b : pred_lanes) ~shards =
 (* Cache-lane sharding: lanes' arena slices are allocated in lane order, so
    a contiguous lane range owns one contiguous slice of each arena; offsets
    are rebased to the slice. As with predictor lanes, the 1-shard "split" is
-   the batch itself, keeping its warm scratch. *)
+   the batch itself. *)
 let cache_shard (c : cache_lanes) ~shards =
   let nl = c.cb_n in
   let k = if nl = 0 then 1 else max 1 (min shards nl) in
@@ -1264,7 +1047,6 @@ let cache_shard (c : cache_lanes) ~shards =
           cb_d_mask = sub c.cb_d_mask;
           cb_d_assoc = sub c.cb_d_assoc;
           cb_d_words = d_stop - d_start;
-          cache_scratch = None;
         })
 
 let batch_shard b ~shards =
@@ -1301,7 +1083,11 @@ let[@inline] lane_promote (tags : int array) base way (tag : int) =
   done;
   Array.unsafe_set tags base tag
 
-let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
+(* Way 0 of [line]'s set in lane [j]'s slice of a lane-major arena. *)
+let[@inline] lane_slot off mask assoc j line =
+  Array.unsafe_get off j + ((line land Array.unsafe_get mask j) * Array.unsafe_get assoc j)
+
+let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
     (placement : Pi_layout.Placement.t) =
   let config = plan.plan_config in
   let nl = batch.batch_n in
@@ -1330,6 +1116,7 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
   let tab_len = Bytes.length batch.tab_init in
   let scratch =
     borrow_scratch ~l2_sets ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words:(l1i_sets * nl)
+      ~l2_words:0
   in
   let l1i_tags = scratch.bs_l1i in
   (* MRU summary of the L1I images. The committed fetch stream is
@@ -1478,7 +1265,7 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
     || lane_find_way l1i_tags (((s * nl) + j) * l1i_assoc) l1i_assoc line >= 0
   in
   (* Per-lane wrong-path effects; [cursor] is the first memory event of the
-     next block, as in [replay]. *)
+     next block, as in [walk_cache_lanes]. *)
   let wrong_path_effects j alternate_block cursor =
     let alt_line = Array.unsafe_get block_addr alternate_block land l1i_line_mask in
     if (not (l1i_probe j alt_line)) && l2_probe j alt_line then l1i_touch j alt_line;
@@ -1550,8 +1337,8 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
           else begin
             let mru_base = s * nl in
             for j = 0 to nl - 1 do
-              (* Per-lane MRU fast path, as in [replay]: promote would be a
-                 no-op. *)
+              (* Per-lane MRU fast path, as in [walk_cache_lanes]: promote
+                 would be a no-op. *)
               if Array.unsafe_get lane_mru (mru_base + j) <> l then begin
                 let base = set_base + (j * l1i_assoc) in
                 let way = lane_find_way l1i_tags base l1i_assoc l in
@@ -1621,8 +1408,9 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
         let hashed = Array.unsafe_get branch_pc (Array.unsafe_get step_id i) lsr 1 in
         let h_all = !history in
         let alt = Array.unsafe_get step_alt i in
-        (* Per-kind lane loops, each reproducing the matching [replay]
-           kernel arm decision-for-decision on the lane's packed tables. *)
+        (* Per-kind lane loops, each reproducing the matching kernel arm of
+           [walk_cache_lanes] decision-for-decision on the lane's packed
+           tables. *)
         for j = 0 to bim_hi - 1 do
           let idx = hashed land Array.unsafe_get mask1 j in
           let pos = Array.unsafe_get off1 j + idx in
@@ -1632,8 +1420,9 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
           Bytes.unsafe_set tab (pos lsr 2)
             (Char.unsafe_chr (byte lxor ((c lxor sat2_update c taken_int) lsl sh)));
           if (c lsr 1) land 1 <> taken_int then begin
-            (* open-coded [mispredicted]: a closure call per lane-mispredict
-               is measurable at ~1M events per pass *)
+            (* open-coded [mispredicted], here and in the loops below: a
+               closure call per lane-mispredict is measurable at ~1M events
+               per pass *)
             Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
             if wrong_path then wrong_path_effects j alt mend
@@ -1649,8 +1438,6 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
           Bytes.unsafe_set tab (pos lsr 2)
             (Char.unsafe_chr (byte lxor ((c lxor sat2_update c taken_int) lsl sh)));
           if (c lsr 1) land 1 <> taken_int then begin
-            (* open-coded [mispredicted]: a closure call per lane-mispredict
-               is measurable at ~1M events per pass *)
             Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
             if wrong_path then wrong_path_effects j alt mend
@@ -1669,8 +1456,6 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
           Bytes.unsafe_set tab (pos lsr 2)
             (Char.unsafe_chr (byte lxor ((c lxor sat2_update c taken_int) lsl sh)));
           if (c lsr 1) land 1 <> taken_int then begin
-            (* open-coded [mispredicted]: a closure call per lane-mispredict
-               is measurable at ~1M events per pass *)
             Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
             if wrong_path then wrong_path_effects j alt mend
@@ -1710,8 +1495,6 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
           Bytes.unsafe_set tab (cpos lsr 2)
             (Char.unsafe_chr (cbyte lxor ((cc lxor cfin) lsl csh)));
           if p <> taken_int then begin
-            (* open-coded [mispredicted]: a closure call per lane-mispredict
-               is measurable at ~1M events per pass *)
             Array.unsafe_set cond_mis j (Array.unsafe_get cond_mis j + 1);
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty);
             if wrong_path then wrong_path_effects j alt mend
@@ -1738,10 +1521,6 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
       end
   done;
   let l1d_accesses, l1d_misses = data_l1d plan ds ~warmup in
-  (let m_passes, m_blocks, g_lanes = pred_metrics in
-   Pi_obs.Metrics.inc m_passes;
-   Pi_obs.Metrics.add m_blocks (nl * n);
-   Pi_obs.Metrics.set g_lanes (float_of_int nl));
   return_scratch scratch;
   Array.init nl (fun j ->
       {
@@ -1760,12 +1539,14 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
         l2_misses = l2_mis.(j) - l2_mis0.(j);
       })
 
-(* The cache-axis fused pass. The direction predictor is shared (its inputs
-   are the PC/outcome stream, never cache state), so branch decisions,
-   mispredict counts, the indirect predictor, trace cache and the data side
-   are lane-invariant; one instance of each serves every lane. Per lane
-   remain cycles, the L1I and L2 tag images and their access/miss counters
-   — exactly the state a lane's own geometry perturbs. Even the wrong-path run counter and its dedup cursor are
+(* The shared-predictor walk: the cache-axis fused pass, and with one lane
+   over the machine's own geometries, scalar [replay]. The direction
+   predictor is shared (its inputs are the PC/outcome stream, never cache
+   state), so branch decisions, mispredict counts, the indirect predictor,
+   trace cache and the data side are lane-invariant; one instance of each
+   serves every lane. Per lane remain cycles, the L1I and L2 tag images and
+   their access/miss counters — exactly the state a lane's own geometry
+   perturbs. Even the wrong-path run counter and its dedup cursor are
    shared: mispredicts fire at the same steps in every lane, so the
    every-8th-run gate opens lane-invariantly (only the touched cache state
    differs per lane).
@@ -1776,7 +1557,7 @@ let replay_many_body ~warmup_blocks plan ds (batch : pred_lanes)
    of the same line (straight-line code) cost one compare for the whole
    batch. A wrong-path touch that promotes a different line invalidates it
    conservatively. *)
-let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
+let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
     (placement : Pi_layout.Placement.t) =
   let config = plan.plan_config in
   let nl = cb.cb_n in
@@ -1799,21 +1580,12 @@ let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
   let i_off = cb.cb_i_off and i_mask = cb.cb_i_mask and i_assoc = cb.cb_i_assoc in
   let d_off = cb.cb_d_off and d_mask = cb.cb_d_mask and d_assoc = cb.cb_d_assoc in
   let scratch =
-    match cb.cache_scratch with
-    | Some s
-      when Array.length s.cs_l1i = cb.cb_i_words && Array.length s.cs_l2 = cb.cb_d_words ->
-        Array.fill s.cs_l1i 0 cb.cb_i_words (-1);
-        Array.fill s.cs_l2 0 cb.cb_d_words (-1);
-        s
-    | _ ->
-        let s = { cs_l1i = Array.make (max 1 cb.cb_i_words) (-1);
-                  cs_l2 = Array.make (max 1 cb.cb_d_words) (-1) }
-        in
-        cb.cache_scratch <- Some s;
-        s
+    borrow_scratch ~l2_sets:0 ~tab_len:0 ~l1i_words:cb.cb_i_words ~l1i_sets:0 ~lane_mru_words:0
+      ~l2_words:cb.cb_d_words
   in
-  let l1i_img = scratch.cs_l1i in
-  let l2_img = scratch.cs_l2 in
+  let l1i_img = scratch.bs_l1i in
+  let l2_img = scratch.bs_l2 in
+  let pkernel = predictor.Predictor.kernel in
   let mru = ref (-1) in
   let l1i_line_mask = lnot (cb.cb_i_line - 1) in
   let pen = config.penalties in
@@ -1857,10 +1629,7 @@ let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
   let l2_ref j addr =
     Array.unsafe_set l2_acc j (Array.unsafe_get l2_acc j + 1);
     let line = addr lsr d_shift in
-    let base =
-      Array.unsafe_get d_off j
-      + ((line land Array.unsafe_get d_mask j) * Array.unsafe_get d_assoc j)
-    in
+    let base = lane_slot d_off d_mask d_assoc j line in
     let assoc = Array.unsafe_get d_assoc j in
     if Array.unsafe_get l2_img base = line then true
     else begin
@@ -1878,18 +1647,12 @@ let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
   in
   let l2_probe j addr =
     let line = addr lsr d_shift in
-    let base =
-      Array.unsafe_get d_off j
-      + ((line land Array.unsafe_get d_mask j) * Array.unsafe_get d_assoc j)
-    in
+    let base = lane_slot d_off d_mask d_assoc j line in
     lane_find_way l2_img base (Array.unsafe_get d_assoc j) line >= 0
   in
   let l2_fill j addr =
     let line = addr lsr d_shift in
-    let base =
-      Array.unsafe_get d_off j
-      + ((line land Array.unsafe_get d_mask j) * Array.unsafe_get d_assoc j)
-    in
+    let base = lane_slot d_off d_mask d_assoc j line in
     let assoc = Array.unsafe_get d_assoc j in
     if Array.unsafe_get l2_img base <> line then begin
       let way = lane_find_way l2_img base assoc line in
@@ -1902,10 +1665,7 @@ let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
   let l1i_touch j addr =
     Array.unsafe_set l1i_acc j (Array.unsafe_get l1i_acc j + 1);
     let line = addr lsr i_shift in
-    let base =
-      Array.unsafe_get i_off j
-      + ((line land Array.unsafe_get i_mask j) * Array.unsafe_get i_assoc j)
-    in
+    let base = lane_slot i_off i_mask i_assoc j line in
     let assoc = Array.unsafe_get i_assoc j in
     if Array.unsafe_get l1i_img base <> line then begin
       let way = lane_find_way l1i_img base assoc line in
@@ -1919,10 +1679,7 @@ let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
   in
   let l1i_probe j addr =
     let line = addr lsr i_shift in
-    let base =
-      Array.unsafe_get i_off j
-      + ((line land Array.unsafe_get i_mask j) * Array.unsafe_get i_assoc j)
-    in
+    let base = lane_slot i_off i_mask i_assoc j line in
     lane_find_way l1i_img base (Array.unsafe_get i_assoc j) line >= 0
   in
   (* Wrong-path effects for one mispredict event, all lanes. The probe and
@@ -1986,7 +1743,7 @@ let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
             let base =
               Array.unsafe_get i_off j + ((l land Array.unsafe_get i_mask j) * assoc)
             in
-            (* Way-0 hit: promote is a no-op, as in [replay]'s MRU check. *)
+            (* Way-0 hit: promote is a no-op. *)
             if Array.unsafe_get l1i_img base <> l then begin
               let way = lane_find_way l1i_img base assoc l in
               if way >= 0 then lane_promote l1i_img base way l
@@ -2029,11 +1786,62 @@ let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
         incr cond_branches;
         let taken_int = kind - 1 in
         let pc = Array.unsafe_get branch_pc (Array.unsafe_get step_id i) in
-        (* One shared predictor: decisions are geometry-invariant, and the
-           closure is decision-identical to the inlined kernels (the
-           standing kernel-vs-closure invariant), so each lane's mispredict
-           stream matches its sequential [replay] exactly. *)
-        let correct = predictor.Predictor.on_branch ~pc ~taken:(taken_int <> 0) in
+        (* One shared predictor: decisions are geometry-invariant. The
+           table-indexed predictors are advanced inline, with branchless
+           counter updates, instead of paying a closure call whose
+           saturating-counter branches the host CPU cannot predict. Each
+           arm reproduces the matching [on_branch] closure
+           decision-for-decision on the shared live state (the standing
+           kernel-vs-closure invariant). *)
+        let correct =
+          match pkernel with
+          | Some (Predictor.Hybrid_k k) ->
+              let hashed = pc lsr 1 in
+              let h = !(k.history) in
+              let gidx = (hashed lxor h) land k.gas_index_mask land k.gas_mask in
+              let bidx = hashed land k.bim_mask in
+              let cidx = hashed land k.cho_mask in
+              let gc = Char.code (Bytes.unsafe_get k.gas gidx) in
+              let bc = Char.code (Bytes.unsafe_get k.bim bidx) in
+              let cc = Char.code (Bytes.unsafe_get k.cho cidx) in
+              let gp = (gc lsr 1) land 1 in
+              let bp = (bc lsr 1) land 1 in
+              let sel = -((cc lsr 1) land 1) in
+              let p = (gp land sel) lor (bp land lnot sel) in
+              Bytes.unsafe_set k.gas gidx (Char.unsafe_chr (sat2_update gc taken_int));
+              Bytes.unsafe_set k.bim bidx (Char.unsafe_chr (sat2_update bc taken_int));
+              (* Chooser trains toward whichever component was right, and
+                 only when they disagree; expressed as an always-write with
+                 a disagreement mask so there is no data-dependent branch. *)
+              let nsel = -(gp lxor bp) in
+              let cc' = sat2_update cc (1 - (gp lxor taken_int)) in
+              Bytes.unsafe_set k.cho cidx
+                (Char.unsafe_chr ((cc' land nsel) lor (cc land lnot nsel)));
+              k.history := ((h lsl 1) lor taken_int) land k.history_mask;
+              p = taken_int
+          | Some (Predictor.Bimodal_k k) ->
+              let idx = (pc lsr 1) land k.mask in
+              let c = Char.code (Bytes.unsafe_get k.counters idx) in
+              Bytes.unsafe_set k.counters idx (Char.unsafe_chr (sat2_update c taken_int));
+              (c lsr 1) land 1 = taken_int
+          | Some (Predictor.Gshare_k k) ->
+              let h = !(k.history) in
+              let idx = ((pc lsr 1) lxor h) land k.mask in
+              let c = Char.code (Bytes.unsafe_get k.counters idx) in
+              Bytes.unsafe_set k.counters idx (Char.unsafe_chr (sat2_update c taken_int));
+              k.history := ((h lsl 1) lor taken_int) land k.history_mask;
+              (c lsr 1) land 1 = taken_int
+          | Some (Predictor.Gas_k k) ->
+              let h = !(k.history) in
+              let idx =
+                ((((pc lsr 1) land k.addr_mask) lsl k.history_bits) lor h) land k.mask
+              in
+              let c = Char.code (Bytes.unsafe_get k.counters idx) in
+              Bytes.unsafe_set k.counters idx (Char.unsafe_chr (sat2_update c taken_int));
+              k.history := ((h lsl 1) lor taken_int) land k.history_mask;
+              (c lsr 1) land 1 = taken_int
+          | None -> predictor.Predictor.on_branch ~pc ~taken:(taken_int <> 0)
+        in
         if not correct then begin
           incr cond_mispredicts;
           for j = 0 to nl - 1 do
@@ -2061,10 +1869,7 @@ let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
       end
   done;
   let l1d_accesses, l1d_misses = data_l1d plan ds ~warmup in
-  (let m_passes, m_blocks, g_lanes = cache_metrics in
-   Pi_obs.Metrics.inc m_passes;
-   Pi_obs.Metrics.add m_blocks (nl * n);
-   Pi_obs.Metrics.set g_lanes (float_of_int nl));
+  return_scratch scratch;
   Array.init nl (fun j ->
       {
         cycles = cyc.(j);
@@ -2082,21 +1887,45 @@ let replay_many_cache_body ~warmup_blocks plan ds (cb : cache_lanes)
         l2_misses = l2_mis.(j) - l2_mis0.(j);
       })
 
+(* Metering belongs to the callers, not the walkers: a scalar replay
+   counts as a replay run, a fused pass as a pass of its axis. *)
 let replay_many ?(warmup_blocks = 0) ?data_side plan batch placement =
-  if batch_lanes batch = 0 then [||]
+  let nl = batch_lanes batch in
+  if nl = 0 then [||]
   else
     Pi_obs.Span.with_ ~name:"replay.fused"
       ~args:
         [
           ("axis", batch_axis batch);
-          ("lanes", string_of_int (batch_lanes batch));
+          ("lanes", string_of_int nl);
           ("blocks", string_of_int (Array.length plan.step_block));
         ]
       (fun () ->
         let ds = data_side_for "Pipeline.replay_many" plan placement data_side in
-        match batch with
-        | Predictor_lanes b -> replay_many_body ~warmup_blocks plan ds b placement
-        | Cache_lanes c -> replay_many_cache_body ~warmup_blocks plan ds c placement)
+        let counts, (m_passes, m_blocks, g_lanes) =
+          match batch with
+          | Predictor_lanes b -> (walk_pred_lanes ~warmup_blocks plan ds b placement, pred_metrics)
+          | Cache_lanes c -> (walk_cache_lanes ~warmup_blocks plan ds c placement, cache_metrics)
+        in
+        Pi_obs.Metrics.inc m_passes;
+        Pi_obs.Metrics.add m_blocks (nl * Array.length plan.step_block);
+        Pi_obs.Metrics.set g_lanes (float_of_int nl);
+        counts)
+
+let replay ?(warmup_blocks = 0) ?data_side plan placement =
+  let ds = data_side_for "Pipeline.replay" plan placement data_side in
+  let { l1i; l2; name; _ } = plan.plan_config in
+  let lane = cache_lanes_of ~l1i ~l2 [| (name, l1i, l2) |] in
+  let c = (walk_cache_lanes ~warmup_blocks plan ds lane placement).(0) in
+  Pi_obs.Metrics.inc m_replay_runs;
+  Pi_obs.Metrics.add m_replay_blocks (Array.length plan.step_block);
+  Pi_obs.Metrics.add m_branches (c.cond_branches + c.indirect_branches);
+  Pi_obs.Metrics.add m_mispredicts (c.cond_mispredicts + c.indirect_mispredicts);
+  Pi_obs.Metrics.add m_cache_probes (c.l1i_accesses + c.l1d_accesses + c.l2_accesses);
+  c
+
+let run ?warmup_blocks config trace placement =
+  replay ?warmup_blocks (compile config trace) placement
 
 let cpi c =
   if c.instructions = 0 then 0.0 else c.cycles /. float_of_int c.instructions

@@ -139,7 +139,12 @@ val replay :
     accumulated in the same order. Without [data_side] the data side is
     built from [placement]'s data layout first; with it, the placement's
     data layout is not read, and the caller vouches that the data side was
-    built from the same layout. *)
+    built from the same layout.
+
+    This is the one-lane instance of the cache-lane walk behind
+    {!replay_many}: a batch of the machine's own L1I/L2 geometries. Only
+    the metering differs: a replay bumps the [pi_obs_replay_*] counters,
+    never the fused-pass ones, and emits no [replay.fused] span. *)
 
 val plan_with_config : plan -> config -> plan
 (** Rebind a plan to a new machine config. Reuses the compiled arrays when
@@ -177,16 +182,14 @@ type batch
     L1D or the prefetcher.
 
     Lane metadata is immutable and per-pass simulation state is rebuilt
-    inside {!replay_many}. The bulk state of a predictor-lane pass
-    (counter-table image, L1I and L2 tag images) lives in one scratch per
-    domain that every pass borrows and returns: a pass may use any scratch
-    at least as large as it needs, so a small batch replays inside a large
-    batch's idle scratch, and taking it is atomic, so systhreads sharing a
-    domain never share one (a pass that finds it taken allocates its own).
-    Predictor batches may therefore be replayed concurrently. A cache
-    batch owns its tag arenas, recycled by successive passes, so it
-    belongs to one domain at a time; {!batch_shard} sub-batches (for 2+
-    shards) are distinct by construction. *)
+    inside {!replay_many}. The bulk state of every pass, either axis and
+    {!replay} included (counter-table image, L1I and L2 tag images), lives
+    in one scratch per domain that every pass borrows and returns: a pass
+    may use any scratch at least as large as it needs, so a small batch
+    replays inside a large batch's idle scratch, and taking it is atomic,
+    so systhreads sharing a domain never share one (a pass that finds it
+    taken allocates its own). Any batch, the same batch value included,
+    may therefore be replayed concurrently. *)
 
 val batch_of : (string * (unit -> Predictor.t)) array -> batch
 (** Pack every configuration exposing a {!Predictor.kernel} into fused
@@ -230,8 +233,8 @@ val batch_shard : batch -> shards:int -> batch array
     count (at least one lane each), suitable for domain-parallel execution:
     replaying the sub-batches in any order and concatenating by
     {!batch_src} is deterministic and equal to replaying the whole batch.
-    A 1-shard split returns the batch itself (a cache batch keeps its warm
-    arenas); every split of 2+ builds fresh sub-batches. *)
+    A 1-shard split returns the batch itself; every split of 2+ builds
+    fresh sub-batches. *)
 
 val replay_many :
   ?warmup_blocks:int -> ?data_side:data_side -> plan -> batch -> Pi_layout.Placement.t ->

@@ -26,7 +26,9 @@ val run :
   ?warmup_blocks:int -> ?data_side:data_side -> plan -> Pi_layout.Placement.t -> Pipeline.counts
 (** Replay under one placement; bit-identical to the legacy interpreter.
     [data_side], built from the placement's data layout, skips simulating
-    the data side again; without it the replay builds its own. *)
+    the data side again; without it the replay builds its own. The walk is
+    {!run_many}'s cache-lane walk over one lane of the plan's own
+    geometries; see {!Pipeline.replay}. *)
 
 val with_config : plan -> Pipeline.config -> plan
 (** Rebind to a new machine config, reusing the compiled arrays when only

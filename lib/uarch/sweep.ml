@@ -719,22 +719,6 @@ let materialize_cache_configurations ~l1i ~l2 =
        (fun (name, vi, vd) -> (name, apply_cache_variant l1i vi, apply_cache_variant l2 vd))
        (cache_configurations ()))
 
-(* One fused batch per seed (L1I, L2) pair, memoized for the same reason as
-   [grid_batch]: lane metadata and arena offsets depend only on the seed
-   geometries, and successive passes recycle the batch's tag-arena scratch.
-   Populated on the caller's domain before any shard workers start (shards
-   of 2+ are fresh sub-batches), so the table needs no locking. *)
-let cache_batch_table : (Cache.geometry * Cache.geometry, Replay.batch) Hashtbl.t =
-  Hashtbl.create 4
-
-let cache_grid_batch ~l1i ~l2 =
-  match Hashtbl.find_opt cache_batch_table (l1i, l2) with
-  | Some batch -> batch
-  | None ->
-      let batch = Replay.cache_batch_of ~l1i ~l2 (materialize_cache_configurations ~l1i ~l2) in
-      Hashtbl.add cache_batch_table (l1i, l2) batch;
-      batch
-
 type cache_point = {
   geometry_name : string;
   l1i_geometry : Cache.geometry;
@@ -809,7 +793,10 @@ let cache_grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused 
     (points, 0, n, 0, Pi_obs.Clock.now () -. t0)
   end
   else begin
-    let batch = cache_grid_batch ~l1i:base.Pipeline.l1i ~l2:base.Pipeline.l2 in
+    (* Packing costs ~30 us against a pass of hundreds of ms, so each
+       study builds its own batch; the tag arenas come from the domain's
+       pooled scratch. *)
+    let batch = Replay.cache_batch_of ~l1i:base.Pipeline.l1i ~l2:base.Pipeline.l2 configs in
     let sub = Replay.shard batch ~shards in
     let n_shards = Array.length sub in
     let run_shard s = Replay.run_many ~warmup_blocks ~data_side plan sub.(s) placement in

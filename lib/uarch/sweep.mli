@@ -209,7 +209,8 @@ val run_cache_grid :
     target of [BENCH_cache_sweep.json]. Returns
     [(points, fused_lanes, fallback_lanes, shards, grid_seconds)]; all
     arguments behave as in {!run_study} (the fused batch is one
-    {!Replay.cache_batch_of} pack, memoized per seed-geometry pair). *)
+    {!Replay.cache_batch_of} pack, built per call; its passes borrow the
+    domain's pooled scratch, so concurrent grids never share tag arenas). *)
 
 val run_cache_study :
   ?base:Pipeline.config ->

@@ -46,6 +46,10 @@ let machines =
     (* The NetBurst-style machine exercises the trace cache; adding the
        data prefetcher also exerces prefetch fills on the replay path. *)
     ("netburst+prefetch", Machine.with_data_prefetcher Machine.netburst_like);
+    (* The walk's [wrong_path = false] branch, and [perfect_btb = true]
+       (the sweep's "perfect" reference lane replays it). *)
+    ("xeon-nowp", Machine.without_wrong_path Machine.xeon_e5440);
+    ("xeon+perfect", Machine.with_perfect_prediction Machine.xeon_e5440);
   ]
 
 let traced name =
@@ -241,6 +245,58 @@ let test_data_side_mismatch () =
     (Replay.run ~data_side:(Replay.data_side other data) other placement)
     (Pipeline.run_unoptimized bigger_l1d trace placement)
 
+(* Scalar replay is the one-lane cache walk, but it is metered as a
+   replay: the replay counters move by its own counts, while the fused-pass
+   instruments and the [replay.fused] span belong to [run_many] alone. *)
+let test_replay_metering () =
+  let module M = Pi_obs.Metrics in
+  let module Span = Pi_obs.Span in
+  let p, trace = traced "429.mcf" in
+  let plan = Replay.compile Machine.xeon_e5440 trace in
+  let placement = Placement.make p ~seed:4 in
+  let runs = M.counter "pi_obs_replay_runs_total" in
+  let blocks = M.counter "pi_obs_replay_blocks_total" in
+  let branches = M.counter "pi_obs_branches_total" in
+  let mispredicts = M.counter "pi_obs_mispredicts_total" in
+  let probes = M.counter "pi_obs_cache_probes_total" in
+  let cache_axis = [ ("axis", "cache") ] in
+  let passes = M.counter ~labels:cache_axis "pi_obs_sweep_fused_passes_total" in
+  let lanes = M.gauge ~labels:cache_axis "pi_obs_sweep_lanes_per_pass" in
+  let all = [ runs; blocks; branches; mispredicts; probes; passes ] in
+  let fused_spans f =
+    let col = Span.collector () in
+    let r = Span.with_collector col f in
+    (r, List.length (List.filter (fun e -> e.Span.name = "replay.fused") (Span.collector_events col)))
+  in
+  M.set lanes 12345.0;
+  let before = List.map M.counter_value all in
+  let c, spans = fused_spans (fun () -> Replay.run plan placement) in
+  let moved = List.map2 (fun m b -> M.counter_value m - b) all before in
+  Alcotest.(check (list int))
+    "runs, blocks, branches, mispredicts, probes, cache passes"
+    [
+      1;
+      Replay.blocks plan;
+      c.Pipeline.cond_branches + c.Pipeline.indirect_branches;
+      Pipeline.mispredicts c;
+      c.Pipeline.l1i_accesses + c.Pipeline.l1d_accesses + c.Pipeline.l2_accesses;
+      0;
+    ]
+    moved;
+  Alcotest.(check (float 0.0)) "cache lanes gauge untouched" 12345.0 (M.gauge_value lanes);
+  Alcotest.(check int) "no replay.fused span" 0 spans;
+  (* The same walk as a one-lane fused pass is metered the other way. *)
+  let l1i = Machine.xeon_e5440.Pipeline.l1i and l2 = Machine.xeon_e5440.Pipeline.l2 in
+  let batch = Replay.cache_batch_of ~l1i ~l2 [| ("seed", l1i, l2) |] in
+  let before = List.map M.counter_value all in
+  let fused, spans = fused_spans (fun () -> Replay.run_many plan batch placement) in
+  check_counts "one-lane run_many = run" fused.(0) c;
+  Alcotest.(check (list int))
+    "run_many: one cache pass, no replay counters" [ 0; 0; 0; 0; 0; 1 ]
+    (List.map2 (fun m b -> M.counter_value m - b) all before);
+  Alcotest.(check (float 0.0)) "cache lanes gauge set" 1.0 (M.gauge_value lanes);
+  Alcotest.(check int) "one replay.fused span" 1 spans
+
 let test_plan_introspection () =
   let _, trace = traced "429.mcf" in
   let plan = Replay.compile Machine.xeon_e5440 trace in
@@ -253,13 +309,15 @@ let suite =
   [
     ( "replay",
       [
-        Alcotest.test_case "golden matrix: 4 benches x 3 seeds x 2 machines" `Quick
+        Alcotest.test_case "golden matrix: 4 benches x 3 seeds x 4 machines" `Quick
           test_golden_matrix;
         Alcotest.test_case "golden with warmup" `Quick test_golden_with_warmup;
         Alcotest.test_case "run = compile;replay" `Quick test_run_is_replay;
         Alcotest.test_case "predictor kernels match closures" `Quick test_kernel_families;
         Alcotest.test_case "with_config reuse and recompile" `Quick test_with_config;
         Alcotest.test_case "plan introspection" `Quick test_plan_introspection;
+        Alcotest.test_case "replay metering: replay counters, no fused pass" `Quick
+          test_replay_metering;
         Alcotest.test_case "shared data side == per-seed data sides, any order" `Quick
           test_shared_data_side;
         Alcotest.test_case "data side for another L1D, prefetcher or trace is refused" `Quick

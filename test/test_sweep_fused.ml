@@ -211,11 +211,12 @@ let test_configurations_memoized () =
   Alcotest.(check int) "145 configurations" 145 (List.length (Sweep.configurations ()))
 
 (* ------------------------------------------------------------------ *)
-(* The per-domain scratch pool. A predictor-lane pass borrows whatever
-   scratch its domain last returned and may use any one at least as large
-   as it needs, so no pass may depend on which passes ran before it on
-   the same domain, or beside it on another thread. "Fresh" is a pass on a
-   newly spawned domain, whose pool starts empty. *)
+(* The per-domain scratch pool. A pass of either axis, scalar replay
+   included, borrows whatever scratch its domain last returned and may use
+   any one at least as large as it needs, so no pass may depend on which
+   passes ran before it on the same domain, or beside it on another
+   thread. "Fresh" is a pass on a newly spawned domain, whose pool starts
+   empty. *)
 
 let fresh f = Domain.join (Domain.spawn f)
 
@@ -244,81 +245,133 @@ let check_lanes label got want =
   Alcotest.(check int) (label ^ ": lanes") (Array.length want) (Array.length got);
   Array.iteri (fun j c -> check_counts (Printf.sprintf "%s lane %d" label j) c want.(j)) got
 
+(* Cache lanes over a machine's own geometries: the seed pair and three
+   variants, each shaping the L1I or L2 arena differently. *)
+let cache_batch (base : Pipeline.config) =
+  let l1i = base.Pipeline.l1i and l2 = base.Pipeline.l2 in
+  let v = Sweep.apply_cache_variant in
+  Replay.cache_batch_of ~l1i ~l2
+    [|
+      ("seed", l1i, l2);
+      ("l1i-half", v l1i Sweep.Half, l2);
+      ("l2-double", l1i, v l2 Sweep.Double);
+      ("w2", v l1i (Sweep.Ways 2), v l2 (Sweep.Ways 2));
+    |]
+
+(* The 100-geometry grid of the cache sweep over a machine. *)
+let cache_grid_batch (base : Pipeline.config) =
+  let l1i = base.Pipeline.l1i and l2 = base.Pipeline.l2 in
+  Replay.cache_batch_of ~l1i ~l2
+    (Array.of_list
+       (List.map
+          (fun (name, vi, vd) ->
+            (name, Sweep.apply_cache_variant l1i vi, Sweep.apply_cache_variant l2 vd))
+          (Sweep.cache_configurations ())))
+
+(* Every kind of pass that borrows the pool, on one machine: the predictor
+   batches, a cache batch over its own geometries and a scalar replay (the
+   one-lane cache walk). *)
+let pool_passes base plan placement =
+  List.map (fun (name, batch) -> (name, fun () -> Replay.run_many plan batch placement)) pool_batches
+  @ [
+      (let batch = cache_batch base in
+       ("cache", fun () -> Replay.run_many plan batch placement));
+      ("scalar", fun () -> [| Replay.run plan placement |]);
+    ]
+
 let test_pool_reuse () =
   let p, trace = traced "400.perlbench" in
   let placement = Placement.make p ~seed:2 in
-  let plans =
-    List.map
-      (fun (name, base) -> (name, Replay.compile base trace))
+  let runs =
+    List.concat_map
+      (fun (mname, base) ->
+        let plan = Replay.compile base trace in
+        List.map (fun (kind, f) -> (mname ^ "/" ^ kind, f)) (pool_passes base plan placement))
       (machines @ [ ("wide", wide_machine) ])
   in
-  let want =
-    List.concat_map
-      (fun (mname, plan) ->
-        List.map
-          (fun (bname, batch) ->
-            ((mname, bname), fresh (fun () -> Replay.run_many plan batch placement)))
-          pool_batches)
-      plans
-  in
-  (* Every (machine, batch) pass in one order and then in reverse, all on
-     this domain: each pass inherits the scratch the previous one left,
-     larger or smaller in lanes, table bytes, L1I sets and L2 shape. *)
-  let order =
-    List.concat_map (fun (m, _) -> List.map (fun (b, _) -> (m, b)) pool_batches) plans
-  in
+  let want = List.map (fun (label, f) -> (label, fresh f)) runs in
+  (* Every (machine, pass) in one order and then in reverse, all on this
+     domain: each pass inherits the scratch the previous one left, larger
+     or smaller in lanes, table bytes, L1I sets and L2 shape, of either
+     axis. *)
   List.iter
-    (fun ((mname, bname) as key) ->
-      let plan = List.assoc mname plans and batch = List.assoc bname pool_batches in
-      check_lanes
-        (Printf.sprintf "%s/%s after the pool's previous pass" mname bname)
-        (Replay.run_many plan batch placement)
-        (List.assoc key want))
-    (order @ List.rev order)
+    (fun (label, f) ->
+      check_lanes (label ^ " after the pool's previous pass") (f ()) (List.assoc label want))
+    (runs @ List.rev runs)
 
 let test_pool_sharded_domains () =
   let p, trace = traced "429.mcf" in
   let placement = Placement.make p ~seed:5 in
-  let plan = Replay.compile Machine.xeon_e5440 trace in
+  let base = Machine.xeon_e5440 in
+  let plan = Replay.compile base trace in
   let study ?map_shards ~shards () =
     Sweep.run_study ~plan ~shards ?map_shards ~benchmark:"429.mcf" trace placement
   in
+  let cache_grid ?map_shards ~shards () =
+    let points, _, _, _, _ = Sweep.run_cache_grid ~plan ~shards ?map_shards trace placement in
+    points
+  in
   let want = fresh (fun () -> study ~shards:1 ()) in
-  (* Leave small scratches behind on this domain first. *)
-  List.iter (fun (_, b) -> ignore (Replay.run_many plan b placement)) (List.rev pool_batches);
-  check_studies_equal "2 shards on 2 domains"
-    (study ~shards:2 ~map_shards:(Pi_campaign.Campaign.sweep_shard_map ~jobs:2 ()) ())
-    want;
-  check_studies_equal "unsharded after the sharded run" (study ~shards:1 ()) want
+  let want_cache = fresh (fun () -> cache_grid ~shards:1 ()) in
+  let want_scalar = fresh (fun () -> Replay.run plan placement) in
+  (* Leave small scratches of both axes behind on this domain first. *)
+  List.iter (fun (_, f) -> ignore (f ())) (List.rev (pool_passes base plan placement));
+  let map_shards = Pi_campaign.Campaign.sweep_shard_map ~jobs:2 () in
+  check_studies_equal "2 shards on 2 domains" (study ~shards:2 ~map_shards ()) want;
+  Alcotest.(check bool)
+    "cache grid: 2 shards on 2 domains" true
+    (cache_grid ~shards:2 ~map_shards () = want_cache);
+  check_counts "scalar after the sharded runs" (Replay.run plan placement) want_scalar;
+  check_studies_equal "unsharded after the sharded run" (study ~shards:1 ()) want;
+  Alcotest.(check bool)
+    "cache grid: unsharded after the sharded run" true
+    (cache_grid ~shards:1 () = want_cache)
 
 let test_pool_threads () =
-  (* A 40k-block trace: a 143-lane pass then outlasts the runtime's 50 ms
-     thread tick, so the threads' passes overlap. *)
+  (* A 40k-block trace: a 143-lane or 100-lane pass then outlasts the
+     runtime's 50 ms thread tick, so the threads' passes overlap. *)
   let p = (Pi_workloads.Spec.find "445.gobmk").Pi_workloads.Bench.build ~scale:1 in
   let trace = Pi_layout.Run_limiter.trace p ~budget_blocks:40_000 in
   let placement = Placement.make p ~seed:3 in
-  let plan = Replay.compile Machine.netburst_like trace in
+  let base = Machine.netburst_like in
+  let plan = Replay.compile base trace in
   let grid = List.assoc "grid" pool_batches and small = List.assoc "big-tables" pool_batches in
-  let want_grid = fresh (fun () -> Replay.run_many plan grid placement) in
-  let want_small = fresh (fun () -> Replay.run_many plan small placement) in
-  (* Two systhreads of this domain, each alternating a 143-lane and a
-     4-lane pass; the runtime switches between them mid-pass, so one
-     thread's pass finds the pool empty or holding the other's scratch. *)
+  (* One cache batch value, shared by both threads. *)
+  let cache = cache_grid_batch base in
+  let passes =
+    [
+      ("grid", fun () -> Replay.run_many plan grid placement);
+      ("small", fun () -> Replay.run_many plan small placement);
+      ("cache", fun () -> Replay.run_many plan cache placement);
+      ("scalar", fun () -> [| Replay.run plan placement |]);
+    ]
+  in
+  let want = List.map (fun (kind, f) -> (kind, fresh f)) passes in
+  (* Two systhreads of this domain, each interleaving every pass kind; both
+     open on the shared cache batch. The runtime switches between them
+     mid-pass, so one thread's pass finds the pool empty or holding the
+     other's scratch. *)
+  let schedule =
+    [|
+      [ "cache"; "grid"; "cache"; "scalar"; "small"; "cache" ];
+      [ "cache"; "small"; "cache"; "scalar"; "grid"; "cache" ];
+    |]
+  in
   let results = Array.make 2 [] in
   let worker t () =
-    for r = 0 to 3 do
-      let batch, want = if (r + t) mod 2 = 0 then (grid, want_grid) else (small, want_small) in
-      results.(t) <- (Replay.run_many plan batch placement, want) :: results.(t)
-    done
+    List.iter
+      (fun kind -> results.(t) <- (kind, (List.assoc kind passes) ()) :: results.(t))
+      schedule.(t)
   in
   let threads = List.init 2 (fun t -> Thread.create (worker t) ()) in
   List.iter Thread.join threads;
   Array.iteri
     (fun t rs ->
-      Alcotest.(check int) (Printf.sprintf "thread %d passes" t) 4 (List.length rs);
+      Alcotest.(check int) (Printf.sprintf "thread %d passes" t) 6 (List.length rs);
       List.iteri
-        (fun r (got, want) -> check_lanes (Printf.sprintf "thread %d pass %d" t r) got want)
-        rs)
+        (fun r (kind, got) ->
+          check_lanes (Printf.sprintf "thread %d pass %d (%s)" t r kind) got (List.assoc kind want))
+        (List.rev rs))
     results
 
 let suite =

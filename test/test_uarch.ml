@@ -117,26 +117,6 @@ let test_cache_touch_counts_and_promotes () =
   Alcotest.(check bool) "touched line is MRU" true (Cache.probe c 0x0);
   Alcotest.(check bool) "untouched line evicted" false (Cache.probe c 0x200)
 
-(* The replay fetch loop inlines an MRU-hit fast path over [Cache.hot];
-   its contract: way-0 tag match <=> a hit that needs no LRU movement. *)
-let test_cache_hot_mru_fast_path () =
-  let c = Cache.create small_geometry in
-  let tags, set_mask, assoc, line_shift = Cache.hot c in
-  let mru_hit addr =
-    let line = addr lsr line_shift in
-    tags.((line land set_mask) * assoc) = line
-  in
-  Alcotest.(check bool) "cold: no MRU hit" false (mru_hit 0x0);
-  ignore (Cache.access c 0x0);
-  Alcotest.(check bool) "MRU after access" true (mru_hit 0x0);
-  ignore (Cache.access c 0x200);
-  Alcotest.(check bool) "demoted line not MRU" false (mru_hit 0x0);
-  Alcotest.(check bool) "but still resident" true (Cache.probe c 0x0);
-  let before = Cache.accesses c in
-  Cache.count_hit c;
-  Alcotest.(check int) "count_hit increments accesses" (before + 1) (Cache.accesses c);
-  Alcotest.(check int) "count_hit adds no miss" 2 (Cache.misses c)
-
 let test_cache_access_range () =
   let c = Cache.create small_geometry in
   let misses = Cache.access_range c ~addr:0x10 ~bytes:100 in
@@ -349,7 +329,6 @@ let suite =
         Alcotest.test_case "fill on hit promotes" `Quick test_cache_fill_on_hit_promotes;
         Alcotest.test_case "touch counts and promotes" `Quick
           test_cache_touch_counts_and_promotes;
-        Alcotest.test_case "hot MRU fast path" `Quick test_cache_hot_mru_fast_path;
         Alcotest.test_case "access range" `Quick test_cache_access_range;
         Alcotest.test_case "reset" `Quick test_cache_reset;
       ] );

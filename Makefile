@@ -48,14 +48,19 @@ perf-smoke:
 	  PI_HISTORY_OUT=- dune exec bench/perf.exe
 
 # Sharded fused sweep through the CLI: two domains, then a sequential
-# per-config study, which must match the fused one bit for bit.
+# per-config study, which must match the fused one bit for bit. The
+# data-heavy 183.equake in 3 shards serves most L2 references from the
+# shared group image.
 sweep-smoke:
 	$(CLI) sweep 429.mcf --scale 1 --jobs 2 --check
+	$(CLI) sweep 183.equake --scale 1 --jobs 3 --check
 
 # The same contract on the cache axis: a 2-domain sharded 100-geometry
-# sweep, checked bit for bit against the sequential per-geometry loop.
+# sweep, checked bit for bit against the sequential per-geometry loop. The
+# data-heavy 470.lbm in 3 shards cuts L2 groups at the shard boundaries.
 cache-sweep-smoke:
 	$(CLI) sweep 429.mcf --scale 1 --axis cache --jobs 2 --check
+	$(CLI) sweep 470.lbm --scale 1 --axis cache --jobs 3 --check
 
 # The surrogate-steering acceptance bound, end to end. Leg 1 runs the
 # steered-sweep benchmark and gates it: <=20% of grid lanes replayed

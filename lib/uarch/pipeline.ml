@@ -599,7 +599,8 @@ let data_l1d plan ds ~warmup =
 
    Two walkers replay a plan, one per sweep axis. The cache-lane walk
    ([walk_cache_lanes]) simulates one shared direction predictor, indirect
-   predictor and trace cache and per-lane L1I/L2 images; a one-lane batch
+   predictor and trace cache, per-lane L1I images and one shared L2 image
+   per L2 geometry (split per lane where lanes diverge); a one-lane batch
    over the machine's own geometries is exactly a scalar replay, so
    [replay] is that walk. The predictor-lane walk ([walk_pred_lanes]) is
    the rest of this section.
@@ -614,10 +615,17 @@ let data_l1d plan ds ~warmup =
    - shared: block sequence and decoded steps, the [data_side], trace
      cache, the indirect predictor/BTB, and the instruction/branch event
      counters — their inputs are placement- and trace-derived only;
-   - per lane: cycles, conditional mispredicts, and the L1I and L2 images.
-     The caches must be replicated because wrong-path effects (fetching the
-     alternate target into L1I, speculatively touching the next data line in
-     L2) fire per mispredict, and mispredicts differ per lane.
+   - per lane: cycles, conditional mispredicts, and the L1I images, because
+     wrong-path effects (fetching the alternate target into L1I,
+     speculatively touching the next data line in L2) fire per mispredict,
+     and mispredicts differ per lane;
+   - shared until a lane diverges: the L2 tags. Every lane has the machine's
+     L2, so the batch is one group of the shared L2 layer ({!l2_groups}):
+     one image serves every L2 set that no lane-specific reference (a
+     lane's own speculative load, or a fetch miss only some lanes took) has
+     touched, which is exact because every lane holds the same state there;
+     such a reference splits the set into per-lane copies for the rest of
+     the pass. Both walkers keep their L2 state in this one layer.
 
    Lane predictor state is a structure of arrays: every lane's saturating
    counter tables are packed into one byte image ([tab], copied fresh from
@@ -628,8 +636,9 @@ let data_l1d plan ds ~warmup =
    register masked to the lane's length, which holds because every kernel
    starts at zero history and shifts in the same outcome bit.
 
-   Per-lane cache images use a set-major layout ([set][lane][way]) so the
-   lane loop of one fetch or data reference scans contiguous memory.
+   Per-lane L1I images and split L2 sets use a set-major layout
+   ([set][lane][way]) so the lane loop of one reference scans contiguous
+   memory.
 
    The correctness bar is the repo's standing invariant: each lane's counts
    are bit-identical to a sequential [replay] of that configuration (and so
@@ -664,30 +673,30 @@ type pred_lanes = {
 }
 
 (* Bulk per-pass state of a walk. A predictor-lane pass uses the
-   counter-table image [bs_tab] (a blit of [tab_init]), the L1I image and
-   its MRU summaries, and the L2 strips. The L2 image is lazy: strips (one
-   [nl * assoc] tag block per L2 set, set-major) are allocated on first
-   touch and invalidated per pass through the [seen] bitmap, so a pass only
-   clears the sets it actually references. A cache-lane pass (scalar replay
-   included) uses [bs_l1i] as its lane-major L1I arena and [bs_l2] as its
-   L2 arena.
+   counter-table image [bs_tab] (a blit of [tab_init]) and the L1I image
+   and its MRU summaries; a cache-lane pass (scalar replay included) uses
+   [bs_l1i] as its lane-major L1I arena. Every pass keeps its L2 state in
+   the shared L2 layer below: the group images [bs_l2], one split flag per
+   set of a multi-lane group ([bs_split]), and the strips of the sets that
+   split ([bs_strips], one per flag slot, kept across passes and regrown
+   when too short).
 
    One scratch per domain serves every pass, whatever its batch or axis: a
    pass borrows it, grows whatever is too small, and returns it. A scratch
    at least as large as a pass needs is as good as an exact one, because
    the pass indexes and resets only prefixes bounded by its own lane count,
-   table size and cache geometry; an L2 strip shorter than [nl * assoc] is
-   regrown on first touch. So a 5-lane sub-batch replays inside the
-   memoized 143-lane grid's idle scratch instead of allocating its own, and
-   a scalar replay allocates no tag arrays. *)
+   table size and cache geometry, and a split copies into its strip before
+   reading it. So a 5-lane sub-batch replays inside the memoized 143-lane
+   grid's idle scratch instead of allocating its own, and a scalar replay
+   allocates no tag arrays. *)
 type scratch = {
-  bs_strips : int array array;
-  bs_seen : Bytes.t;
   bs_tab : Bytes.t;
   bs_l1i : int array;
   bs_set_mru : int array;
   bs_lane_mru : int array;
   bs_l2 : int array;
+  bs_split : Bytes.t;
+  bs_strips : int array array;
 }
 
 (* The pool holds at most one idle scratch per domain. Taking is an
@@ -699,45 +708,114 @@ let scratch_pool : scratch option Atomic.t Domain.DLS.key =
 
 let no_scratch =
   {
-    bs_strips = [||];
-    bs_seen = Bytes.empty;
     bs_tab = Bytes.empty;
     bs_l1i = [||];
     bs_set_mru = [||];
     bs_lane_mru = [||];
     bs_l2 = [||];
+    bs_split = Bytes.empty;
+    bs_strips = [||];
   }
 
-let borrow_scratch ~l2_sets ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words ~l2_words =
+let borrow_scratch ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words ~l2_words ~split_slots =
   let s = Option.value (Atomic.exchange (Domain.DLS.get scratch_pool) None) ~default:no_scratch in
   let grow a len fill = if Array.length a >= len then a else Array.make len fill in
-  let strips, seen =
-    if Array.length s.bs_strips >= l2_sets then (s.bs_strips, s.bs_seen)
-    else
-      ( Array.append s.bs_strips (Array.make (l2_sets - Array.length s.bs_strips) [||]),
-        Bytes.create l2_sets )
-  in
-  Bytes.fill seen 0 l2_sets '\000';
   let l1i = grow s.bs_l1i l1i_words (-1) in
   Array.fill l1i 0 l1i_words (-1);
   let set_mru = grow s.bs_set_mru l1i_sets (-1) in
   Array.fill set_mru 0 l1i_sets (-1);
   let l2 = grow s.bs_l2 l2_words (-1) in
   Array.fill l2 0 l2_words (-1);
+  let split = if Bytes.length s.bs_split >= split_slots then s.bs_split else Bytes.create split_slots in
+  Bytes.fill split 0 split_slots '\000';
+  let strips =
+    let have = Array.length s.bs_strips in
+    if have >= split_slots then s.bs_strips
+    else Array.append s.bs_strips (Array.make (split_slots - have) [||])
+  in
   (* [bs_lane_mru] needs no reset: it is only read on sets already marked
      mixed, and the divergence that marks a set mixed fills its lane row
      first. *)
   {
-    bs_strips = strips;
-    bs_seen = seen;
     bs_tab = (if Bytes.length s.bs_tab >= tab_len then s.bs_tab else Bytes.create tab_len);
     bs_l1i = l1i;
     bs_set_mru = set_mru;
     bs_lane_mru = grow s.bs_lane_mru lane_mru_words (-1);
     bs_l2 = l2;
+    bs_split = split;
+    bs_strips = strips;
   }
 
 let return_scratch s = Atomic.set (Domain.DLS.get scratch_pool) (Some s)
+
+(* The shared L2 layer. Lanes with one L2 geometry form a group, a
+   contiguous lane range, and receive the same L2 reference stream except
+   where a lane-specific event intervenes (a wrong-path speculative load
+   of one predictor lane; a fetch miss that some lanes of the group took
+   and others did not, their L1Is differing). So a group keeps one tag
+   image (sets x assoc) for all its lanes, and a set gets per-lane copies
+   only when a lane-specific reference first touches it: the set is then
+   split for the rest of the pass, and its ways are copied into a strip
+   laid out [lane-in-group][way].
+
+   This is exact by construction. A set no lane-specific reference has
+   touched holds the same state in every lane of the group (all lanes
+   start empty and applied the same references in the same order), and
+   lanes in the same state that apply the same reference end in the same
+   state with the same hit or miss. So a reference every lane of the group
+   makes at the same point ({i shared}: a data-side L1D miss or prefetch
+   fill, a cache lane's every-8th wrong-path load, a fetch line every lane
+   of the group missed) costs one lookup on a clean set, counted once on
+   the group's counter, and each lane adds its own penalty to its own
+   cycles. A lane's L2 count is its own counter (references on split sets)
+   plus its group's. A group of one lane never splits: every reference it
+   makes is shared, so a scalar replay does one lookup per reference. *)
+type l2_groups = {
+  lg_n : int;  (** groups *)
+  lg_lo : int array;  (** [lg_n + 1] bounds: group [g] is lanes [lg_lo.(g)] to [lg_lo.(g+1) - 1] *)
+  lg_of_lane : int array;
+  lg_mask : int array;  (** sets - 1 *)
+  lg_assoc : int array;
+  lg_img : int array;  (** way 0 of set 0 of the group's image in the image arena *)
+  lg_img_words : int;
+  lg_flag : int array;  (** the group's first split flag; groups of one lane have none *)
+  lg_flag_words : int;
+}
+
+(* Group runs of equal consecutive geometries, one per lane. *)
+let l2_groups_of (geoms : Cache.geometry array) =
+  let n = Array.length geoms in
+  let starts = List.filter (fun j -> j = 0 || geoms.(j) <> geoms.(j - 1)) (List.init n Fun.id) in
+  let lg_lo = Array.of_list (starts @ [ n ]) in
+  let lg_n = Array.length lg_lo - 1 in
+  let lg_of_lane = Array.make n 0 in
+  for g = 0 to lg_n - 1 do
+    Array.fill lg_of_lane lg_lo.(g) (lg_lo.(g + 1) - lg_lo.(g)) g
+  done;
+  let geom g = geoms.(lg_lo.(g)) in
+  let offsets words_of =
+    let off = Array.make lg_n 0 and total = ref 0 in
+    for g = 0 to lg_n - 1 do
+      off.(g) <- !total;
+      total := !total + words_of g
+    done;
+    (off, !total)
+  in
+  let lg_img, lg_img_words = offsets (fun g -> Cache.geometry_sets (geom g) * (geom g).Cache.assoc) in
+  let lg_flag, lg_flag_words =
+    offsets (fun g -> if lg_lo.(g + 1) - lg_lo.(g) > 1 then Cache.geometry_sets (geom g) else 0)
+  in
+  {
+    lg_n;
+    lg_lo;
+    lg_of_lane;
+    lg_mask = Array.init lg_n (fun g -> Cache.geometry_sets (geom g) - 1);
+    lg_assoc = Array.init lg_n (fun g -> (geom g).Cache.assoc);
+    lg_img;
+    lg_img_words;
+    lg_flag;
+    lg_flag_words;
+  }
 
 (* Cache-geometry lanes: the second sweep axis. Every lane simulates the
    same machine except for its L1I and L2 geometries (line size is shared —
@@ -745,14 +823,17 @@ let return_scratch s = Atomic.set (Domain.DLS.get scratch_pool) (Some s)
    The direction predictor, indirect predictor, trace cache, prefetcher and
    L1D are geometry-invariant, so one shared instance serves all lanes and
    branch outcomes are lane-invariant; per lane remain cycles and the
-   L1I/L2 tag images plus their counters. Tag images are lane-major slices
-   ([lane][set][way]) of one flat arena per cache level — the cache-axis
-   analogue of the packed counter image — because lanes disagree on set
-   count and associativity, so there is no common set to interleave on. *)
+   L1I/L2 tag state plus its counters. L1I images are lane-major slices
+   ([lane][set][way]) of one flat arena — the cache-axis analogue of the
+   packed counter image — because lanes disagree on set count and
+   associativity, so there is no common set to interleave on. L2 state is
+   the shared L2 layer: lanes are ordered by L2 geometry, so the lanes of
+   one L2 geometry are one contiguous group sharing one image ([cb_src]
+   keeps the caller's order). *)
 type cache_lanes = {
   cb_n : int;  (** fused lanes *)
-  cb_names : string array;
-  cb_src : int array;  (** lane -> index into the caller's config array *)
+  cb_names : string array;  (** lane names, internal (L2-geometry-sorted) order *)
+  cb_src : int array;  (** internal lane -> index into the caller's config array *)
   cb_geoms : (Cache.geometry * Cache.geometry) array;  (** (l1i, l2) per lane *)
   cb_i_line : int;  (** shared L1I line size; must equal the plan's *)
   cb_d_line : int;  (** shared L2 line size; must equal the plan's *)
@@ -761,11 +842,7 @@ type cache_lanes = {
   cb_i_mask : int array;
   cb_i_assoc : int array;
   cb_i_words : int;  (** total L1I arena words *)
-  (* Per-lane L2 image slice, same addressing. *)
-  cb_d_off : int array;
-  cb_d_mask : int array;
-  cb_d_assoc : int array;
-  cb_d_words : int;  (** total L2 arena words *)
+  cb_l2 : l2_groups;
 }
 
 (* A fused batch is a set of lanes varying along exactly one axis; every
@@ -791,7 +868,7 @@ let batch_fallback = function
 
 let batch_table_bytes = function
   | Predictor_lanes b -> Bytes.length b.tab_init
-  | Cache_lanes c -> 8 * (c.cb_i_words + c.cb_d_words)
+  | Cache_lanes c -> 8 * (c.cb_i_words + c.cb_l2.lg_img_words)
 
 let batch_axis = function Predictor_lanes _ -> "predictor" | Cache_lanes _ -> "cache"
 
@@ -901,6 +978,30 @@ let batch_of (configs : (string * (unit -> Predictor.t)) array) =
       hist_keep = Array.fold_left ( lor ) 0 hmask;
     }
 
+(* Lay lanes out in the given order: L1I arena slices in lane order, L2
+   groups over runs of equal L2 geometry. *)
+let pack_cache_lanes ~i_line ~d_line configs src =
+  let n = Array.length configs in
+  let i_off = Array.make n 0 and i_words = ref 0 in
+  Array.iteri
+    (fun j (_, gi, _) ->
+      i_off.(j) <- !i_words;
+      i_words := !i_words + (Cache.geometry_sets gi * gi.Cache.assoc))
+    configs;
+  {
+    cb_n = n;
+    cb_names = Array.map (fun (name, _, _) -> name) configs;
+    cb_src = src;
+    cb_geoms = Array.map (fun (_, gi, gd) -> (gi, gd)) configs;
+    cb_i_line = i_line;
+    cb_d_line = d_line;
+    cb_i_off = i_off;
+    cb_i_mask = Array.map (fun (_, gi, _) -> Cache.geometry_sets gi - 1) configs;
+    cb_i_assoc = Array.map (fun (_, gi, _) -> gi.Cache.assoc) configs;
+    cb_i_words = !i_words;
+    cb_l2 = l2_groups_of (Array.map (fun (_, _, gd) -> gd) configs);
+  }
+
 (* Pack cache-geometry variants into lanes. Validation is eager and loud:
    every geometry must construct (power-of-two line and set count — the
    checks {!Cache.create} performs), share the seed's line sizes (the pass
@@ -937,34 +1038,18 @@ let cache_lanes_of ~(l1i : Cache.geometry) ~(l2 : Cache.geometry)
                other name)
       | None -> Hashtbl.add seen (gi, gd) name)
     configs;
-  let off_of words_of =
-    let off = Array.make n 0 in
-    let total = ref 0 in
-    Array.iteri
-      (fun i (_, gi, gd) ->
-        off.(i) <- !total;
-        total := !total + words_of gi gd)
-      configs;
-    (off, !total)
+  (* Stable: within an L2 group, lanes keep the caller's order. *)
+  let src =
+    Array.of_list
+      (List.stable_sort
+         (fun a b ->
+           let _, _, ga = configs.(a) and _, _, gb = configs.(b) in
+           compare ga gb)
+         (List.init n Fun.id))
   in
-  let i_off, i_words = off_of (fun gi _ -> Cache.geometry_sets gi * gi.Cache.assoc) in
-  let d_off, d_words = off_of (fun _ gd -> Cache.geometry_sets gd * gd.Cache.assoc) in
-  {
-    cb_n = n;
-    cb_names = Array.map (fun (name, _, _) -> name) configs;
-    cb_src = Array.init n (fun i -> i);
-    cb_geoms = Array.map (fun (_, gi, gd) -> (gi, gd)) configs;
-    cb_i_line = l1i.Cache.line_bytes;
-    cb_d_line = l2.Cache.line_bytes;
-    cb_i_off = i_off;
-    cb_i_mask = Array.map (fun (_, gi, _) -> Cache.geometry_sets gi - 1) configs;
-    cb_i_assoc = Array.map (fun (_, gi, _) -> gi.Cache.assoc) configs;
-    cb_i_words = i_words;
-    cb_d_off = d_off;
-    cb_d_mask = Array.map (fun (_, _, gd) -> Cache.geometry_sets gd - 1) configs;
-    cb_d_assoc = Array.map (fun (_, _, gd) -> gd.Cache.assoc) configs;
-    cb_d_words = d_words;
-  }
+  pack_cache_lanes ~i_line:l1i.Cache.line_bytes ~d_line:l2.Cache.line_bytes
+    (Array.map (fun i -> configs.(i)) src)
+    src
 
 let cache_batch_of ~l1i ~l2 configs = Cache_lanes (cache_lanes_of ~l1i ~l2 configs)
 
@@ -1014,10 +1099,10 @@ let pred_shard (b : pred_lanes) ~shards =
         })
   end
 
-(* Cache-lane sharding: lanes' arena slices are allocated in lane order, so
-   a contiguous lane range owns one contiguous slice of each arena; offsets
-   are rebased to the slice. As with predictor lanes, the 1-shard "split" is
-   the batch itself. *)
+(* Cache-lane sharding: a contiguous lane range keeps its internal order
+   and is laid out afresh, so a shard boundary inside an L2 group leaves
+   each shard its own part of the group. As with predictor lanes, the
+   1-shard "split" is the batch itself. *)
 let cache_shard (c : cache_lanes) ~shards =
   let nl = c.cb_n in
   let k = if nl = 0 then 1 else max 1 (min shards nl) in
@@ -1025,29 +1110,11 @@ let cache_shard (c : cache_lanes) ~shards =
   else
     Array.init k (fun s ->
         let lo = s * nl / k and hi = (s + 1) * nl / k in
-        let m = hi - lo in
-        let sub a = Array.sub a lo m in
-        let i_start = c.cb_i_off.(lo) in
-        let d_start = c.cb_d_off.(lo) in
-        let i_stop = if hi < nl then c.cb_i_off.(hi) else c.cb_i_words in
-        let d_stop = if hi < nl then c.cb_d_off.(hi) else c.cb_d_words in
-        let rebase start a = Array.map (fun o -> o - start) (sub a) in
-        {
-          cb_n = m;
-          cb_names = sub c.cb_names;
-          cb_src = sub c.cb_src;
-          cb_geoms = sub c.cb_geoms;
-          cb_i_line = c.cb_i_line;
-          cb_d_line = c.cb_d_line;
-          cb_i_off = rebase i_start c.cb_i_off;
-          cb_i_mask = sub c.cb_i_mask;
-          cb_i_assoc = sub c.cb_i_assoc;
-          cb_i_words = i_stop - i_start;
-          cb_d_off = rebase d_start c.cb_d_off;
-          cb_d_mask = sub c.cb_d_mask;
-          cb_d_assoc = sub c.cb_d_assoc;
-          cb_d_words = d_stop - d_start;
-        })
+        let sub a = Array.sub a lo (hi - lo) in
+        let configs =
+          Array.map2 (fun name (gi, gd) -> (name, gi, gd)) (sub c.cb_names) (sub c.cb_geoms)
+        in
+        pack_cache_lanes ~i_line:c.cb_i_line ~d_line:c.cb_d_line configs (sub c.cb_src))
 
 let batch_shard b ~shards =
   match b with
@@ -1056,14 +1123,39 @@ let batch_shard b ~shards =
 
 (* Fused-pass instruments carry the sweep axis as a label: one series per
    axis under the same metric names. *)
+type fused_metrics = {
+  m_passes : Pi_obs.Metrics.counter;
+  m_lane_blocks : Pi_obs.Metrics.counter;
+  g_lanes : Pi_obs.Metrics.gauge;
+  m_l2_shared : Pi_obs.Metrics.counter;
+  m_l2_lane : Pi_obs.Metrics.counter;
+  m_l2_splits : Pi_obs.Metrics.counter;
+}
+
 let fused_metrics axis =
   let labels = [ ("axis", axis) ] in
-  ( Pi_obs.Metrics.counter ~help:"fused sweep passes executed" ~labels
-      "pi_obs_sweep_fused_passes_total",
-    Pi_obs.Metrics.counter ~help:"lane x dynamic-block work units swept by fused passes" ~labels
-      "pi_obs_sweep_lane_blocks_total",
-    Pi_obs.Metrics.gauge ~help:"lanes carried by the most recent fused pass of this axis" ~labels
-      "pi_obs_sweep_lanes_per_pass" )
+  let l2_refs path =
+    Pi_obs.Metrics.counter
+      ~help:"lane L2 references of fused passes, by the path that served them"
+      ~labels:(labels @ [ ("path", path) ])
+      "pi_obs_sweep_l2_refs_total"
+  in
+  {
+    m_passes =
+      Pi_obs.Metrics.counter ~help:"fused sweep passes executed" ~labels
+        "pi_obs_sweep_fused_passes_total";
+    m_lane_blocks =
+      Pi_obs.Metrics.counter ~help:"lane x dynamic-block work units swept by fused passes" ~labels
+        "pi_obs_sweep_lane_blocks_total";
+    g_lanes =
+      Pi_obs.Metrics.gauge ~help:"lanes carried by the most recent fused pass of this axis" ~labels
+        "pi_obs_sweep_lanes_per_pass";
+    m_l2_shared = l2_refs "shared";
+    m_l2_lane = l2_refs "lane";
+    m_l2_splits =
+      Pi_obs.Metrics.counter ~help:"L2 sets fused passes split into per-lane copies" ~labels
+        "pi_obs_sweep_l2_split_sets_total";
+  }
 
 let pred_metrics = fused_metrics "predictor"
 let cache_metrics = fused_metrics "cache"
@@ -1087,6 +1179,226 @@ let[@inline] lane_promote (tags : int array) base way (tag : int) =
 let[@inline] lane_slot off mask assoc j line =
   Array.unsafe_get off j + ((line land Array.unsafe_get mask j) * Array.unsafe_get assoc j)
 
+(* One reference to [line] in the [assoc] ways at [base], after way 0
+   missed it: promote it if present (a hit, [true]), else install it over
+   the LRU way (a miss). Exactly {!Cache.access}'s transition, and, result
+   ignored, {!Cache.fill}'s; callers open-code the way-0 check, the common
+   hit, which needs neither of its calls. *)
+let[@inline] way_access (tags : int array) base assoc (line : int) =
+  let way = lane_find_way tags base assoc line in
+  if way >= 0 then begin
+    lane_promote tags base way line;
+    true
+  end
+  else begin
+    lane_promote tags base (assoc - 1) line;
+    false
+  end
+
+(* The shared L2 layer's state for one pass (see {!l2_groups}). *)
+type l2_pass = {
+  lg : l2_groups;
+  img : int array;  (** group images, from the scratch *)
+  split : Bytes.t;  (** per flag slot: '\001' once the set split *)
+  strips : int array array;  (** per flag slot: the split set's lane rows *)
+  g_acc : int array;  (** per group: shared counted references *)
+  g_mis : int array;
+  l_acc : int array;  (** per lane: counted references on split sets *)
+  l_mis : int array;
+  (* The four counters above at the warmup boundary. *)
+  g_acc0 : int array;
+  g_mis0 : int array;
+  l_acc0 : int array;
+  l_mis0 : int array;
+  mutable splits : int;
+}
+
+let l2_pass lg (s : scratch) =
+  let ng = lg.lg_n and nl = lg.lg_lo.(lg.lg_n) in
+  {
+    lg;
+    img = s.bs_l2;
+    split = s.bs_split;
+    strips = s.bs_strips;
+    g_acc = Array.make ng 0;
+    g_mis = Array.make ng 0;
+    l_acc = Array.make nl 0;
+    l_mis = Array.make nl 0;
+    g_acc0 = Array.make ng 0;
+    g_mis0 = Array.make ng 0;
+    l_acc0 = Array.make nl 0;
+    l_mis0 = Array.make nl 0;
+    splits = 0;
+  }
+
+let l2_warmup t =
+  let snap a a0 = Array.blit a 0 a0 0 (Array.length a) in
+  snap t.g_acc t.g_acc0;
+  snap t.g_mis t.g_mis0;
+  snap t.l_acc t.l_acc0;
+  snap t.l_mis t.l_mis0
+
+(* Lane [j]'s L2 (accesses, misses) since the warmup boundary. *)
+let l2_counts t j =
+  let g = t.lg.lg_of_lane.(j) in
+  ( t.l_acc.(j) - t.l_acc0.(j) + t.g_acc.(g) - t.g_acc0.(g),
+    t.l_mis.(j) - t.l_mis0.(j) + t.g_mis.(g) - t.g_mis0.(g) )
+
+(* Lane references served by group images and by split sets, whole pass. *)
+let l2_ref_paths t =
+  let lg = t.lg in
+  let shared = ref 0 in
+  for g = 0 to lg.lg_n - 1 do
+    shared := !shared + (t.g_acc.(g) * (lg.lg_lo.(g + 1) - lg.lg_lo.(g)))
+  done;
+  (!shared, Array.fold_left ( + ) 0 t.l_acc)
+
+(* A set of group [g] is clean (held once, in the image) until a
+   lane-specific reference splits it; a group of one lane never splits. *)
+let[@inline] l2_clean t g set =
+  let lg = t.lg in
+  Array.unsafe_get lg.lg_lo (g + 1) - Array.unsafe_get lg.lg_lo g = 1
+  || Bytes.unsafe_get t.split (Array.unsafe_get lg.lg_flag g + set) = '\000'
+
+let[@inline] l2_image_base t g set =
+  Array.unsafe_get t.lg.lg_img g + (set * Array.unsafe_get t.lg.lg_assoc g)
+
+let[@inline] l2_strip t g set = Array.unsafe_get t.strips (Array.unsafe_get t.lg.lg_flag g + set)
+
+(* Split group [g]'s clean [set]: copy its ways into one row per lane. *)
+let l2_split t g set =
+  let lg = t.lg in
+  let assoc = lg.lg_assoc.(g) in
+  let lanes = lg.lg_lo.(g + 1) - lg.lg_lo.(g) in
+  let slot = lg.lg_flag.(g) + set in
+  let strip =
+    if Array.length t.strips.(slot) >= lanes * assoc then t.strips.(slot)
+    else begin
+      let s = Array.make (lanes * assoc) 0 in
+      t.strips.(slot) <- s;
+      s
+    end
+  in
+  let src = l2_image_base t g set in
+  (* Typed stores: [Array.blit] would run the write barrier per word. *)
+  for k = 0 to lanes - 1 do
+    for w = 0 to assoc - 1 do
+      Array.unsafe_set strip ((k * assoc) + w) (Array.unsafe_get t.img (src + w))
+    done
+  done;
+  Bytes.set t.split slot '\001';
+  t.splits <- t.splits + 1;
+  strip
+
+(* The set's strip, splitting the set first if it is still clean. *)
+let l2_lane_strip t g set = if l2_clean t g set then l2_split t g set else l2_strip t g set
+
+(* A counted reference, on a group image (group counters) or on a lane's
+   row of a split set (lane counters). *)
+let[@inline] counted_ref tags base assoc line (acc : int array) (mis : int array) i =
+  Array.unsafe_set acc i (Array.unsafe_get acc i + 1);
+  if Array.unsafe_get tags base = line || way_access tags base assoc line then true
+  else begin
+    Array.unsafe_set mis i (Array.unsafe_get mis i + 1);
+    false
+  end
+
+let[@inline] l2_image_ref t g set line =
+  counted_ref t.img (l2_image_base t g set) (Array.unsafe_get t.lg.lg_assoc g) line t.g_acc t.g_mis g
+
+(* Lanes [lo, hi) each add [pen.(k)] cycles. Penalties travel as a float
+   array and an index: float arguments to a call that is not inlined would
+   be boxed. *)
+let charge (cyc : float array) lo hi (pen : float array) k =
+  let c = Array.unsafe_get pen k in
+  for j = lo to hi - 1 do
+    Array.unsafe_set cyc j (Array.unsafe_get cyc j +. c)
+  done
+
+(* [l2_ref_group] on a split set: each lane references its own row. *)
+let l2_ref_split t (cyc : float array) (pen : float array) g set line =
+  let lo = Array.unsafe_get t.lg.lg_lo g and hi = Array.unsafe_get t.lg.lg_lo (g + 1) in
+  let strip = l2_strip t g set and assoc = Array.unsafe_get t.lg.lg_assoc g in
+  for j = lo to hi - 1 do
+    let k = if counted_ref strip ((j - lo) * assoc) assoc line t.l_acc t.l_mis j then 0 else 1 in
+    Array.unsafe_set cyc j (Array.unsafe_get cyc j +. Array.unsafe_get pen k)
+  done
+
+(* A shared counted reference: every lane of group [g] references [line]
+   at this point, and each adds [pen.(0)] cycles on a hit, [pen.(1)] on a
+   miss. Loop-free so that it inlines: a clean set then costs its callers
+   no call on a way-0 hit, and a group of one lane (a scalar replay)
+   charges its lane directly. *)
+let[@inline] l2_ref_group t cyc pen g line =
+  let lo = Array.unsafe_get t.lg.lg_lo g and hi = Array.unsafe_get t.lg.lg_lo (g + 1) in
+  let set = line land Array.unsafe_get t.lg.lg_mask g in
+  if l2_clean t g set then begin
+    let k = if l2_image_ref t g set line then 0 else 1 in
+    if hi - lo = 1 then Array.unsafe_set cyc lo (Array.unsafe_get cyc lo +. Array.unsafe_get pen k)
+    else charge cyc lo hi pen k
+  end
+  else l2_ref_split t cyc pen g set line
+
+let l2_fill_split t g set line =
+  let strip = l2_strip t g set and assoc = Array.unsafe_get t.lg.lg_assoc g in
+  for k = 0 to Array.unsafe_get t.lg.lg_lo (g + 1) - Array.unsafe_get t.lg.lg_lo g - 1 do
+    if Array.unsafe_get strip (k * assoc) <> line then ignore (way_access strip (k * assoc) assoc line)
+  done
+
+(* A shared uncounted fill (a data-side prefetch) of [line]. *)
+let[@inline] l2_fill_group t g line =
+  let set = line land Array.unsafe_get t.lg.lg_mask g in
+  if l2_clean t g set then begin
+    let base = l2_image_base t g set in
+    if Array.unsafe_get t.img base <> line then
+      ignore (way_access t.img base (Array.unsafe_get t.lg.lg_assoc g) line)
+  end
+  else l2_fill_split t g set line
+
+(* A lane-specific counted reference by lane [j] of group [g]. *)
+let l2_ref_lane t g j line =
+  let set = line land Array.unsafe_get t.lg.lg_mask g in
+  let lo = Array.unsafe_get t.lg.lg_lo g in
+  if Array.unsafe_get t.lg.lg_lo (g + 1) - lo = 1 then l2_image_ref t g set line
+  else begin
+    let assoc = Array.unsafe_get t.lg.lg_assoc g in
+    counted_ref (l2_lane_strip t g set) ((j - lo) * assoc) assoc line t.l_acc t.l_mis j
+  end
+
+(* Lane [j]'s uncounted presence check (the wrong-path fetch probe). *)
+let[@inline] l2_probe t g j line =
+  let set = line land Array.unsafe_get t.lg.lg_mask g in
+  let assoc = Array.unsafe_get t.lg.lg_assoc g in
+  if l2_clean t g set then lane_find_way t.img (l2_image_base t g set) assoc line >= 0
+  else
+    lane_find_way (l2_strip t g set) ((j - Array.unsafe_get t.lg.lg_lo g) * assoc) assoc line >= 0
+
+(* The L2 references of one fetch line's L1I misses, issued after the
+   line's lane loop (a lane makes at most one per line, so its cycle
+   additions keep their order). [missed.(0 .. m-1)] are the missing lanes,
+   ascending. A group whose every lane missed makes one shared reference;
+   the missing lanes of any other group each make a lane-specific one. *)
+let l2_fetch_misses t cyc pen (missed : int array) m line =
+  let lg = t.lg in
+  let k = ref 0 in
+  while !k < m do
+    let g = Array.unsafe_get lg.lg_of_lane (Array.unsafe_get missed !k) in
+    let lo = Array.unsafe_get lg.lg_lo g and hi = Array.unsafe_get lg.lg_lo (g + 1) in
+    let e = ref (!k + 1) in
+    while !e < m && Array.unsafe_get missed !e < hi do incr e done;
+    if !e - !k = hi - lo then l2_ref_group t cyc pen g line
+    else begin
+      let strip = l2_lane_strip t g (line land Array.unsafe_get lg.lg_mask g) in
+      let assoc = Array.unsafe_get lg.lg_assoc g in
+      for q = !k to !e - 1 do
+        let j = Array.unsafe_get missed q in
+        let hit = counted_ref strip ((j - lo) * assoc) assoc line t.l_acc t.l_mis j in
+        Array.unsafe_set cyc j (Array.unsafe_get cyc j +. Array.unsafe_get pen (if hit then 0 else 1))
+      done
+    end;
+    k := !e
+  done
+
 let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
     (placement : Pi_layout.Placement.t) =
   let config = plan.plan_config in
@@ -1103,21 +1415,18 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
   let l1i_set_mask = l1i_sets - 1 in
   let l1i_assoc = config.l1i.Cache.assoc in
   let l2_shift = log2_exact config.l2.Cache.line_bytes in
-  let l2_sets = Cache.geometry_sets config.l2 in
-  let l2_set_mask = l2_sets - 1 in
-  let l2_assoc = config.l2.Cache.assoc in
-  (* Per-lane cache images, set-major ([set][lane][way]): the lane loop of a
-     single reference walks [nl * assoc] adjacent words. The L1I image is
-     small and eager; the L2 image would be [sets * nl * assoc] words
-     (tens of MB for a 4 MiB cache), most of it for sets the trace never
-     references, so L2 strips are allocated per set on first touch. All of
-     it lives in the domain's pooled scratch, borrowed for this pass. *)
+  (* Per-lane L1I images, set-major ([set][lane][way]): the lane loop of a
+     single fetch walks [nl * assoc] adjacent words. Every lane has the
+     machine's L2, so the batch is one L2 group. All of it lives in the
+     domain's pooled scratch, borrowed for this pass. *)
   let l1i_words = l1i_sets * nl * l1i_assoc in
   let tab_len = Bytes.length batch.tab_init in
+  let lg = l2_groups_of (Array.make nl config.l2) in
   let scratch =
-    borrow_scratch ~l2_sets ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words:(l1i_sets * nl)
-      ~l2_words:0
+    borrow_scratch ~tab_len ~l1i_words ~l1i_sets ~lane_mru_words:(l1i_sets * nl)
+      ~l2_words:lg.lg_img_words ~split_slots:lg.lg_flag_words
   in
+  let l2 = l2_pass lg scratch in
   let l1i_tags = scratch.bs_l1i in
   (* MRU summary of the L1I images. The committed fetch stream is
      lane-invariant, so lanes' way-0 tags for a set agree until a
@@ -1137,29 +1446,10 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
     end;
     Array.unsafe_set lane_mru ((s * nl) + j) line
   in
-  let l2_strips = scratch.bs_strips in
-  let l2_seen = scratch.bs_seen in
-  let strip_words = nl * l2_assoc in
-  let l2_strip set =
-    if Bytes.unsafe_get l2_seen set <> '\000' then Array.unsafe_get l2_strips set
-    else begin
-      Bytes.unsafe_set l2_seen set '\001';
-      let s = Array.unsafe_get l2_strips set in
-      if Array.length s >= strip_words then begin
-        Array.fill s 0 strip_words (-1);
-        s
-      end
-      else begin
-        let s = Array.make strip_words (-1) in
-        Array.unsafe_set l2_strips set s;
-        s
-      end
-    end
-  in
   let l1i_line_mask = lnot (config.l1i.Cache.line_bytes - 1) in
   let pen = config.penalties in
-  let l1i_miss_penalty = pen.l1i_miss in
-  let l2_fetch_penalty = pen.l2_miss *. 0.7 in
+  let fetch_pen = [| pen.l1i_miss; pen.l2_miss *. 0.7 |] in
+  let data_pen = [| 0.0; 0.0 |] in
   let l1d_miss_penalty = pen.l1d_miss in
   let l2_miss_penalty = pen.l2_miss in
   let mispredict_penalty = pen.mispredict in
@@ -1190,9 +1480,8 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
   let cyc = Array.make nl 0.0 in
   let cond_mis = Array.make nl 0 in
   let l1i_acc = Array.make nl 0 and l1i_mis = Array.make nl 0 in
-  let l2_acc = Array.make nl 0 and l2_mis = Array.make nl 0 in
   let l1i_acc0 = Array.make nl 0 and l1i_mis0 = Array.make nl 0 in
-  let l2_acc0 = Array.make nl 0 and l2_mis0 = Array.make nl 0 in
+  let missed = Array.make nl 0 in
   let wrong_runs = Array.make nl 0 in
   let last_pf = Array.make nl (-1) in
   (* Shared (lane-invariant) counters. *)
@@ -1207,35 +1496,6 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
   let fetch_lines0 = ref 0 in
   let op = ref 0 in
   let wrong_path = config.wrong_path in
-  (* Counted L2 reference for one lane; mirrors [Cache.access]. The way-0
-     check is open-coded: [lane_find_way]/[lane_promote] contain loops, so
-     the compiler never inlines them, and a way-0 hit (the common case)
-     needs neither call. *)
-  let l2_ref j addr =
-    Array.unsafe_set l2_acc j (Array.unsafe_get l2_acc j + 1);
-    let line = addr lsr l2_shift in
-    let strip = l2_strip (line land l2_set_mask) in
-    let base = j * l2_assoc in
-    if Array.unsafe_get strip base = line then true
-    else begin
-      let way = lane_find_way strip base l2_assoc line in
-      if way >= 0 then begin
-        lane_promote strip base way line;
-        true
-      end
-      else begin
-        Array.unsafe_set l2_mis j (Array.unsafe_get l2_mis j + 1);
-        lane_promote strip base (l2_assoc - 1) line;
-        false
-      end
-    end
-  in
-  let l2_probe j addr =
-    let line = addr lsr l2_shift in
-    let strip = l2_strip (line land l2_set_mask) in
-    let base = j * l2_assoc in
-    Array.unsafe_get strip base = line || lane_find_way strip base l2_assoc line >= 0
-  in
   (* Counted L1I reference (the wrong-path touch); the fetch loop inlines
      its own copy to keep the MRU fast path. Touching promotes [line] to
      way 0 of this lane only, so a uniform set diverges here. *)
@@ -1268,11 +1528,13 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
      next block, as in [walk_cache_lanes]. *)
   let wrong_path_effects j alternate_block cursor =
     let alt_line = Array.unsafe_get block_addr alternate_block land l1i_line_mask in
-    if (not (l1i_probe j alt_line)) && l2_probe j alt_line then l1i_touch j alt_line;
+    if (not (l1i_probe j alt_line)) && l2_probe l2 0 j (alt_line lsr l2_shift) then
+      l1i_touch j alt_line;
     let r = Array.unsafe_get wrong_runs j + 1 in
     Array.unsafe_set wrong_runs j r;
     if r land 7 = 0 && Array.unsafe_get last_pf j <> cursor && cursor < Array.length peek then begin
-      ignore (l2_ref j (Array.unsafe_get peek cursor));
+      (* The speculative load is this lane's alone. *)
+      ignore (l2_ref_lane l2 0 j (Array.unsafe_get peek cursor lsr l2_shift));
       Array.unsafe_set last_pf j cursor
     end
   in
@@ -1290,8 +1552,7 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
       fetch_lines0 := !fetch_lines;
       Array.blit l1i_acc 0 l1i_acc0 0 nl;
       Array.blit l1i_mis 0 l1i_mis0 0 nl;
-      Array.blit l2_acc 0 l2_acc0 0 nl;
-      Array.blit l2_mis 0 l2_mis0 0 nl
+      l2_warmup l2
     end;
     let b = Array.unsafe_get step_block i in
     instructions := !instructions + Array.unsafe_get block_instrs b;
@@ -1315,8 +1576,8 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
            is [l] hits in every lane with no per-lane work at all. *)
         if Array.unsafe_get set_mru s <> l then begin
           let set_base = s * nl * l1i_assoc in
-          let line_addr = l lsl l1i_shift in
-          if Array.unsafe_get set_mru s <> mixed then begin
+          let m = ref 0 in
+          if Array.unsafe_get set_mru s <> mixed then
             (* Uniform set, other way-0 line: every lane takes the slow
                path (its way 0 holds the same non-[l] line) and finishes
                with [l] at way 0, so the set stays uniform. *)
@@ -1327,13 +1588,10 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
               else begin
                 Array.unsafe_set l1i_mis j (Array.unsafe_get l1i_mis j + 1);
                 lane_promote l1i_tags base (l1i_assoc - 1) l;
-                if l2_ref j line_addr then
-                  Array.unsafe_set cyc j (Array.unsafe_get cyc j +. l1i_miss_penalty)
-                else Array.unsafe_set cyc j (Array.unsafe_get cyc j +. l2_fetch_penalty)
+                Array.unsafe_set missed !m j;
+                incr m
               end
-            done;
-            Array.unsafe_set set_mru s l
-          end
+            done
           else begin
             let mru_base = s * nl in
             for j = 0 to nl - 1 do
@@ -1346,58 +1604,31 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
                  else begin
                    Array.unsafe_set l1i_mis j (Array.unsafe_get l1i_mis j + 1);
                    lane_promote l1i_tags base (l1i_assoc - 1) l;
-                   if l2_ref j line_addr then
-                     Array.unsafe_set cyc j (Array.unsafe_get cyc j +. l1i_miss_penalty)
-                   else Array.unsafe_set cyc j (Array.unsafe_get cyc j +. l2_fetch_penalty)
+                   Array.unsafe_set missed !m j;
+                   incr m
                  end);
                 Array.unsafe_set lane_mru (mru_base + j) l
               end
-            done;
-            (* Every lane now holds [l] at way 0: the set healed back to
-               uniform, so wrong-path divergence is transient. *)
-            Array.unsafe_set set_mru s l
-          end
+            done
+          end;
+          (* Every lane now holds [l] at way 0 (a mixed set healed back to
+             uniform, so wrong-path divergence is transient). *)
+          Array.unsafe_set set_mru s l;
+          if !m > 0 then l2_fetch_misses l2 cyc fetch_pen missed !m ((l lsl l1i_shift) lsr l2_shift)
         end
       done
     end;
     let mend = Array.unsafe_get step_mem_end i in
     while Array.unsafe_get ops !op < 2 * mend do
       let code = Array.unsafe_get ops !op in
-      (* Inlined [l2_ref] with the set strip hoisted out of the lane loop:
-         every lane references the same L2 set. *)
       let line = Array.unsafe_get ops (!op + 1) lsr l2_shift in
-      let strip = l2_strip (line land l2_set_mask) in
       if code land 1 = 0 then begin
         let factor = Array.unsafe_get ev_factor (code lsr 1) in
-        let hit_pen = l1d_miss_penalty *. factor in
-        let miss_pen = l2_miss_penalty *. factor in
-        for j = 0 to nl - 1 do
-          Array.unsafe_set l2_acc j (Array.unsafe_get l2_acc j + 1);
-          let base = j * l2_assoc in
-          if Array.unsafe_get strip base = line then
-            Array.unsafe_set cyc j (Array.unsafe_get cyc j +. hit_pen)
-          else begin
-            let way = lane_find_way strip base l2_assoc line in
-            if way >= 0 then begin
-              lane_promote strip base way line;
-              Array.unsafe_set cyc j (Array.unsafe_get cyc j +. hit_pen)
-            end
-            else begin
-              Array.unsafe_set l2_mis j (Array.unsafe_get l2_mis j + 1);
-              lane_promote strip base (l2_assoc - 1) line;
-              Array.unsafe_set cyc j (Array.unsafe_get cyc j +. miss_pen)
-            end
-          end
-        done
+        Array.unsafe_set data_pen 0 (l1d_miss_penalty *. factor);
+        Array.unsafe_set data_pen 1 (l2_miss_penalty *. factor);
+        l2_ref_group l2 cyc data_pen 0 line
       end
-      else
-        for j = 0 to nl - 1 do
-          let base = j * l2_assoc in
-          if Array.unsafe_get strip base <> line then begin
-            let way = lane_find_way strip base l2_assoc line in
-            lane_promote strip base (if way >= 0 then way else l2_assoc - 1) line
-          end
-        done;
+      else l2_fill_group l2 0 line;
       op := !op + 2
     done;
     let kind = Array.unsafe_get step_kind i in
@@ -1522,34 +1753,40 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
   done;
   let l1d_accesses, l1d_misses = data_l1d plan ds ~warmup in
   return_scratch scratch;
-  Array.init nl (fun j ->
-      {
-        cycles = cyc.(j);
-        instructions = !instructions;
-        cond_branches = !cond_branches;
-        cond_mispredicts = cond_mis.(j);
-        indirect_branches = !indirect_branches;
-        indirect_mispredicts = !indirect_mispredicts;
-        btb_misses = !btb_misses;
-        l1i_accesses = !fetch_lines - !fetch_lines0 + l1i_acc.(j) - l1i_acc0.(j);
-        l1i_misses = l1i_mis.(j) - l1i_mis0.(j);
-        l1d_accesses;
-        l1d_misses;
-        l2_accesses = l2_acc.(j) - l2_acc0.(j);
-        l2_misses = l2_mis.(j) - l2_mis0.(j);
-      })
+  ( Array.init nl (fun j ->
+        let l2_accesses, l2_misses = l2_counts l2 j in
+        {
+          cycles = cyc.(j);
+          instructions = !instructions;
+          cond_branches = !cond_branches;
+          cond_mispredicts = cond_mis.(j);
+          indirect_branches = !indirect_branches;
+          indirect_mispredicts = !indirect_mispredicts;
+          btb_misses = !btb_misses;
+          l1i_accesses = !fetch_lines - !fetch_lines0 + l1i_acc.(j) - l1i_acc0.(j);
+          l1i_misses = l1i_mis.(j) - l1i_mis0.(j);
+          l1d_accesses;
+          l1d_misses;
+          l2_accesses;
+          l2_misses;
+        }),
+    l2 )
 
 (* The shared-predictor walk: the cache-axis fused pass, and with one lane
    over the machine's own geometries, scalar [replay]. The direction
    predictor is shared (its inputs are the PC/outcome stream, never cache
    state), so branch decisions, mispredict counts, the indirect predictor,
    trace cache and the data side are lane-invariant; one instance of each
-   serves every lane. Per lane remain cycles, the L1I and L2 tag images and
-   their access/miss counters — exactly the state a lane's own geometry
+   serves every lane. Per lane remain cycles, the L1I and L2 tag state and
+   its access/miss counters — exactly the state a lane's own geometry
    perturbs. Even the wrong-path run counter and its dedup cursor are
    shared: mispredicts fire at the same steps in every lane, so the
    every-8th-run gate opens lane-invariantly (only the touched cache state
-   differs per lane).
+   differs per lane). Lanes of one L2 geometry are one group of the shared
+   L2 layer: data-side references and the every-8th wrong-path load reach
+   every lane of a group at the same point, so they are shared; only a
+   fetch miss that some of a group's lanes took (their L1Is differ) splits
+   a set. A scalar replay is one group of one lane.
 
    The L1I fast path is a single scalar: the committed fetch stream is
    lane-invariant, so after a full fetch of line [l] every lane holds [l]
@@ -1578,19 +1815,20 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
   let i_shift = log2_exact cb.cb_i_line in
   let d_shift = log2_exact cb.cb_d_line in
   let i_off = cb.cb_i_off and i_mask = cb.cb_i_mask and i_assoc = cb.cb_i_assoc in
-  let d_off = cb.cb_d_off and d_mask = cb.cb_d_mask and d_assoc = cb.cb_d_assoc in
+  let lg = cb.cb_l2 in
   let scratch =
-    borrow_scratch ~l2_sets:0 ~tab_len:0 ~l1i_words:cb.cb_i_words ~l1i_sets:0 ~lane_mru_words:0
-      ~l2_words:cb.cb_d_words
+    borrow_scratch ~tab_len:0 ~l1i_words:cb.cb_i_words ~l1i_sets:0 ~lane_mru_words:0
+      ~l2_words:lg.lg_img_words ~split_slots:lg.lg_flag_words
   in
   let l1i_img = scratch.bs_l1i in
-  let l2_img = scratch.bs_l2 in
+  let l2 = l2_pass lg scratch in
   let pkernel = predictor.Predictor.kernel in
   let mru = ref (-1) in
   let l1i_line_mask = lnot (cb.cb_i_line - 1) in
   let pen = config.penalties in
-  let l1i_miss_penalty = pen.l1i_miss in
-  let l2_fetch_penalty = pen.l2_miss *. 0.7 in
+  let fetch_pen = [| pen.l1i_miss; pen.l2_miss *. 0.7 |] in
+  let data_pen = [| 0.0; 0.0 |] in
+  let no_pen = [| 0.0; 0.0 |] in
   let l1d_miss_penalty = pen.l1d_miss in
   let l2_miss_penalty = pen.l2_miss in
   let mispredict_penalty = pen.mispredict in
@@ -1608,9 +1846,8 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
   (* Per-lane accumulators and cache counters (with warmup snapshots). *)
   let cyc = Array.make nl 0.0 in
   let l1i_acc = Array.make nl 0 and l1i_mis = Array.make nl 0 in
-  let l2_acc = Array.make nl 0 and l2_mis = Array.make nl 0 in
   let l1i_acc0 = Array.make nl 0 and l1i_mis0 = Array.make nl 0 in
-  let l2_acc0 = Array.make nl 0 and l2_mis0 = Array.make nl 0 in
+  let missed = Array.make nl 0 in
   (* Shared (lane-invariant) counters. *)
   let cond_branches = ref 0 in
   let cond_mispredicts = ref 0 in
@@ -1624,41 +1861,7 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
   let wrong_runs = ref 0 in
   let last_pf = ref (-1) in
   let wrong_path = config.wrong_path in
-  (* Counted L2 reference for one lane (demand access or wrong-path touch);
-     mirrors [Cache.access] on the lane's own geometry. *)
-  let l2_ref j addr =
-    Array.unsafe_set l2_acc j (Array.unsafe_get l2_acc j + 1);
-    let line = addr lsr d_shift in
-    let base = lane_slot d_off d_mask d_assoc j line in
-    let assoc = Array.unsafe_get d_assoc j in
-    if Array.unsafe_get l2_img base = line then true
-    else begin
-      let way = lane_find_way l2_img base assoc line in
-      if way >= 0 then begin
-        lane_promote l2_img base way line;
-        true
-      end
-      else begin
-        Array.unsafe_set l2_mis j (Array.unsafe_get l2_mis j + 1);
-        lane_promote l2_img base (assoc - 1) line;
-        false
-      end
-    end
-  in
-  let l2_probe j addr =
-    let line = addr lsr d_shift in
-    let base = lane_slot d_off d_mask d_assoc j line in
-    lane_find_way l2_img base (Array.unsafe_get d_assoc j) line >= 0
-  in
-  let l2_fill j addr =
-    let line = addr lsr d_shift in
-    let base = lane_slot d_off d_mask d_assoc j line in
-    let assoc = Array.unsafe_get d_assoc j in
-    if Array.unsafe_get l2_img base <> line then begin
-      let way = lane_find_way l2_img base assoc line in
-      lane_promote l2_img base (if way >= 0 then way else assoc - 1) line
-    end
-  in
+  let groups = lg.lg_n and of_lane = lg.lg_of_lane in
   (* Counted L1I reference (the wrong-path touch). Promoting a line other
      than the scalar MRU may displace it from some lane's way 0, so the
      fast path is conservatively dropped. *)
@@ -1689,13 +1892,18 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
   let wrong_path_effects alternate_block cursor =
     let alt_line = Array.unsafe_get block_addr alternate_block land l1i_line_mask in
     for j = 0 to nl - 1 do
-      if (not (l1i_probe j alt_line)) && l2_probe j alt_line then l1i_touch j alt_line
+      if
+        (not (l1i_probe j alt_line))
+        && l2_probe l2 (Array.unsafe_get of_lane j) j (alt_line lsr d_shift)
+      then l1i_touch j alt_line
     done;
     incr wrong_runs;
     if !wrong_runs land 7 = 0 && !last_pf <> cursor && cursor < Array.length peek then begin
-      let line_addr = Array.unsafe_get peek cursor in
-      for j = 0 to nl - 1 do
-        ignore (l2_ref j line_addr)
+      (* A shared load that charges no cycles (adding +0.0 to a
+         non-negative total leaves it unchanged). *)
+      let line = Array.unsafe_get peek cursor lsr d_shift in
+      for g = 0 to groups - 1 do
+        l2_ref_group l2 cyc no_pen g line
       done;
       last_pf := cursor
     end
@@ -1714,8 +1922,7 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
       fetch_lines0 := !fetch_lines;
       Array.blit l1i_acc 0 l1i_acc0 0 nl;
       Array.blit l1i_mis 0 l1i_mis0 0 nl;
-      Array.blit l2_acc 0 l2_acc0 0 nl;
-      Array.blit l2_mis 0 l2_mis0 0 nl
+      l2_warmup l2
     end;
     let b = Array.unsafe_get step_block i in
     instructions := !instructions + Array.unsafe_get block_instrs b;
@@ -1737,7 +1944,7 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
         (* Whole-batch MRU fast path: a repeat of the last fetched line hits
            at way 0 in every lane with no per-lane work at all. *)
         if !mru <> l then begin
-          let line_addr = l lsl i_shift in
+          let m = ref 0 in
           for j = 0 to nl - 1 do
             let assoc = Array.unsafe_get i_assoc j in
             let base =
@@ -1750,12 +1957,12 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
               else begin
                 Array.unsafe_set l1i_mis j (Array.unsafe_get l1i_mis j + 1);
                 lane_promote l1i_img base (assoc - 1) l;
-                if l2_ref j line_addr then
-                  Array.unsafe_set cyc j (Array.unsafe_get cyc j +. l1i_miss_penalty)
-                else Array.unsafe_set cyc j (Array.unsafe_get cyc j +. l2_fetch_penalty)
+                Array.unsafe_set missed !m j;
+                incr m
               end
             end
           done;
+          if !m > 0 then l2_fetch_misses l2 cyc fetch_pen missed !m ((l lsl i_shift) lsr d_shift);
           (* Every lane now holds [l] at way 0 of its set for [l]. *)
           mru := l
         end
@@ -1764,19 +1971,18 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
     let mend = Array.unsafe_get step_mem_end i in
     while Array.unsafe_get ops !op < 2 * mend do
       let code = Array.unsafe_get ops !op in
-      let addr = Array.unsafe_get ops (!op + 1) in
+      let line = Array.unsafe_get ops (!op + 1) lsr d_shift in
       if code land 1 = 0 then begin
         let factor = Array.unsafe_get ev_factor (code lsr 1) in
-        let hit_pen = l1d_miss_penalty *. factor in
-        let miss_pen = l2_miss_penalty *. factor in
-        for j = 0 to nl - 1 do
-          if l2_ref j addr then Array.unsafe_set cyc j (Array.unsafe_get cyc j +. hit_pen)
-          else Array.unsafe_set cyc j (Array.unsafe_get cyc j +. miss_pen)
+        Array.unsafe_set data_pen 0 (l1d_miss_penalty *. factor);
+        Array.unsafe_set data_pen 1 (l2_miss_penalty *. factor);
+        for g = 0 to groups - 1 do
+          l2_ref_group l2 cyc data_pen g line
         done
       end
       else
-        for j = 0 to nl - 1 do
-          l2_fill j addr
+        for g = 0 to groups - 1 do
+          l2_fill_group l2 g line
         done;
       op := !op + 2
     done;
@@ -1870,22 +2076,24 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
   done;
   let l1d_accesses, l1d_misses = data_l1d plan ds ~warmup in
   return_scratch scratch;
-  Array.init nl (fun j ->
-      {
-        cycles = cyc.(j);
-        instructions = !instructions;
-        cond_branches = !cond_branches;
-        cond_mispredicts = !cond_mispredicts;
-        indirect_branches = !indirect_branches;
-        indirect_mispredicts = !indirect_mispredicts;
-        btb_misses = !btb_misses;
-        l1i_accesses = !fetch_lines - !fetch_lines0 + l1i_acc.(j) - l1i_acc0.(j);
-        l1i_misses = l1i_mis.(j) - l1i_mis0.(j);
-        l1d_accesses;
-        l1d_misses;
-        l2_accesses = l2_acc.(j) - l2_acc0.(j);
-        l2_misses = l2_mis.(j) - l2_mis0.(j);
-      })
+  ( Array.init nl (fun j ->
+        let l2_accesses, l2_misses = l2_counts l2 j in
+        {
+          cycles = cyc.(j);
+          instructions = !instructions;
+          cond_branches = !cond_branches;
+          cond_mispredicts = !cond_mispredicts;
+          indirect_branches = !indirect_branches;
+          indirect_mispredicts = !indirect_mispredicts;
+          btb_misses = !btb_misses;
+          l1i_accesses = !fetch_lines - !fetch_lines0 + l1i_acc.(j) - l1i_acc0.(j);
+          l1i_misses = l1i_mis.(j) - l1i_mis0.(j);
+          l1d_accesses;
+          l1d_misses;
+          l2_accesses;
+          l2_misses;
+        }),
+    l2 )
 
 (* Metering belongs to the callers, not the walkers: a scalar replay
    counts as a replay run, a fused pass as a pass of its axis. *)
@@ -1902,21 +2110,25 @@ let replay_many ?(warmup_blocks = 0) ?data_side plan batch placement =
         ]
       (fun () ->
         let ds = data_side_for "Pipeline.replay_many" plan placement data_side in
-        let counts, (m_passes, m_blocks, g_lanes) =
+        let (counts, l2), m =
           match batch with
           | Predictor_lanes b -> (walk_pred_lanes ~warmup_blocks plan ds b placement, pred_metrics)
           | Cache_lanes c -> (walk_cache_lanes ~warmup_blocks plan ds c placement, cache_metrics)
         in
-        Pi_obs.Metrics.inc m_passes;
-        Pi_obs.Metrics.add m_blocks (nl * Array.length plan.step_block);
-        Pi_obs.Metrics.set g_lanes (float_of_int nl);
+        let shared, lane = l2_ref_paths l2 in
+        Pi_obs.Metrics.inc m.m_passes;
+        Pi_obs.Metrics.add m.m_lane_blocks (nl * Array.length plan.step_block);
+        Pi_obs.Metrics.set m.g_lanes (float_of_int nl);
+        Pi_obs.Metrics.add m.m_l2_shared shared;
+        Pi_obs.Metrics.add m.m_l2_lane lane;
+        Pi_obs.Metrics.add m.m_l2_splits l2.splits;
         counts)
 
 let replay ?(warmup_blocks = 0) ?data_side plan placement =
   let ds = data_side_for "Pipeline.replay" plan placement data_side in
   let { l1i; l2; name; _ } = plan.plan_config in
   let lane = cache_lanes_of ~l1i ~l2 [| (name, l1i, l2) |] in
-  let c = (walk_cache_lanes ~warmup_blocks plan ds lane placement).(0) in
+  let c = (fst (walk_cache_lanes ~warmup_blocks plan ds lane placement)).(0) in
   Pi_obs.Metrics.inc m_replay_runs;
   Pi_obs.Metrics.add m_replay_blocks (Array.length plan.step_block);
   Pi_obs.Metrics.add m_branches (c.cond_branches + c.indirect_branches);

@@ -174,16 +174,25 @@ type batch
     tables in one flat byte image addressed through per-lane offset/mask
     arrays, lanes sorted by kernel kind, with one shared global-history
     register serving all history-based lanes. Cache lanes
-    ({!cache_batch_of}) pack every lane's L1I and L2 tag images as
-    lane-major slices of one flat int arena, addressed through per-lane
-    offset/set-mask/assoc arrays, while one shared direction predictor,
-    indirect predictor and trace cache serve all lanes (their inputs are
-    lane-invariant). Both axes share one {!data_side}: no lane varies the
-    L1D or the prefetcher.
+    ({!cache_batch_of}) pack every lane's L1I tag image as a lane-major
+    slice of one flat int arena, addressed through per-lane
+    offset/set-mask/assoc arrays, and are ordered by L2 geometry, while one
+    shared direction predictor, indirect predictor and trace cache serve
+    all lanes (their inputs are lane-invariant). Both axes share one
+    {!data_side}: no lane varies the L1D or the prefetcher.
+
+    On both axes, lanes with one L2 geometry (a whole predictor batch; one
+    contiguous group of a cache batch) share one L2 tag image: a set stays
+    shared until a reference only some of the group's lanes make (a
+    predictor lane's wrong-path speculative load; a fetch miss taken by
+    some lanes and not others) splits it into per-lane copies. This is
+    exact: an unsplit set holds the same state in every lane of the
+    group.
 
     Lane metadata is immutable and per-pass simulation state is rebuilt
     inside {!replay_many}. The bulk state of every pass, either axis and
-    {!replay} included (counter-table image, L1I and L2 tag images), lives
+    {!replay} included (counter-table image, L1I tag images, L2 group
+    images, split flags and the per-lane copies of split sets), lives
     in one scratch per domain that every pass borrows and returns: a pass
     may use any scratch at least as large as it needs, so a small batch
     replays inside a large batch's idle scratch, and taking it is atomic,
@@ -210,7 +219,8 @@ val batch_lanes : batch -> int
 (** Fused lane count. *)
 
 val batch_names : batch -> string array
-(** Lane names, in the batch's internal (kind-sorted) order. *)
+(** Lane names, in the batch's internal order (sorted by kernel kind, or
+    by L2 geometry). *)
 
 val batch_src : batch -> int array
 (** Maps internal lane order back to indices into the configuration array
@@ -222,7 +232,8 @@ val batch_fallback : batch -> int array
 
 val batch_table_bytes : batch -> int
 (** Total packed lane-state bytes across all lanes (counter tables for
-    predictor lanes, tag arenas for cache lanes), for reporting. *)
+    predictor lanes; the L1I arena plus one L2 image per L2 geometry for
+    cache lanes), for reporting. *)
 
 val batch_axis : batch -> string
 (** The axis the lanes vary: ["predictor"] or ["cache"]. Matches the
@@ -242,10 +253,11 @@ val replay_many :
 (** Walk the compiled plan {e once} for every lane in the batch, sharing
     all lane-invariant work and keeping per-lane only what the axis
     varies: predictor lanes keep per-lane cycles, conditional mispredicts
-    and L1I/L2 images (wrong-path effects depend on each lane's own
+    and L1I images (wrong-path effects depend on each lane's own
     mispredictions); cache lanes share one direction/indirect predictor
     and trace cache (their inputs never depend on cache geometry) and keep
-    per-lane cycles and L1I/L2 tag images and counters. Every lane applies
+    per-lane cycles, L1I tag images and counters. L2 tags are shared per
+    L2 geometry until lanes diverge (see {!batch}). Every lane applies
     the L2 operations of one [data_side] (built from [placement]'s data
     layout when absent). Result is indexed in the batch's internal lane order (see
     {!batch_src}); each element is bit-identical to {!replay} of the same

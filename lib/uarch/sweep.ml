@@ -93,8 +93,8 @@ let configurations () = Lazy.force configurations_memo
    table image and lane metadata depend only on [configurations ()], and
    [Replay.run_many] copies the table image per pass, so one batch serves
    every study. Its passes, and the steering sub-batches', borrow the
-   domain's pooled scratch, whose lazily-built L2 strips stay warm across
-   studies (worth ~30% of a pass at default scale). *)
+   domain's pooled scratch, whose split-set strips stay allocated across
+   studies. *)
 let grid_batch_memo = lazy (Replay.batch_of (Array.of_list (configurations ())))
 let grid_batch () = Lazy.force grid_batch_memo
 
@@ -794,7 +794,7 @@ let cache_grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused 
   end
   else begin
     (* Packing costs ~30 us against a pass of hundreds of ms, so each
-       study builds its own batch; the tag arenas come from the domain's
+       study builds its own batch; the tag images come from the domain's
        pooled scratch. *)
     let batch = Replay.cache_batch_of ~l1i:base.Pipeline.l1i ~l2:base.Pipeline.l2 configs in
     let sub = Replay.shard batch ~shards in

@@ -210,7 +210,10 @@ val run_cache_grid :
     [(points, fused_lanes, fallback_lanes, shards, grid_seconds)]; all
     arguments behave as in {!run_study} (the fused batch is one
     {!Replay.cache_batch_of} pack, built per call; its passes borrow the
-    domain's pooled scratch, so concurrent grids never share tag arenas). *)
+    domain's pooled scratch, so concurrent grids never share tag state).
+    The pack orders lanes by L2 geometry, so the grid replays as 10 groups
+    of 10 lanes, each group sharing one L2 image until lanes whose L1Is
+    disagree split a set; points still come back in grid order. *)
 
 val run_cache_study :
   ?base:Pipeline.config ->

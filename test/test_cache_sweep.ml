@@ -310,6 +310,81 @@ let test_study_flat_predictors () =
     [ "183.equake"; "470.lbm"; "456.hmmer"; "429.mcf" ];
   Alcotest.(check bool) "some benchmark has a flat predictor" true (!seen_flat > 0)
 
+(* The shared L2 layer on the cache axis: lanes are grouped by L2
+   geometry (the 100-point grid is 10 groups of 10), and a group's set
+   splits only when a fetch miss is taken by some of its lanes and not
+   others (their L1Is differ). Driven on a 64 KB L2 (most referenced sets
+   split), with the data prefetcher (fills on clean and split sets),
+   without wrong-path effects, on a heap_random data side, with warmup;
+   cut into 1, 2 and 3 shards (3 cuts groups at lanes 33 and 66), and as
+   a 5-lane subset holding two partial groups, as a steered study replays
+   it. Every lane must be %h-equal to a sequential replay of its
+   geometry. *)
+let tiny_l2 (base : Pipeline.config) =
+  { base with Pipeline.l2 = { Cache.size_bytes = 64 * 1024; assoc = 8; line_bytes = 64 } }
+
+let test_shared_l2_golden () =
+  let warmup_blocks = 2000 in
+  let check label batch got want_of =
+    let src = Replay.batch_src batch in
+    Array.iteri
+      (fun j (c : Pipeline.counts) ->
+        let want : Pipeline.counts = want_of src.(j) in
+        let lane = Printf.sprintf "%s lane %s" label (Replay.batch_names batch).(j) in
+        Alcotest.(check string)
+          (lane ^ ": cycles %h")
+          (Printf.sprintf "%h" want.Pipeline.cycles)
+          (Printf.sprintf "%h" c.Pipeline.cycles);
+        check_counts lane c want)
+      got
+  in
+  List.iter
+    (fun bench_name ->
+      let p, trace = traced bench_name in
+      List.iter
+        (fun (machine_name, base) ->
+          let plan = Replay.compile base trace in
+          let configs = geometries base in
+          let l1i = base.Pipeline.l1i and l2 = base.Pipeline.l2 in
+          List.iter
+            (fun (pl_name, placement) ->
+              let label = Printf.sprintf "%s/%s/%s" bench_name machine_name pl_name in
+              let want =
+                Array.map
+                  (fun cfg -> lazy (sequential ~warmup_blocks base plan placement cfg))
+                  configs
+              in
+              let batch = Replay.cache_batch_of ~l1i ~l2 configs in
+              List.iter
+                (fun shards ->
+                  Array.iter
+                    (fun sub ->
+                      check
+                        (Printf.sprintf "%s %d shards" label shards)
+                        sub
+                        (Replay.run_many ~warmup_blocks plan sub placement)
+                        (fun i -> Lazy.force want.(i)))
+                    (Replay.shard batch ~shards))
+                [ 1; 2; 3 ];
+              (* Grid index = 10 x L1I variant + L2 variant: lanes 0, 10
+                 and 20 share an L2 geometry, as do 3 and 13. *)
+              let subset = [| 13; 0; 20; 3; 10 |] in
+              let sub = Replay.cache_batch_of ~l1i ~l2 (Array.map (fun i -> configs.(i)) subset) in
+              check (label ^ " 5-lane subset") sub
+                (Replay.run_many ~warmup_blocks plan sub placement)
+                (fun k -> Lazy.force want.(subset.(k))))
+            [
+              ("seed3", Placement.make p ~seed:3);
+              ("heap_random", Placement.make ~heap_random:true p ~seed:3);
+            ])
+        [
+          ("tiny-l2", tiny_l2 Machine.xeon_e5440);
+          ("tiny-l2+prefetcher", Machine.with_data_prefetcher (tiny_l2 Machine.xeon_e5440));
+          ("prefetcher", Machine.with_data_prefetcher Machine.xeon_e5440);
+          ("tiny-l2 no wrong path", Machine.without_wrong_path (tiny_l2 Machine.xeon_e5440));
+        ])
+    [ "429.mcf"; "470.lbm"; "400.perlbench" ]
+
 let suite =
   [
     ( "cache_sweep",
@@ -327,5 +402,7 @@ let suite =
         Alcotest.test_case "Cache.create geometry validation" `Quick test_cache_create_validation;
         Alcotest.test_case "batch rejects duplicates and mixed lines" `Quick
           test_batch_rejections;
+        Alcotest.test_case "shared L2: tiny L2, prefetcher, no wrong path, heap_random, shards"
+          `Quick test_shared_l2_golden;
       ] );
   ]

@@ -246,7 +246,7 @@ let check_lanes label got want =
   Array.iteri (fun j c -> check_counts (Printf.sprintf "%s lane %d" label j) c want.(j)) got
 
 (* Cache lanes over a machine's own geometries: the seed pair and three
-   variants, each shaping the L1I or L2 arena differently. *)
+   variants, each shaping the L1I arena or the L2 groups differently. *)
 let cache_batch (base : Pipeline.config) =
   let l1i = base.Pipeline.l1i and l2 = base.Pipeline.l2 in
   let v = Sweep.apply_cache_variant in
@@ -374,6 +374,118 @@ let test_pool_threads () =
         (List.rev rs))
     results
 
+(* ------------------------------------------------------------------ *)
+(* The shared L2 layer. A predictor batch is one L2 group: its lanes share
+   one image per L2 set until a lane's own wrong-path load, or a fetch miss
+   not every lane took, splits the set. These inputs drive both paths hard:
+   a 64 KB L2 (most referenced sets split), an 8 KB L1I (wrong-path
+   touches evict lines, so lanes' L1Is diverge and fetch lines are partly
+   missed), the data prefetcher (fills on clean and split sets), no wrong
+   path (nothing splits), a heap_random data side, warmup (group counters
+   are snapshotted with the lanes'), and a 5-lane sub-batch as a steered
+   sweep replays it. Every lane must be %h-equal to a sequential replay of
+   its config. *)
+
+let tiny_l2 (base : Pipeline.config) =
+  {
+    base with
+    Pipeline.name = base.Pipeline.name ^ "-tiny-l2";
+    l2 = { Pi_uarch.Cache.size_bytes = 64 * 1024; assoc = 8; line_bytes = 64 };
+  }
+
+let shared_l2_machines =
+  [
+    ("tiny-l2", tiny_l2 Machine.xeon_e5440);
+    ( "tiny-l1i+l2",
+      {
+        (tiny_l2 Machine.xeon_e5440) with
+        Pipeline.l1i = { Pi_uarch.Cache.size_bytes = 8 * 1024; assoc = 2; line_bytes = 64 };
+      } );
+    ("prefetcher", Machine.with_data_prefetcher Machine.xeon_e5440);
+    ("tiny-l2+prefetcher", Machine.with_data_prefetcher (tiny_l2 Machine.xeon_e5440));
+    ("tiny-l2 no wrong path", Machine.without_wrong_path (tiny_l2 Machine.xeon_e5440));
+  ]
+
+let check_lanes_h label batch got want_of =
+  let src = Replay.batch_src batch in
+  Array.iteri
+    (fun j (c : Pipeline.counts) ->
+      let want : Pipeline.counts = want_of src.(j) in
+      let lane = Printf.sprintf "%s lane %s" label (Replay.batch_names batch).(j) in
+      Alcotest.(check string)
+        (lane ^ ": cycles %h")
+        (Printf.sprintf "%h" want.Pipeline.cycles)
+        (Printf.sprintf "%h" c.Pipeline.cycles);
+      check_counts lane c want)
+    got
+
+let steered_sub_batch = [ "bimodal-8"; "gshare-10/4"; "gas-16/12"; "hybrid-16/12"; "gshare-16/12" ]
+
+let test_shared_l2_golden () =
+  let warmup_blocks = 2000 in
+  List.iter
+    (fun bench_name ->
+      let p, trace = traced bench_name in
+      List.iter
+        (fun (machine_name, base) ->
+          let plan = Replay.compile base trace in
+          List.iter
+            (fun (pl_name, placement) ->
+              let label = Printf.sprintf "%s/%s/%s" bench_name machine_name pl_name in
+              let want = Array.init (Array.length configs) (fun i ->
+                  lazy (sequential ~warmup_blocks base plan placement i)) in
+              let want_of i = Lazy.force want.(i) in
+              let grid = Replay.batch_of configs in
+              check_lanes_h label grid (Replay.run_many ~warmup_blocks plan grid placement) want_of;
+              let sub = pick steered_sub_batch in
+              let sub_batch = Replay.batch_of sub in
+              let index_of name =
+                let rec go i = if fst configs.(i) = name then i else go (i + 1) in
+                go 0
+              in
+              check_lanes_h (label ^ " 5-lane") sub_batch
+                (Replay.run_many ~warmup_blocks plan sub_batch placement)
+                (fun k -> want_of (index_of (fst sub.(k)))))
+            [
+              ("seed3", Placement.make p ~seed:3);
+              ("heap_random", Placement.make ~heap_random:true p ~seed:3);
+            ])
+        shared_l2_machines)
+    [ "470.lbm"; "403.gcc" ]
+
+(* The two L2-layer counters, bumped once per pass: lane references served
+   by a group image or by a split set, and sets split. On data-heavy
+   benches both paths and splits occur (on the cache axis, sets split only
+   where lanes' L1Is disagree, which 470.lbm's small code never makes
+   them do), and with no warmup the two paths add up to the lanes' own L2
+   access counts. *)
+let test_shared_l2_metrics () =
+  let module M = Pi_obs.Metrics in
+  List.iter
+    (fun (axis, bench_name, base, batch) ->
+      let p, trace = traced bench_name in
+      let placement = Placement.make p ~seed:2 in
+      let plan = Replay.compile base trace in
+      let refs path = M.counter ~labels:[ ("axis", axis); ("path", path) ] "pi_obs_sweep_l2_refs_total" in
+      let splits = M.counter ~labels:[ ("axis", axis) ] "pi_obs_sweep_l2_split_sets_total" in
+      let all = [ refs "shared"; refs "lane"; splits ] in
+      let before = List.map M.counter_value all in
+      let counts = Replay.run_many plan batch placement in
+      match List.map2 (fun m b -> M.counter_value m - b) all before with
+      | [ shared; lane; split ] ->
+          Alcotest.(check bool) (axis ^ ": shared references") true (shared > 0);
+          Alcotest.(check bool) (axis ^ ": per-lane references") true (lane > 0);
+          Alcotest.(check bool) (axis ^ ": split sets") true (split > 0);
+          Alcotest.(check int)
+            (axis ^ ": paths add up to the lanes' L2 accesses")
+            (Array.fold_left (fun a c -> a + c.Pipeline.l2_accesses) 0 counts)
+            (shared + lane)
+      | _ -> assert false)
+    [
+      ("predictor", "470.lbm", Machine.xeon_e5440, Replay.batch_of configs);
+      ("cache", "429.mcf", tiny_l2 Machine.xeon_e5440, cache_grid_batch (tiny_l2 Machine.xeon_e5440));
+    ]
+
 let suite =
   [
     ( "sweep_fused",
@@ -389,5 +501,8 @@ let suite =
         Alcotest.test_case "scratch pool: any prior pass, any shape" `Quick test_pool_reuse;
         Alcotest.test_case "scratch pool: 2 shards on 2 domains" `Quick test_pool_sharded_domains;
         Alcotest.test_case "scratch pool: 2 systhreads on one domain" `Quick test_pool_threads;
+        Alcotest.test_case "shared L2: tiny L2, prefetcher, no wrong path, heap_random, 5 lanes"
+          `Quick test_shared_l2_golden;
+        Alcotest.test_case "shared L2: path and split counters" `Quick test_shared_l2_metrics;
       ] );
   ]

@@ -18,6 +18,7 @@ type result = {
   blocks : int;  (* dynamic blocks per observation *)
   mem_events : int;
   plan_words : int;
+  prepared_words : int;  (* reachable from the program, trace, plan, data layout and data side *)
   trace_seconds : float;  (* one-pass Run_limiter.trace, best of [grid_reps] *)
   trace_identical : bool;  (* that trace = the two-pass reference *)
   compile_seconds : float;
@@ -148,6 +149,7 @@ let run ?(bench = "400.perlbench") ?(scale = 4) ?(layouts = 12) () =
     blocks;
     mem_events = Replay.mem_events plan;
     plan_words = Replay.words plan;
+    prepared_words = Obj.reachable_words (Obj.repr (program, trace, plan, data, data_side));
     trace_seconds;
     trace_identical;
     compile_seconds;
@@ -176,6 +178,7 @@ let to_json r =
       Printf.sprintf "  \"blocks_per_observation\": %d," r.blocks;
       Printf.sprintf "  \"mem_events_per_observation\": %d," r.mem_events;
       Printf.sprintf "  \"plan_words\": %d," r.plan_words;
+      Printf.sprintf "  \"prepared_words\": %d," r.prepared_words;
       Printf.sprintf "  \"trace_seconds\": %.6f," r.trace_seconds;
       Printf.sprintf "  \"trace_identical\": %b," r.trace_identical;
       Printf.sprintf "  \"compile_seconds\": %.6f," r.compile_seconds;
@@ -209,7 +212,8 @@ let summary r =
     "%s scale %d: %d blocks/obs, trace %.1fms (identical to two passes: %b)\n\
      compile %.1fms + data side %.1fms (amortized over every placement)\n\
      legacy: %.2f obs/s (%.1fms/obs)   replay: %.2f obs/s (%.1fms/obs, %.2fM blocks/s)\n\
-     speedup: %.2fx   counts identical: %b   plan: %.1f MiB\n\
+     speedup: %.2fx   counts identical: %b\n\
+     plan: %d words (%.1f KiB)   prepared bench: %d words (%.1f MiB)\n\
      heap_random (per-seed data sides): replay %.2f obs/s, speedup %.2fx, counts identical: %b"
     r.bench r.scale r.blocks (r.trace_seconds *. 1e3) r.trace_identical
     (r.compile_seconds *. 1e3) (r.data_side_seconds *. 1e3)
@@ -218,7 +222,10 @@ let summary r =
     r.replay_obs_per_sec
     (1e3 *. r.replay_seconds /. float_of_int r.layouts)
     (r.replay_blocks_per_sec /. 1e6) r.speedup r.identical
-    (float_of_int (r.plan_words * 8) /. 1024.0 /. 1024.0)
+    r.plan_words
+    (float_of_int (r.plan_words * 8) /. 1024.0)
+    r.prepared_words
+    (float_of_int (r.prepared_words * 8) /. 1024.0 /. 1024.0)
     r.heap_random_replay_obs_per_sec r.heap_random_speedup r.heap_random_identical
 
 (* Fused-sweep benchmark (BENCH_sweep.json): the full 145-configuration

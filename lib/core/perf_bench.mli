@@ -17,7 +17,10 @@ type result = {
   layouts : int;  (** placements timed per path *)
   blocks : int;  (** dynamic blocks per observation *)
   mem_events : int;
-  plan_words : int;  (** plan footprint, machine words *)
+  plan_words : int;  (** the plan's static tables, machine words ({!Pi_uarch.Replay.words}) *)
+  prepared_words : int;
+      (** heap words reachable from the prepared benchmark: program, trace,
+          plan, shared data layout and data side ([Obj.reachable_words]) *)
   trace_seconds : float;
       (** best-of-5 wall time of the one-pass {!Pi_layout.Run_limiter.trace} *)
   trace_identical : bool;  (** that trace = {!two_pass_trace}, field for field *)

@@ -22,14 +22,10 @@ let lookup_update t ~pc ~target =
   let correct = !found >= 0 && t.targets.(base + !found) = target in
   (* Move to MRU position (allocating in the LRU way on miss). *)
   let way = if !found >= 0 then !found else t.ways - 1 in
-  let rec shift w =
-    if w > 0 then begin
-      t.tags.(base + w) <- t.tags.(base + w - 1);
-      t.targets.(base + w) <- t.targets.(base + w - 1);
-      shift (w - 1)
-    end
-  in
-  shift way;
+  for w = base + way downto base + 1 do
+    t.tags.(w) <- t.tags.(w - 1);
+    t.targets.(w) <- t.targets.(w - 1)
+  done;
   t.tags.(base) <- tag;
   t.targets.(base) <- target;
   correct

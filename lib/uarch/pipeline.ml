@@ -333,9 +333,13 @@ type data_side = {
    tables, re-walking instruction arrays to find memory ops, and
    re-pattern-matching every dynamic block's terminator — is pure waste
    after the first run. [compile] performs all of that work once, producing
-   flat arrays indexed by dynamic-block ordinal; [replay] then walks those
-   arrays with no per-event allocation or variant matching (it is the
-   one-lane instance of the cache-lane walk below). Replay output is
+   flat tables indexed by static block and by static memory instruction;
+   [replay] then walks the trace's own block sequence through those tables
+   with no per-event allocation or variant matching (it is the one-lane
+   instance of the cache-lane walk below). Everything a step needs is its
+   block, the block after it (which decides a branch's outcome and an
+   indirect branch's target) or a property of the static block, so the
+   plan holds nothing whose size grows with the trace. Replay output is
    bit-identical to [run_unoptimized]: the same floats are accumulated in
    the same order and the same cache/predictor state transitions happen in
    the same sequence.
@@ -349,34 +353,34 @@ type data_side = {
 type plan = {
   plan_config : config;
   plan_trace : Trace.t;
-  (* Per dynamic block, indexed by execution ordinal: *)
-  step_block : int array;  (** static block id *)
-  step_mem_end : int array;  (** index in [mem_events] just past the block's events *)
-  step_kind : int array;  (** 0 none, 1 cond not-taken, 2 cond taken, 3 indirect *)
-  step_id : int array;  (** branch id (kind 1/2) or ibr id (kind 3) *)
-  step_next : int array;  (** kind 3: dynamic successor block id *)
-  step_alt : int array;  (** wrong-path alternate block id; -1 when none *)
   (* Per static block, indexed by block id: *)
   block_instrs : int array;  (** retired instructions of the block *)
   block_cost : float array;  (** static issue cost of the block, cycles *)
-  (* Per dynamic memory event, aligned with [trace.mem_events]: *)
-  ev_factor : float array;  (** (store ? store_miss_factor : 1) x overlap *)
-  ev_mem_id : int array;  (** static memory-op id (prefetcher key) *)
+  block_kind : int array;  (** terminator class: 0 none, 1 conditional branch, 2 indirect *)
+  block_site : int array;  (** branch id (class 1) or indirect-branch id (class 2) *)
+  block_taken : int array;  (** class 1: the taken target; the outcome is [next = taken] *)
+  block_alt : int array;
+      (** wrong-path alternate: class 1 the not-taken target (a not-taken outcome's is [taken]);
+          class 2 the first switch target or first callee's entry; -1 when none *)
+  block_slot : int array;
+      (** [n_blocks + 1] bounds: block [b]'s memory instructions are slots [block_slot.(b)] on *)
+  (* Per static memory instruction (slot): *)
+  slot_mem : int array;  (** static memory-op id (the prefetcher's key) *)
+  slot_factor : float array;  (** (op is a store ? store_miss_factor : 1) x overlap *)
   last_data_side : data_side option Atomic.t;
       (** reused by the next [data_side] call for the same data layout *)
 }
 
 let plan_config plan = plan.plan_config
 let plan_trace plan = plan.plan_trace
-let plan_blocks plan = Array.length plan.step_block
-let plan_mem_events plan = Array.length plan.ev_mem_id
+let plan_blocks plan = Array.length plan.plan_trace.Trace.block_seq
+let plan_mem_events plan = Array.length plan.plan_trace.Trace.mem_events
 
+(* Heap footprint of the plan's own tables in machine words (one per int
+   or float element); the trace belongs to the caller. *)
 let plan_words plan =
-  (* Rough heap footprint in machine words, for reporting. *)
-  (6 * Array.length plan.step_block)
-  + (3 * Array.length plan.block_cost)
-  + Array.length plan.ev_mem_id
-  + (2 * Array.length plan.ev_factor)
+  (6 * Array.length plan.block_cost) + Array.length plan.block_slot
+  + (2 * Array.length plan.slot_mem)
 
 (* Observability instruments for the replay path. Bumped once per
    compile / replay call — from the final aggregate counters, never inside
@@ -407,89 +411,59 @@ let m_cache_probes =
 let compile config (trace : Trace.t) =
   Pi_obs.Metrics.inc m_plan_compiles;
   let program = trace.Trace.program in
-  let n_blocks = Array.length program.Program.blocks in
-  let base_cost =
-    Array.init n_blocks (fun i -> block_base_cost config.costs program.Program.blocks.(i))
-  in
-  let block_mem_ids =
-    Array.init n_blocks (fun i ->
-        let ids = ref [] in
-        Array.iter
-          (function Program.Mem m -> ids := m :: !ids | _ -> ())
-          program.Program.blocks.(i).Program.instrs;
-        Array.of_list (List.rev !ids))
-  in
-  let mem_overlap =
+  let blocks = program.Program.blocks in
+  let n_blocks = Array.length blocks in
+  let block_mems =
     Array.map
-      (fun (m : Program.mem_op) -> pattern_overlap config.overlap m.pattern)
-      program.Program.mem_ops
+      (fun (blk : Program.block) ->
+        Array.of_seq
+          (Seq.filter_map
+             (function Program.Mem m -> Some m | _ -> None)
+             (Array.to_seq blk.Program.instrs)))
+      blocks
   in
-  let block_instrs = Array.init n_blocks (fun i -> Program.block_instr_count program i) in
-  let seq = trace.Trace.block_seq in
-  let mem_events = trace.Trace.mem_events in
-  let n = Array.length seq in
-  let n_events = Array.length mem_events in
-  let step_block = Array.make n 0 in
-  let step_mem_end = Array.make n 0 in
-  let step_kind = Array.make n 0 in
-  let step_id = Array.make n 0 in
-  let step_next = Array.make n 0 in
-  let step_alt = Array.make n (-1) in
-  let ev_factor = Array.make n_events 0.0 in
-  let ev_mem_id = Array.make n_events 0 in
+  let block_slot = Array.make (n_blocks + 1) 0 in
+  Array.iteri (fun b ids -> block_slot.(b + 1) <- block_slot.(b) + Array.length ids) block_mems;
+  let slot_mem = Array.concat (Array.to_list block_mems) in
   let smf = config.penalties.store_miss_factor in
-  let cursor = ref 0 in
-  for i = 0 to n - 1 do
-    let b = seq.(i) in
-    step_block.(i) <- b;
-    let ids = block_mem_ids.(b) in
-    let count = Array.length ids in
-    step_mem_end.(i) <- !cursor + count;
-    for k = 0 to count - 1 do
-      let id = ids.(k) in
-      let e = mem_events.(!cursor + k) in
-      ev_mem_id.(!cursor + k) <- id;
-      ev_factor.(!cursor + k) <-
-        (if Trace.mem_is_store e then smf else 1.0) *. mem_overlap.(id)
-    done;
-    cursor := !cursor + count;
-    if i + 1 < n then begin
-      let next = seq.(i + 1) in
-      match program.Program.blocks.(b).Program.term with
+  let slot_factor =
+    Array.map
+      (fun id ->
+        let m = program.Program.mem_ops.(id) in
+        (if m.Program.is_store then smf else 1.0) *. pattern_overlap config.overlap m.Program.pattern)
+      slot_mem
+  in
+  let block_kind = Array.make n_blocks 0 and block_site = Array.make n_blocks 0 in
+  let block_taken = Array.make n_blocks (-1) and block_alt = Array.make n_blocks (-1) in
+  Array.iteri
+    (fun b (blk : Program.block) ->
+      let set kind site alt =
+        block_kind.(b) <- kind;
+        block_site.(b) <- site;
+        block_alt.(b) <- alt
+      in
+      match blk.Program.term with
       | Program.Branch { branch; taken; not_taken } ->
-          let outcome = next = taken in
-          step_kind.(i) <- (if outcome then 2 else 1);
-          step_id.(i) <- branch;
-          step_alt.(i) <- (if outcome then not_taken else taken)
-      | Program.Switch { ibr; targets } ->
-          step_kind.(i) <- 3;
-          step_id.(i) <- ibr;
-          step_next.(i) <- next;
-          step_alt.(i) <- (if Array.length targets > 0 then targets.(0) else -1)
+          set 1 branch not_taken;
+          block_taken.(b) <- taken
+      | Program.Switch { ibr; targets } -> set 2 ibr (if Array.length targets > 0 then targets.(0) else -1)
       | Program.Indirect_call { ibr; callees; return_to = _ } ->
-          step_kind.(i) <- 3;
-          step_id.(i) <- ibr;
-          step_next.(i) <- next;
-          step_alt.(i) <-
-            (if Array.length callees > 0 then
-               program.Program.procs.(callees.(0)).Program.entry
-             else -1)
-      | Program.Jump _ | Program.Call _ | Program.Return | Program.Halt -> ()
-    end
-  done;
+          set 2 ibr
+            (if Array.length callees > 0 then program.Program.procs.(callees.(0)).Program.entry else -1)
+      | Program.Jump _ | Program.Call _ | Program.Return | Program.Halt -> ())
+    blocks;
   {
     plan_config = config;
     plan_trace = trace;
-    step_block;
-    step_mem_end;
-    step_kind;
-    step_id;
-    step_next;
-    step_alt;
-    block_instrs;
-    block_cost = base_cost;
-    ev_factor;
-    ev_mem_id;
+    block_instrs = Array.init n_blocks (fun i -> Program.block_instr_count program i);
+    block_cost = Array.map (block_base_cost config.costs) blocks;
+    block_kind;
+    block_site;
+    block_taken;
+    block_alt;
+    block_slot;
+    slot_mem;
+    slot_factor;
     last_data_side = Atomic.make None;
   }
 
@@ -542,23 +516,34 @@ let simulate_data_side plan (data : Pi_layout.Data_layout.t) =
   let ops = Pi_isa.Int_vec.create ~capacity:((2 * n_events) + 2) () in
   let push code addr = Pi_isa.Int_vec.push ops code; Pi_isa.Int_vec.push ops addr in
   let peek = Array.make n_events 0 in
-  for k = 0 to n_events - 1 do
+  (* Resolve event [k] and look it up in L1D; its address. *)
+  let access k =
     let addr = Pi_layout.Data_layout.address data mem_events.(k) in
     peek.(k) <- addr land line_mask;
     if not (Cache.access l1d addr) then push (2 * k) addr;
-    match prefetcher with
-    | Some pf -> (
-        match Prefetcher.observe pf ~mem_id:plan.ev_mem_id.(k) ~addr with
-        | Some (first, count) ->
-            (* Fills L1D here and L2 in the walk, with no cycle charge. *)
-            for p = 0 to count - 1 do
-              let line_addr = first + (p * 64) in
-              push ((2 * k) + 1) line_addr;
-              Cache.fill l1d line_addr
-            done
-        | None -> ())
-    | None -> ()
-  done;
+    addr
+  in
+  (match prefetcher with
+  | None -> for k = 0 to n_events - 1 do ignore (access k) done
+  | Some pf ->
+      (* The prefetcher is keyed by static memory op: walk the block
+         sequence to find each event's slot. *)
+      let seq = plan.plan_trace.Trace.block_seq and slot = plan.block_slot and k = ref 0 in
+      for i = 0 to Array.length seq - 1 do
+        for s = slot.(seq.(i)) to slot.(seq.(i) + 1) - 1 do
+          let addr = access !k in
+          (match Prefetcher.observe pf ~mem_id:plan.slot_mem.(s) ~addr with
+          | Some (first, count) ->
+              (* Fills L1D here and L2 in the walk, with no cycle charge. *)
+              for p = 0 to count - 1 do
+                let line_addr = first + (p * 64) in
+                push ((2 * !k) + 1) line_addr;
+                Cache.fill l1d line_addr
+              done
+          | None -> ());
+          incr k
+        done
+      done);
   push max_int 0;
   {
     ds_trace = plan.plan_trace;
@@ -583,16 +568,26 @@ let data_side_for who plan placement = function
   | Some ds when data_side_fits plan ds -> ds
   | Some _ -> invalid_arg (who ^ ": the data side was built for another trace, L1D or prefetcher")
 
-(* L1D (accesses, misses) measured from block [warmup] on: every event is
-   one access and every even op code one miss. *)
-let data_l1d plan ds ~warmup =
-  let first = if warmup = 0 then 0 else plan.step_mem_end.(warmup - 1) in
+(* L1D (accesses, misses) measured from memory event [first] on (the
+   walk's event cursor at its warmup block): every event is one access and
+   every even op code one miss. *)
+let data_l1d ds ~first =
   let misses_before = ref 0 and k = ref 0 in
   while ds.ds_ops.(!k) < 2 * first do
     if ds.ds_ops.(!k) land 1 = 0 then incr misses_before;
     k := !k + 2
   done;
   (Array.length ds.ds_peek - first, ds.ds_misses - !misses_before)
+
+(* Instructions retired from block [warmup] on, summed apart from the
+   walk, whose every step would otherwise pay a load and an add for it. *)
+let retired_from plan ~warmup =
+  let seq = plan.plan_trace.Trace.block_seq and instrs = plan.block_instrs in
+  let sum = ref 0 in
+  for i = warmup to Array.length seq - 1 do
+    sum := !sum + Array.unsafe_get instrs (Array.unsafe_get seq i)
+  done;
+  !sum
 
 (* ------------------------------------------------------------------ *)
 (* The replay walkers: fused multi-lane sweeps, and scalar replay.
@@ -612,7 +607,7 @@ let data_l1d plan ds ~warmup =
    sharing everything that is predictor-invariant and keeping per-lane
    copies of exactly the state a lane's own mispredictions can perturb:
 
-   - shared: block sequence and decoded steps, the [data_side], trace
+   - shared: the block sequence and its static tables, the [data_side], trace
      cache, the indirect predictor/BTB, and the instruction/branch event
      counters — their inputs are placement- and trace-derived only;
    - per lane: cycles, conditional mispredicts, and the L1I images, because
@@ -1454,15 +1449,11 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
   let l2_miss_penalty = pen.l2_miss in
   let mispredict_penalty = pen.mispredict in
   let btb_miss_penalty = pen.btb_miss in
-  let step_block = plan.step_block in
-  let block_instrs = plan.block_instrs in
+  let seq = plan.plan_trace.Trace.block_seq in
   let block_cost = plan.block_cost in
-  let step_mem_end = plan.step_mem_end in
-  let step_kind = plan.step_kind in
-  let step_id = plan.step_id in
-  let step_next = plan.step_next in
-  let step_alt = plan.step_alt in
-  let ev_factor = plan.ev_factor in
+  let block_kind = plan.block_kind and block_site = plan.block_site in
+  let block_taken = plan.block_taken and block_alt = plan.block_alt in
+  let block_slot = plan.block_slot and slot_factor = plan.slot_factor in
   let ops = ds.ds_ops and peek = ds.ds_peek in
   (* Lane predictor state: one byte image for every counter table plus the
      shared global history register. *)
@@ -1476,11 +1467,10 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
   let hist_keep = batch.hist_keep in
   let history = ref 0 in
   let bim_hi = batch.bim_hi and gsh_hi = batch.gsh_hi and gas_hi = batch.gas_hi in
-  (* Per-lane accumulators and cache counters (with warmup snapshots). *)
+  (* Per-lane accumulators and cache counters, zeroed at the warmup block. *)
   let cyc = Array.make nl 0.0 in
   let cond_mis = Array.make nl 0 in
   let l1i_acc = Array.make nl 0 and l1i_mis = Array.make nl 0 in
-  let l1i_acc0 = Array.make nl 0 and l1i_mis0 = Array.make nl 0 in
   let missed = Array.make nl 0 in
   let wrong_runs = Array.make nl 0 in
   let last_pf = Array.make nl (-1) in
@@ -1489,11 +1479,9 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
   let indirect_branches = ref 0 in
   let indirect_mispredicts = ref 0 in
   let btb_misses = ref 0 in
-  let instructions = ref 0 in
   (* Committed fetch lines are lane-invariant: one shared access counter;
      [l1i_acc] holds only the lane-specific wrong-path touches. *)
   let fetch_lines = ref 0 in
-  let fetch_lines0 = ref 0 in
   let op = ref 0 in
   let wrong_path = config.wrong_path in
   (* Counted L1I reference (the wrong-path touch); the fetch loop inlines
@@ -1538,24 +1526,25 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
       Array.unsafe_set last_pf j cursor
     end
   in
-  let n = Array.length step_block in
+  let n = Array.length seq in
   let warmup = min warmup_blocks (max 0 (n - 1)) in
+  (* [ev], [warm_ev]: the memory cursor, as in [walk_cache_lanes]. *)
+  let ev = ref 0 and warm_ev = ref 0 in
   for i = 0 to n - 1 do
     if i = warmup then begin
+      warm_ev := !ev;
       Array.fill cyc 0 nl 0.0;
       Array.fill cond_mis 0 nl 0;
       indirect_mispredicts := 0;
       btb_misses := 0;
       cond_branches := 0;
       indirect_branches := 0;
-      instructions := 0;
-      fetch_lines0 := !fetch_lines;
-      Array.blit l1i_acc 0 l1i_acc0 0 nl;
-      Array.blit l1i_mis 0 l1i_mis0 0 nl;
+      fetch_lines := 0;
+      Array.fill l1i_acc 0 nl 0;
+      Array.fill l1i_mis 0 nl 0;
       l2_warmup l2
     end;
-    let b = Array.unsafe_get step_block i in
-    instructions := !instructions + Array.unsafe_get block_instrs b;
+    let b = Array.unsafe_get seq i in
     let cost = Array.unsafe_get block_cost b in
     for j = 0 to nl - 1 do
       Array.unsafe_set cyc j (Array.unsafe_get cyc j +. cost)
@@ -1618,12 +1607,15 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
         end
       done
     end;
-    let mend = Array.unsafe_get step_mem_end i in
+    (* The block's events are [!ev, mend); event [e]'s slot is [e + slot_of]. *)
+    let slot_of = Array.unsafe_get block_slot b - !ev in
+    let mend = Array.unsafe_get block_slot (b + 1) - slot_of in
+    ev := mend;
     while Array.unsafe_get ops !op < 2 * mend do
       let code = Array.unsafe_get ops !op in
       let line = Array.unsafe_get ops (!op + 1) lsr l2_shift in
       if code land 1 = 0 then begin
-        let factor = Array.unsafe_get ev_factor (code lsr 1) in
+        let factor = Array.unsafe_get slot_factor ((code lsr 1) + slot_of) in
         Array.unsafe_set data_pen 0 (l1d_miss_penalty *. factor);
         Array.unsafe_set data_pen 1 (l2_miss_penalty *. factor);
         l2_ref_group l2 cyc data_pen 0 line
@@ -1631,14 +1623,17 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
       else l2_fill_group l2 0 line;
       op := !op + 2
     done;
-    let kind = Array.unsafe_get step_kind i in
+    let kind = if i + 1 < n then Array.unsafe_get block_kind b else 0 in
     if kind <> 0 then
-      if kind < 3 then begin
+      let next = Array.unsafe_get seq (i + 1) in
+      if kind = 1 then begin
         incr cond_branches;
-        let taken_int = kind - 1 in
-        let hashed = Array.unsafe_get branch_pc (Array.unsafe_get step_id i) lsr 1 in
+        let taken = Array.unsafe_get block_taken b in
+        let taken_int = Bool.to_int (next = taken) in
+        let hashed = Array.unsafe_get branch_pc (Array.unsafe_get block_site b) lsr 1 in
         let h_all = !history in
-        let alt = Array.unsafe_get step_alt i in
+        (* The wrong path is the side not taken (a branchless select). *)
+        let alt = taken + ((Array.unsafe_get block_alt b - taken) land -taken_int) in
         (* Per-kind lane loops, each reproducing the matching kernel arm of
            [walk_cache_lanes] decision-for-decision on the lane's packed
            tables. *)
@@ -1735,15 +1730,15 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
       end
       else begin
         incr indirect_branches;
-        let target_addr = Array.unsafe_get block_addr (Array.unsafe_get step_next i) in
-        let pc = Array.unsafe_get ibr_pc (Array.unsafe_get step_id i) in
+        let target_addr = Array.unsafe_get block_addr next in
+        let pc = Array.unsafe_get ibr_pc (Array.unsafe_get block_site b) in
         let hit =
           config.perfect_btb || indirect_predictor.Indirect.on_indirect ~pc ~target:target_addr
         in
         if not hit then begin
           incr indirect_mispredicts;
           incr btb_misses;
-          let alt = Array.unsafe_get step_alt i in
+          let alt = Array.unsafe_get block_alt b in
           for j = 0 to nl - 1 do
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. btb_miss_penalty);
             if alt >= 0 && wrong_path then wrong_path_effects j alt mend
@@ -1751,20 +1746,21 @@ let walk_pred_lanes ~warmup_blocks plan ds (batch : pred_lanes)
         end
       end
   done;
-  let l1d_accesses, l1d_misses = data_l1d plan ds ~warmup in
+  let l1d_accesses, l1d_misses = data_l1d ds ~first:!warm_ev in
+  let instructions = retired_from plan ~warmup in
   return_scratch scratch;
   ( Array.init nl (fun j ->
         let l2_accesses, l2_misses = l2_counts l2 j in
         {
           cycles = cyc.(j);
-          instructions = !instructions;
+          instructions;
           cond_branches = !cond_branches;
           cond_mispredicts = cond_mis.(j);
           indirect_branches = !indirect_branches;
           indirect_mispredicts = !indirect_mispredicts;
           btb_misses = !btb_misses;
-          l1i_accesses = !fetch_lines - !fetch_lines0 + l1i_acc.(j) - l1i_acc0.(j);
-          l1i_misses = l1i_mis.(j) - l1i_mis0.(j);
+          l1i_accesses = !fetch_lines + l1i_acc.(j);
+          l1i_misses = l1i_mis.(j);
           l1d_accesses;
           l1d_misses;
           l2_accesses;
@@ -1833,20 +1829,15 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
   let l2_miss_penalty = pen.l2_miss in
   let mispredict_penalty = pen.mispredict in
   let btb_miss_penalty = pen.btb_miss in
-  let step_block = plan.step_block in
-  let block_instrs = plan.block_instrs in
+  let seq = plan.plan_trace.Trace.block_seq in
   let block_cost = plan.block_cost in
-  let step_mem_end = plan.step_mem_end in
-  let step_kind = plan.step_kind in
-  let step_id = plan.step_id in
-  let step_next = plan.step_next in
-  let step_alt = plan.step_alt in
-  let ev_factor = plan.ev_factor in
+  let block_kind = plan.block_kind and block_site = plan.block_site in
+  let block_taken = plan.block_taken and block_alt = plan.block_alt in
+  let block_slot = plan.block_slot and slot_factor = plan.slot_factor in
   let ops = ds.ds_ops and peek = ds.ds_peek in
-  (* Per-lane accumulators and cache counters (with warmup snapshots). *)
+  (* Per-lane accumulators and cache counters, zeroed at the warmup block. *)
   let cyc = Array.make nl 0.0 in
   let l1i_acc = Array.make nl 0 and l1i_mis = Array.make nl 0 in
-  let l1i_acc0 = Array.make nl 0 and l1i_mis0 = Array.make nl 0 in
   let missed = Array.make nl 0 in
   (* Shared (lane-invariant) counters. *)
   let cond_branches = ref 0 in
@@ -1854,9 +1845,7 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
   let indirect_branches = ref 0 in
   let indirect_mispredicts = ref 0 in
   let btb_misses = ref 0 in
-  let instructions = ref 0 in
   let fetch_lines = ref 0 in
-  let fetch_lines0 = ref 0 in
   let op = ref 0 in
   let wrong_runs = ref 0 in
   let last_pf = ref (-1) in
@@ -1908,24 +1897,26 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
       last_pf := cursor
     end
   in
-  let n = Array.length step_block in
+  let n = Array.length seq in
   let warmup = min warmup_blocks (max 0 (n - 1)) in
+  (* [ev] is the current block's first memory event; [warm_ev] is [ev] at
+     the warmup block, where the L1D count starts. *)
+  let ev = ref 0 and warm_ev = ref 0 in
   for i = 0 to n - 1 do
     if i = warmup then begin
+      warm_ev := !ev;
       Array.fill cyc 0 nl 0.0;
       cond_mispredicts := 0;
       indirect_mispredicts := 0;
       btb_misses := 0;
       cond_branches := 0;
       indirect_branches := 0;
-      instructions := 0;
-      fetch_lines0 := !fetch_lines;
-      Array.blit l1i_acc 0 l1i_acc0 0 nl;
-      Array.blit l1i_mis 0 l1i_mis0 0 nl;
+      fetch_lines := 0;
+      Array.fill l1i_acc 0 nl 0;
+      Array.fill l1i_mis 0 nl 0;
       l2_warmup l2
     end;
-    let b = Array.unsafe_get step_block i in
-    instructions := !instructions + Array.unsafe_get block_instrs b;
+    let b = Array.unsafe_get seq i in
     let cost = Array.unsafe_get block_cost b in
     for j = 0 to nl - 1 do
       Array.unsafe_set cyc j (Array.unsafe_get cyc j +. cost)
@@ -1968,12 +1959,15 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
         end
       done
     end;
-    let mend = Array.unsafe_get step_mem_end i in
+    (* The block's events are [!ev, mend); event [e]'s slot is [e + slot_of]. *)
+    let slot_of = Array.unsafe_get block_slot b - !ev in
+    let mend = Array.unsafe_get block_slot (b + 1) - slot_of in
+    ev := mend;
     while Array.unsafe_get ops !op < 2 * mend do
       let code = Array.unsafe_get ops !op in
       let line = Array.unsafe_get ops (!op + 1) lsr d_shift in
       if code land 1 = 0 then begin
-        let factor = Array.unsafe_get ev_factor (code lsr 1) in
+        let factor = Array.unsafe_get slot_factor ((code lsr 1) + slot_of) in
         Array.unsafe_set data_pen 0 (l1d_miss_penalty *. factor);
         Array.unsafe_set data_pen 1 (l2_miss_penalty *. factor);
         for g = 0 to groups - 1 do
@@ -1986,12 +1980,15 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
         done;
       op := !op + 2
     done;
-    let kind = Array.unsafe_get step_kind i in
+    (* The last block raises no terminator event: nothing follows it. *)
+    let kind = if i + 1 < n then Array.unsafe_get block_kind b else 0 in
     if kind <> 0 then
-      if kind < 3 then begin
+      let next = Array.unsafe_get seq (i + 1) in
+      if kind = 1 then begin
         incr cond_branches;
-        let taken_int = kind - 1 in
-        let pc = Array.unsafe_get branch_pc (Array.unsafe_get step_id i) in
+        let taken = Array.unsafe_get block_taken b in
+        let taken_int = Bool.to_int (next = taken) in
+        let pc = Array.unsafe_get branch_pc (Array.unsafe_get block_site b) in
         (* One shared predictor: decisions are geometry-invariant. The
            table-indexed predictors are advanced inline, with branchless
            counter updates, instead of paying a closure call whose
@@ -2053,13 +2050,14 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
           for j = 0 to nl - 1 do
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. mispredict_penalty)
           done;
-          if wrong_path then wrong_path_effects (Array.unsafe_get step_alt i) mend
+          if wrong_path then
+            wrong_path_effects (if taken_int = 1 then Array.unsafe_get block_alt b else taken) mend
         end
       end
       else begin
         incr indirect_branches;
-        let target_addr = Array.unsafe_get block_addr (Array.unsafe_get step_next i) in
-        let pc = Array.unsafe_get ibr_pc (Array.unsafe_get step_id i) in
+        let target_addr = Array.unsafe_get block_addr next in
+        let pc = Array.unsafe_get ibr_pc (Array.unsafe_get block_site b) in
         let hit =
           config.perfect_btb || indirect_predictor.Indirect.on_indirect ~pc ~target:target_addr
         in
@@ -2069,25 +2067,26 @@ let walk_cache_lanes ~warmup_blocks plan ds (cb : cache_lanes)
           for j = 0 to nl - 1 do
             Array.unsafe_set cyc j (Array.unsafe_get cyc j +. btb_miss_penalty)
           done;
-          let alt = Array.unsafe_get step_alt i in
+          let alt = Array.unsafe_get block_alt b in
           if alt >= 0 && wrong_path then wrong_path_effects alt mend
         end
       end
   done;
-  let l1d_accesses, l1d_misses = data_l1d plan ds ~warmup in
+  let l1d_accesses, l1d_misses = data_l1d ds ~first:!warm_ev in
+  let instructions = retired_from plan ~warmup in
   return_scratch scratch;
   ( Array.init nl (fun j ->
         let l2_accesses, l2_misses = l2_counts l2 j in
         {
           cycles = cyc.(j);
-          instructions = !instructions;
+          instructions;
           cond_branches = !cond_branches;
           cond_mispredicts = !cond_mispredicts;
           indirect_branches = !indirect_branches;
           indirect_mispredicts = !indirect_mispredicts;
           btb_misses = !btb_misses;
-          l1i_accesses = !fetch_lines - !fetch_lines0 + l1i_acc.(j) - l1i_acc0.(j);
-          l1i_misses = l1i_mis.(j) - l1i_mis0.(j);
+          l1i_accesses = !fetch_lines + l1i_acc.(j);
+          l1i_misses = l1i_mis.(j);
           l1d_accesses;
           l1d_misses;
           l2_accesses;
@@ -2106,7 +2105,7 @@ let replay_many ?(warmup_blocks = 0) ?data_side plan batch placement =
         [
           ("axis", batch_axis batch);
           ("lanes", string_of_int nl);
-          ("blocks", string_of_int (Array.length plan.step_block));
+          ("blocks", string_of_int (plan_blocks plan));
         ]
       (fun () ->
         let ds = data_side_for "Pipeline.replay_many" plan placement data_side in
@@ -2117,7 +2116,7 @@ let replay_many ?(warmup_blocks = 0) ?data_side plan batch placement =
         in
         let shared, lane = l2_ref_paths l2 in
         Pi_obs.Metrics.inc m.m_passes;
-        Pi_obs.Metrics.add m.m_lane_blocks (nl * Array.length plan.step_block);
+        Pi_obs.Metrics.add m.m_lane_blocks (nl * plan_blocks plan);
         Pi_obs.Metrics.set m.g_lanes (float_of_int nl);
         Pi_obs.Metrics.add m.m_l2_shared shared;
         Pi_obs.Metrics.add m.m_l2_lane lane;
@@ -2130,7 +2129,7 @@ let replay ?(warmup_blocks = 0) ?data_side plan placement =
   let lane = cache_lanes_of ~l1i ~l2 [| (name, l1i, l2) |] in
   let c = (fst (walk_cache_lanes ~warmup_blocks plan ds lane placement)).(0) in
   Pi_obs.Metrics.inc m_replay_runs;
-  Pi_obs.Metrics.add m_replay_blocks (Array.length plan.step_block);
+  Pi_obs.Metrics.add m_replay_blocks (plan_blocks plan);
   Pi_obs.Metrics.add m_branches (c.cond_branches + c.indirect_branches);
   Pi_obs.Metrics.add m_mispredicts (c.cond_mispredicts + c.indirect_mispredicts);
   Pi_obs.Metrics.add m_cache_probes (c.l1i_accesses + c.l1d_accesses + c.l2_accesses);

@@ -100,16 +100,21 @@ val run_unoptimized :
     produces bit-identical {!counts} to {!replay}. *)
 
 type plan
-(** A compiled, placement-invariant replay plan: flat per-dynamic-block and
-    per-memory-event arrays carrying everything {!replay} needs that does not
-    depend on the placement (static costs, mem-op spans with pre-resolved
-    overlap factors, pre-decoded terminators). Immutable and free of
+(** A compiled, placement-invariant replay plan: tables over the trace's
+    static program, one entry per static block (instruction count, issue
+    cost, terminator class, branch or indirect-branch site, taken target,
+    wrong-path alternate, memory-instruction span) and one per static
+    memory instruction (memory-op id, penalty factor). {!replay} walks the
+    trace's own block sequence through them: a step's outcome, indirect
+    target and memory events follow from its block and the next one, so
+    nothing in the plan grows with the trace. Immutable and free of
     simulation state (its one mutable slot caches the last {!data_side}
     built for it), so one plan may be replayed from many domains
     concurrently. *)
 
 val compile : config -> Pi_isa.Trace.t -> plan
-(** One-time O(trace) compilation; see {!plan}. *)
+(** One-time compilation, O(static blocks + static memory instructions);
+    see {!plan}. *)
 
 type data_side
 (** The data side of one replay, simulated ahead of it: every memory
@@ -147,7 +152,7 @@ val replay :
     never the fused-pass ones, and emits no [replay.fused] span. *)
 
 val plan_with_config : plan -> config -> plan
-(** Rebind a plan to a new machine config. Reuses the compiled arrays when
+(** Rebind a plan to a new machine config. Reuses the compiled tables when
     the plan-baked parameters (instruction costs, overlap factors,
     store-miss factor) are unchanged — e.g. across a predictor sweep — and
     recompiles from the plan's trace otherwise. *)
@@ -162,7 +167,8 @@ val plan_mem_events : plan -> int
 (** Dynamic memory events the plan replays. *)
 
 val plan_words : plan -> int
-(** Approximate heap footprint of the plan's arrays, in machine words. *)
+(** Heap footprint of the plan's own tables, in machine words; the trace
+    it references is not counted. Independent of the trace's length. *)
 
 type batch
 (** A structure-of-arrays pack of lanes for one fused sweep pass. The

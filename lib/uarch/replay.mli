@@ -2,9 +2,10 @@
 
     Interferometry simulates one dynamic trace under hundreds of placements.
     {!compile} hoists every placement-invariant quantity — static block
-    costs, memory-op spans with pre-resolved overlap factors, pre-decoded
-    terminators — into flat arrays once; {!run} then replays the trace under
-    a placement with no per-event allocation or variant matching, producing
+    costs, pre-decoded terminators, memory-instruction spans with
+    pre-resolved overlap factors — into tables over the static program
+    once; {!run} then walks the trace's block sequence through them under a
+    placement with no per-event allocation or variant matching, producing
     bit-identical {!Pipeline.counts} to {!Pipeline.run_unoptimized}.
 
     Plans are immutable and hold no simulation state, so a single plan can
@@ -13,7 +14,8 @@
 type plan = Pipeline.plan
 
 val compile : Pipeline.config -> Pi_isa.Trace.t -> plan
-(** One-time O(trace) compilation of the placement-invariant work. *)
+(** One-time compilation of the placement-invariant work, O(static blocks
+    + static memory instructions). *)
 
 type data_side = Pipeline.data_side
 
@@ -31,7 +33,7 @@ val run :
     geometries; see {!Pipeline.replay}. *)
 
 val with_config : plan -> Pipeline.config -> plan
-(** Rebind to a new machine config, reusing the compiled arrays when only
+(** Rebind to a new machine config, reusing the compiled tables when only
     replay-time parameters (predictors, cache geometries, most penalties)
     changed — the predictor-sweep fast path. Recompiles otherwise. *)
 
@@ -45,7 +47,8 @@ val mem_events : plan -> int
 (** Dynamic memory events replayed per {!run}. *)
 
 val words : plan -> int
-(** Approximate heap footprint of the plan arrays, in machine words. *)
+(** Heap footprint of the plan's tables, in machine words; grows with the
+    static program, not with the trace. *)
 
 (** {1 Fused multi-lane sweeps}
 

@@ -297,6 +297,191 @@ let test_replay_metering () =
   Alcotest.(check (float 0.0)) "cache lanes gauge set" 1.0 (M.gauge_value lanes);
   Alcotest.(check int) "one replay.fused span" 1 spans
 
+(* Step-derivation edge cases: every replay step is derived from the block
+   it executes and the block after it, so the cases that matter are the
+   ones where that pair says little. A program built with [Pi_isa.Builder]
+   (branches, a switch, an indirect call, loads and stores) is traced, and
+   its trace is then cut or given a program with edited terminators:
+
+   - a branch whose taken and not-taken targets are the same block (the
+     outcome is "taken" exactly when the next block is that target, and
+     the wrong-path alternate then comes from the other side);
+   - traces whose last block ends in a branch, a switch or an indirect
+     call, which raise no terminator event;
+   - a switch and an indirect call with no alternate (empty target lists:
+     a mispredict has no wrong path to fetch);
+   - a one-block trace.
+
+   Scalar replay and fused predictor and cache batches must equal
+   [run_unoptimized] field for field, cycles compared as [%h]. *)
+module B = Pi_isa.Builder
+module Program = Pi_isa.Program
+module Trace = Pi_isa.Trace
+
+let edge_program () =
+  let b = B.create ~name:"edges" in
+  let o = B.add_object b "main.o" in
+  let g = B.global b ~name:"table" ~size:65536 in
+  let site = B.heap_site b ~name:"nodes" ~obj_size:64 ~count:4096 in
+  let leaf1 = B.proc b ~obj:o ~name:"leaf1" [ B.work 3; B.load_global g (B.seq ~stride:64) ] in
+  let leaf2 = B.proc b ~obj:o ~name:"leaf2" [ B.store_heap site B.rand_access; B.work 2 ] in
+  let leaf3 = B.proc b ~obj:o ~name:"leaf3" [ B.fp_work 2; B.load_heap site (B.chase ~seed:5) ] in
+  let main =
+    B.proc b ~obj:o ~name:"main"
+      [
+        B.for_ ~trips:100_000
+          [
+            B.work 2;
+            B.if_ (Pi_isa.Behavior.Bernoulli { p_taken = 0.5 })
+              [ B.load_global g B.rand_access ]
+              [ B.store_global g (B.seq ~stride:8); B.work 1 ];
+            B.switch Pi_isa.Behavior.Selector.Random_target
+              [| [ B.work 1 ]; [ B.load_heap site B.rand_access ]; [ B.mul_work 1 ] |];
+            B.icall Pi_isa.Behavior.Selector.Random_target [| leaf1; leaf2; leaf3 |];
+            B.while_ (Pi_isa.Behavior.Loop_trip { trips = 3 }) [ B.load_global g (B.fixed 128) ];
+          ];
+      ]
+  in
+  B.entry b main;
+  B.finish b
+
+let with_terms (program : Program.t) edit =
+  {
+    program with
+    Program.blocks =
+      Array.map (fun (blk : Program.block) -> { blk with Program.term = edit blk }) program.Program.blocks;
+  }
+
+(* The first [n] blocks of [trace], with their memory events. *)
+let trace_prefix (trace : Trace.t) n =
+  let blocks = trace.Trace.program.Program.blocks in
+  let events = ref 0 in
+  for i = 0 to n - 1 do
+    Array.iter
+      (function Program.Mem _ -> incr events | _ -> ())
+      blocks.(trace.Trace.block_seq.(i)).Program.instrs
+  done;
+  {
+    trace with
+    Trace.block_seq = Array.sub trace.Trace.block_seq 0 n;
+    mem_events = Array.sub trace.Trace.mem_events 0 !events;
+  }
+
+(* The prefix of [trace] that ends with the last executed block whose
+   terminator satisfies [pred]. *)
+let prefix_ending (trace : Trace.t) pred =
+  let blocks = trace.Trace.program.Program.blocks in
+  let n = ref (Array.length trace.Trace.block_seq) in
+  while not (pred blocks.(trace.Trace.block_seq.(!n - 1)).Program.term) do decr n done;
+  trace_prefix trace !n
+
+let check_counts_h label (a : Pipeline.counts) (b : Pipeline.counts) =
+  Alcotest.(check string) (label ^ ": cycles %h") (Printf.sprintf "%h" b.Pipeline.cycles)
+    (Printf.sprintf "%h" a.Pipeline.cycles);
+  check_counts label a b
+
+let test_step_edge_cases () =
+  let p = edge_program () in
+  let trace = Pi_layout.Run_limiter.trace p ~budget_blocks:6_000 in
+  let n = Array.length trace.Trace.block_seq in
+  (* The first executed branch gets one target on both sides. *)
+  let first_branch =
+    Array.find_map
+      (fun b ->
+        match p.Program.blocks.(b).Program.term with
+        | Program.Branch { branch; _ } -> Some branch
+        | _ -> None)
+      trace.Trace.block_seq
+    |> Option.get
+  in
+  let same_target pick =
+    with_terms p (fun blk ->
+        match blk.Program.term with
+        | Program.Branch ({ branch; taken; not_taken } as br) when branch = first_branch ->
+            let t = pick taken not_taken in
+            Program.Branch { br with taken = t; not_taken = t }
+        | term -> term)
+  in
+  let no_alternates =
+    with_terms p (fun blk ->
+        match blk.Program.term with
+        | Program.Switch s -> Program.Switch { s with targets = [||] }
+        | Program.Indirect_call c -> Program.Indirect_call { c with callees = [||] }
+        | term -> term)
+  in
+  let is_branch = function Program.Branch _ -> true | _ -> false in
+  let is_switch = function Program.Switch _ -> true | _ -> false in
+  let is_icall = function Program.Indirect_call _ -> true | _ -> false in
+  let traces =
+    [
+      ("whole", trace);
+      ("taken = not_taken = taken", { trace with Trace.program = same_target (fun t _ -> t) });
+      ("taken = not_taken = not_taken", { trace with Trace.program = same_target (fun _ f -> f) });
+      ("no alternates", { trace with Trace.program = no_alternates });
+      ("ends in a branch", prefix_ending trace is_branch);
+      ("ends in a switch", prefix_ending trace is_switch);
+      ("ends in an indirect call", prefix_ending trace is_icall);
+      ( "no alternates, ends in an indirect call",
+        { (prefix_ending trace is_icall) with Trace.program = no_alternates } );
+      ("one block", trace_prefix trace 1);
+    ]
+  in
+  let grid = Array.of_list (Pi_uarch.Sweep.configurations ()) in
+  let pred_configs = Array.init ((Array.length grid + 6) / 7) (fun k -> grid.(7 * k)) in
+  let cache_variants = Array.of_list (Pi_uarch.Sweep.cache_configurations ()) in
+  List.iter
+    (fun (machine_name, (base : Pipeline.config)) ->
+      let l1i = base.Pipeline.l1i and l2 = base.Pipeline.l2 in
+      let cache_configs =
+        Array.init
+          ((Array.length cache_variants + 8) / 9)
+          (fun k ->
+            let name, vi, vd = cache_variants.(9 * k) in
+            (name, Pi_uarch.Sweep.apply_cache_variant l1i vi, Pi_uarch.Sweep.apply_cache_variant l2 vd))
+      in
+      let pred_batch = Replay.batch_of pred_configs in
+      let cache_batch = Replay.cache_batch_of ~l1i ~l2 cache_configs in
+      List.iter
+        (fun (trace_name, (tr : Trace.t)) ->
+          let plan = Replay.compile base tr in
+          let len = Array.length tr.Trace.block_seq in
+          List.iter
+            (fun seed ->
+              let placement = Placement.make p ~seed in
+              List.iter
+                (fun warmup_blocks ->
+                  let label =
+                    Printf.sprintf "%s/%s (%d of %d blocks)/seed%d/warmup%d" machine_name trace_name
+                      len n seed warmup_blocks
+                  in
+                  let legacy config = Pipeline.run_unoptimized ~warmup_blocks config tr placement in
+                  check_counts_h (label ^ " scalar") (Replay.run ~warmup_blocks plan placement) (legacy base);
+                  let fused = Replay.run_many ~warmup_blocks plan pred_batch placement in
+                  Array.iteri
+                    (fun j c ->
+                      let name, make = pred_configs.((Replay.batch_src pred_batch).(j)) in
+                      check_counts_h
+                        (Printf.sprintf "%s predictor lane %s" label name)
+                        c
+                        (legacy (Machine.with_predictor base ~name make)))
+                    fused;
+                  let fused = Replay.run_many ~warmup_blocks plan cache_batch placement in
+                  Array.iteri
+                    (fun j c ->
+                      let name, gi, gd = cache_configs.((Replay.batch_src cache_batch).(j)) in
+                      check_counts_h
+                        (Printf.sprintf "%s cache lane %s" label name)
+                        c
+                        (legacy { base with Pipeline.l1i = gi; l2 = gd }))
+                    fused)
+                [ 0; 1_000; len + 5 ])
+            [ 3 ])
+        traces)
+    [
+      ("xeon", Machine.xeon_e5440);
+      ("netburst+prefetch", Machine.with_data_prefetcher Machine.netburst_like);
+    ]
+
 let test_plan_introspection () =
   let _, trace = traced "429.mcf" in
   let plan = Replay.compile Machine.xeon_e5440 trace in
@@ -304,6 +489,25 @@ let test_plan_introspection () =
     (Pi_isa.Trace.blocks_executed trace) (Replay.blocks plan);
   Alcotest.(check bool) "plan has mem events" true (Replay.mem_events plan > 0);
   Alcotest.(check bool) "plan words accounted" true (Replay.words plan > 0)
+
+(* A plan is tables over the static program: one program traced at two
+   budgets compiles to plans of one size, smaller than either trace. *)
+let test_plan_size_static () =
+  let p = edge_program () in
+  let plan max_blocks =
+    Replay.compile Machine.xeon_e5440
+      (Pi_isa.Interp.run ~limits:{ Pi_isa.Interp.max_blocks; stop_proc = None } p)
+  in
+  let short = plan 60_000 and long = plan 220_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "traces differ in length (%d vs %d blocks)" (Replay.blocks short) (Replay.blocks long))
+    true
+    (Replay.blocks long > 2 * Replay.blocks short);
+  Alcotest.(check int) "plan words independent of trace length" (Replay.words short) (Replay.words long);
+  Alcotest.(check bool)
+    (Printf.sprintf "plan words %d < blocks %d" (Replay.words short) (Replay.blocks short))
+    true
+    (Replay.words short < Replay.blocks short)
 
 let suite =
   [
@@ -316,6 +520,10 @@ let suite =
         Alcotest.test_case "predictor kernels match closures" `Quick test_kernel_families;
         Alcotest.test_case "with_config reuse and recompile" `Quick test_with_config;
         Alcotest.test_case "plan introspection" `Quick test_plan_introspection;
+        Alcotest.test_case "step edge cases: same-target branch, last-block terminators, no alternate"
+          `Quick test_step_edge_cases;
+        Alcotest.test_case "plan size does not depend on trace length" `Quick
+          test_plan_size_static;
         Alcotest.test_case "replay metering: replay counters, no fused pass" `Quick
           test_replay_metering;
         Alcotest.test_case "shared data side == per-seed data sides, any order" `Quick

@@ -35,6 +35,17 @@ let test_btb_lru_eviction () =
   Alcotest.(check bool) "MRU survivor" true (Btb.lookup_update btb ~pc:0x10 ~target:1);
   Alcotest.(check bool) "LRU victim evicted" false (Btb.lookup_update btb ~pc:0x20 ~target:2)
 
+(* Lookups run once per indirect branch of every replay: a hit, a stale
+   target and a miss each shift the set's ways in place, allocating
+   nothing. *)
+let test_btb_no_allocation () =
+  let btb = Btb.create ~sets:4 ~ways:4 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    ignore (Btb.lookup_update btb ~pc:(0x1000 + ((i * 7) land 63 * 4)) ~target:(i land 3))
+  done;
+  Alcotest.(check (float 0.0)) "minor words over 10,000 lookups" 0.0 (Gc.minor_words () -. before)
+
 let test_btb_reset () =
   let btb = Btb.create ~sets:4 ~ways:2 in
   ignore (Btb.lookup_update btb ~pc:0x40 ~target:7);
@@ -316,6 +327,7 @@ let suite =
         Alcotest.test_case "miss then hit" `Quick test_btb_miss_then_hit;
         Alcotest.test_case "wrong target" `Quick test_btb_wrong_target;
         Alcotest.test_case "LRU eviction" `Quick test_btb_lru_eviction;
+        Alcotest.test_case "lookups allocate nothing" `Quick test_btb_no_allocation;
         Alcotest.test_case "reset" `Quick test_btb_reset;
       ] );
     ( "uarch.cache",

@@ -50,10 +50,12 @@ perf-smoke:
 # Sharded fused sweep through the CLI: two domains, then a sequential
 # per-config study, which must match the fused one bit for bit. The
 # data-heavy 183.equake in 3 shards serves most L2 references from the
-# shared group image.
+# shared group image; 403.gcc's wrong-path touches split L1I sets (15 of
+# 64 in the whole batch), here across a shard boundary.
 sweep-smoke:
 	$(CLI) sweep 429.mcf --scale 1 --jobs 2 --check
 	$(CLI) sweep 183.equake --scale 1 --jobs 3 --check
+	$(CLI) sweep 403.gcc --scale 1 --jobs 2 --check
 
 # The same contract on the cache axis: a 2-domain sharded 100-geometry
 # sweep, checked bit for bit against the sequential per-geometry loop. The

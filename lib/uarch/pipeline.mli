@@ -146,10 +146,14 @@ val replay :
     data layout is not read, and the caller vouches that the data side was
     built from the same layout.
 
-    This is the one-lane instance of the cache-lane walk behind
-    {!replay_many}: a batch of the machine's own L1I/L2 geometries. Only
-    the metering differs: a replay bumps the [pi_obs_replay_*] counters,
-    never the fused-pass ones, and emits no [replay.fused] span. *)
+    This is the one-lane instance of the walk behind {!replay_many}: one
+    predictor group, one L1I group and one L2 group, the machine's own.
+    Only the metering differs: a replay bumps the [pi_obs_replay_*]
+    counters, never the fused-pass ones, and emits no [replay.fused]
+    span. The domain's scratch keeps the last machine predictor's packed
+    initial tables and the last indirect predictor, so a replay of the
+    same machine (the same [make_predictor] and [make_indirect] closures)
+    as the last one on its domain builds neither. *)
 
 val plan_with_config : plan -> config -> plan
 (** Rebind a plan to a new machine config. Reuses the compiled tables when
@@ -171,40 +175,45 @@ val plan_words : plan -> int
     it references is not counted. Independent of the trace's length. *)
 
 type batch
-(** A structure-of-arrays pack of lanes for one fused sweep pass. The
-    batch is axis-generic: what the lanes vary is fixed at construction
-    and everything else (trace walk, decoded terminators, base costs,
-    mem-op spans) is shared by {!replay_many}.
+(** A pack of lanes for one fused sweep pass. The batch is axis-generic:
+    what the lanes vary is fixed at construction and everything else
+    (trace walk, decoded terminators, base costs, mem-op spans, the data
+    side, indirect predictor and trace cache) is shared by {!replay_many}.
 
-    Predictor lanes ({!batch_of}) pack every lane's saturating-counter
-    tables in one flat byte image addressed through per-lane offset/mask
-    arrays, lanes sorted by kernel kind, with one shared global-history
-    register serving all history-based lanes. Cache lanes
-    ({!cache_batch_of}) pack every lane's L1I tag image as a lane-major
-    slice of one flat int arena, addressed through per-lane
-    offset/set-mask/assoc arrays, and are ordered by L2 geometry, while one
-    shared direction predictor, indirect predictor and trace cache serve
-    all lanes (their inputs are lane-invariant). Both axes share one
-    {!data_side}: no lane varies the L1D or the prefetcher.
+    One walk replays every batch, {!replay} included. A lane is a triple
+    of groups, one per layer, and each layer keeps one state per group:
 
-    On both axes, lanes with one L2 geometry (a whole predictor batch; one
-    contiguous group of a cache batch) share one L2 tag image: a set stays
-    shared until a reference only some of the group's lanes make (a
-    predictor lane's wrong-path speculative load; a fetch miss taken by
-    some lanes and not others) splits it into per-lane copies. This is
-    exact: an unsplit set holds the same state in every lane of the
-    group.
+    - predictor groups: {!batch_of} gives every lane its own, packing every
+      lane's saturating-counter tables in one flat byte image addressed
+      through per-lane offsets and masks (lanes sorted by kernel kind,
+      one shared global-history register serving all history-based
+      lanes); {!cache_batch_of} lanes form one group, the replaying
+      machine's own predictor. A group owns its mispredicts and its
+      wrong-path run counter;
+    - L1I groups and L2 groups: lanes with equal geometry of that cache
+      share one tag image (a predictor batch is one group of each; a cache
+      batch is ordered by L2 geometry, and its lanes of one L1I geometry
+      are one L1I group wherever they sit). A set stays shared until a
+      reference only some of the group's lanes make splits it into
+      per-lane copies: a wrong-path touch only some lanes make (one
+      predictor lane mispredicted; lanes disagreed on the L2 probe), a
+      predictor lane's speculative load, a fetch miss taken by some lanes
+      and not others. This is exact: an unsplit set holds the same state
+      in every lane of the group.
+
+    No lane varies the L1D or the prefetcher, so all share one
+    {!data_side}.
 
     Lane metadata is immutable and per-pass simulation state is rebuilt
-    inside {!replay_many}. The bulk state of every pass, either axis and
-    {!replay} included (counter-table image, L1I tag images, L2 group
-    images, split flags and the per-lane copies of split sets), lives
-    in one scratch per domain that every pass borrows and returns: a pass
-    may use any scratch at least as large as it needs, so a small batch
-    replays inside a large batch's idle scratch, and taking it is atomic,
-    so systhreads sharing a domain never share one (a pass that finds it
-    taken allocates its own). Any batch, the same batch value included,
-    may therefore be replayed concurrently. *)
+    inside {!replay_many}. The bulk state of every pass (counter-table
+    image, L1I and L2 group images, split flags and the per-lane copies of
+    split sets, the indirect predictor) lives in one scratch per domain
+    that every pass borrows and returns: a pass may use any scratch at
+    least as large as it needs, so a small batch replays inside a large
+    batch's idle scratch, and taking it is atomic, so systhreads sharing a
+    domain never share one (a pass that finds it taken allocates its
+    own). Any batch, the same batch value included, may therefore be
+    replayed concurrently. *)
 
 val batch_of : (string * (unit -> Predictor.t)) array -> batch
 (** Pack every configuration exposing a {!Predictor.kernel} into fused
@@ -238,8 +247,8 @@ val batch_fallback : batch -> int array
 
 val batch_table_bytes : batch -> int
 (** Total packed lane-state bytes across all lanes (counter tables for
-    predictor lanes; the L1I arena plus one L2 image per L2 geometry for
-    cache lanes), for reporting. *)
+    predictor lanes; one L1I image per L1I geometry plus one L2 image per
+    L2 geometry for cache lanes), for reporting. *)
 
 val batch_axis : batch -> string
 (** The axis the lanes vary: ["predictor"] or ["cache"]. Matches the
@@ -257,13 +266,13 @@ val replay_many :
   ?warmup_blocks:int -> ?data_side:data_side -> plan -> batch -> Pi_layout.Placement.t ->
   counts array
 (** Walk the compiled plan {e once} for every lane in the batch, sharing
-    all lane-invariant work and keeping per-lane only what the axis
-    varies: predictor lanes keep per-lane cycles, conditional mispredicts
-    and L1I images (wrong-path effects depend on each lane's own
-    mispredictions); cache lanes share one direction/indirect predictor
-    and trace cache (their inputs never depend on cache geometry) and keep
-    per-lane cycles, L1I tag images and counters. L2 tags are shared per
-    L2 geometry until lanes diverge (see {!batch}). Every lane applies
+    all lane-invariant work: per lane only cycles, and per group the state
+    of its layer (see {!batch}). Predictor lanes keep per-lane
+    conditional mispredicts and wrong-path state (wrong-path effects
+    depend on each lane's own mispredictions) and share their L1I and L2
+    images until lanes diverge; cache lanes share one direction and
+    indirect predictor and trace cache (their inputs never depend on cache
+    geometry) and one L1I and one L2 image per geometry. Every lane applies
     the L2 operations of one [data_side] (built from [placement]'s data
     layout when absent). Result is indexed in the batch's internal lane order (see
     {!batch_src}); each element is bit-identical to {!replay} of the same

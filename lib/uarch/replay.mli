@@ -29,8 +29,8 @@ val run :
 (** Replay under one placement; bit-identical to the legacy interpreter.
     [data_side], built from the placement's data layout, skips simulating
     the data side again; without it the replay builds its own. The walk is
-    {!run_many}'s cache-lane walk over one lane of the plan's own
-    geometries; see {!Pipeline.replay}. *)
+    {!run_many}'s, over one lane of the plan's own machine; see
+    {!Pipeline.replay}. *)
 
 val with_config : plan -> Pipeline.config -> plan
 (** Rebind to a new machine config, reusing the compiled tables when only

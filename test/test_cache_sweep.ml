@@ -319,12 +319,19 @@ let test_study_flat_predictors () =
    cut into 1, 2 and 3 shards (3 cuts groups at lanes 33 and 66), and as
    a 5-lane subset holding two partial groups, as a steered study replays
    it. Every lane must be %h-equal to a sequential replay of its
-   geometry. *)
+   geometry. The L1I layer groups lanes by L1I geometry across L2 groups:
+   a 10-lane batch of one 2-way L1I over every L2 variant, whose lanes
+   disagree on the wrong-path L2 probe and so split L1I sets, must also
+   equal the oracle. *)
 let tiny_l2 (base : Pipeline.config) =
   { base with Pipeline.l2 = { Cache.size_bytes = 64 * 1024; assoc = 8; line_bytes = 64 } }
 
 let test_shared_l2_golden () =
   let warmup_blocks = 2000 in
+  let l1i_splits =
+    Pi_obs.Metrics.counter ~labels:[ ("axis", "cache") ] "pi_obs_sweep_l1i_split_sets_total"
+  in
+  let splits0 = Pi_obs.Metrics.counter_value l1i_splits in
   let check label batch got want_of =
     let src = Replay.batch_src batch in
     Array.iteri
@@ -372,7 +379,20 @@ let test_shared_l2_golden () =
               let sub = Replay.cache_batch_of ~l1i ~l2 (Array.map (fun i -> configs.(i)) subset) in
               check (label ^ " 5-lane subset") sub
                 (Replay.run_many ~warmup_blocks plan sub placement)
-                (fun k -> Lazy.force want.(subset.(k))))
+                (fun k -> Lazy.force want.(subset.(k)));
+              (* Grid lanes 10-19: the 2-way L1I over the 10 L2 variants. *)
+              let one_l1i = Array.init 10 (fun k -> 10 + k) in
+              let sub = Replay.cache_batch_of ~l1i ~l2 (Array.map (fun i -> configs.(i)) one_l1i) in
+              check (label ^ " one L1I geometry") sub
+                (Replay.run_many ~warmup_blocks plan sub placement)
+                (fun k ->
+                  let name, gi, gd = configs.(one_l1i.(k)) in
+                  let c = Lazy.force want.(one_l1i.(k)) in
+                  check_counts (Printf.sprintf "%s %s: replay = oracle" label name) c
+                    (Pipeline.run_unoptimized ~warmup_blocks
+                       { base with Pipeline.l1i = gi; l2 = gd }
+                       trace placement);
+                  c))
             [
               ("seed3", Placement.make p ~seed:3);
               ("heap_random", Placement.make ~heap_random:true p ~seed:3);
@@ -383,7 +403,8 @@ let test_shared_l2_golden () =
           ("prefetcher", Machine.with_data_prefetcher Machine.xeon_e5440);
           ("tiny-l2 no wrong path", Machine.without_wrong_path (tiny_l2 Machine.xeon_e5440));
         ])
-    [ "429.mcf"; "470.lbm"; "400.perlbench" ]
+    [ "429.mcf"; "470.lbm"; "400.perlbench" ];
+  Alcotest.(check bool) "L1I sets split" true (Pi_obs.Metrics.counter_value l1i_splits > splits0)
 
 let suite =
   [

@@ -245,7 +245,7 @@ let test_data_side_mismatch () =
     (Replay.run ~data_side:(Replay.data_side other data) other placement)
     (Pipeline.run_unoptimized bigger_l1d trace placement)
 
-(* Scalar replay is the one-lane cache walk, but it is metered as a
+(* Scalar replay is the one-lane walk of a cache batch, but it is metered as a
    replay: the replay counters move by its own counts, while the fused-pass
    instruments and the [replay.fused] span belong to [run_many] alone. *)
 let test_replay_metering () =
@@ -509,6 +509,41 @@ let test_plan_size_static () =
     true
     (Replay.words short < Replay.blocks short)
 
+(* A replay of the same machine as the last one on its domain builds no
+   predictor: the domain's scratch keeps the machine predictor's packed
+   initial tables and the last indirect predictor, reset for the next
+   replay. So once the scratch is warm a scalar replay puts next to
+   nothing in the major heap (without the pools, the hybrid's tables and
+   the 512x4 BTB are ~5K words a replay). Pooled and reset, an ITTAGE
+   machine replays to the same counts as a fresh one. *)
+let test_replay_pools () =
+  let p, trace = traced "400.perlbench" in
+  let placement = Placement.make p ~seed:1 in
+  let plan = Replay.compile Machine.xeon_e5440 trace in
+  let want = Replay.run plan placement in
+  (* [Gc.counters] also counts the major words allocated since the last
+     slice, which [Gc.quick_stat] reports only after a collection. *)
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  for k = 1 to 20 do
+    let before = major_words () in
+    let c = Replay.run plan placement in
+    let words = major_words () -. before in
+    check_counts (Printf.sprintf "replay %d" k) c want;
+    Alcotest.(check bool)
+      (Printf.sprintf "replay %d: %.0f major words < 256" k words)
+      true (words < 256.0)
+  done;
+  let ittage =
+    Machine.with_indirect Machine.xeon_e5440 ~name:"ittage" (fun () -> Pi_uarch.Indirect.ittage ())
+  in
+  let plan = Replay.compile ittage trace in
+  let first = Replay.run plan placement in
+  check_counts "ittage: pooled and reset" (Replay.run plan placement) first;
+  check_counts "ittage: the oracle" first (Pipeline.run_unoptimized ittage trace placement)
+
 let suite =
   [
     ( "replay",
@@ -530,5 +565,7 @@ let suite =
           test_shared_data_side;
         Alcotest.test_case "data side for another L1D, prefetcher or trace is refused" `Quick
           test_data_side_mismatch;
+        Alcotest.test_case "replay pools: no major-heap tables, pooled ITTAGE reset" `Quick
+          test_replay_pools;
       ] );
   ]

@@ -61,7 +61,7 @@ let check_batch ~warmup_blocks label base plan placement =
 (* Every lane of the full 145-config grid, bit-exact, over 3 benches x 2
    seeds x 2 machines (the netburst machine exercises the trace cache and
    the higher penalty set; both machines run wrong-path effects, the state
-   that forces per-lane L1I/L2 images). *)
+   that splits L1I/L2 sets into per-lane copies). *)
 let test_golden_matrix () =
   List.iter
     (fun bench_name ->
@@ -246,7 +246,7 @@ let check_lanes label got want =
   Array.iteri (fun j c -> check_counts (Printf.sprintf "%s lane %d" label j) c want.(j)) got
 
 (* Cache lanes over a machine's own geometries: the seed pair and three
-   variants, each shaping the L1I arena or the L2 groups differently. *)
+   variants, each shaping the L1I or the L2 groups differently. *)
 let cache_batch (base : Pipeline.config) =
   let l1i = base.Pipeline.l1i and l2 = base.Pipeline.l2 in
   let v = Sweep.apply_cache_variant in
@@ -270,7 +270,7 @@ let cache_grid_batch (base : Pipeline.config) =
 
 (* Every kind of pass that borrows the pool, on one machine: the predictor
    batches, a cache batch over its own geometries and a scalar replay (the
-   one-lane cache walk). *)
+   one-lane walk). *)
 let pool_passes base plan placement =
   List.map (fun (name, batch) -> (name, fun () -> Replay.run_many plan batch placement)) pool_batches
   @ [
@@ -375,16 +375,18 @@ let test_pool_threads () =
     results
 
 (* ------------------------------------------------------------------ *)
-(* The shared L2 layer. A predictor batch is one L2 group: its lanes share
-   one image per L2 set until a lane's own wrong-path load, or a fetch miss
-   not every lane took, splits the set. These inputs drive both paths hard:
-   a 64 KB L2 (most referenced sets split), an 8 KB L1I (wrong-path
-   touches evict lines, so lanes' L1Is diverge and fetch lines are partly
-   missed), the data prefetcher (fills on clean and split sets), no wrong
-   path (nothing splits), a heap_random data side, warmup (group counters
-   are snapshotted with the lanes'), and a 5-lane sub-batch as a steered
-   sweep replays it. Every lane must be %h-equal to a sequential replay of
-   its config. *)
+(* The shared cache layers. A predictor batch is one L1I group and one L2
+   group: its lanes share one image per set until a lane's own wrong-path
+   touch (L1I) or load (L2), or a fetch miss not every lane took (L2),
+   splits the set. These inputs drive both paths hard: a 64 KB L2 (most
+   referenced sets split), an 8 KB L1I (wrong-path touches evict lines, so
+   lanes' L1Is diverge and fetch lines are partly missed), the data
+   prefetcher (fills on clean and split sets), no wrong path (nothing
+   splits), a heap_random data side, warmup (group counters are
+   snapshotted with the lanes'), and a 5-lane sub-batch as a steered sweep
+   replays it. Every lane must be %h-equal to a sequential replay of its
+   config, and on the tiny-L1I machines to the oracle too; those machines
+   must split L1I sets. *)
 
 let tiny_l2 (base : Pipeline.config) =
   {
@@ -393,14 +395,14 @@ let tiny_l2 (base : Pipeline.config) =
     l2 = { Pi_uarch.Cache.size_bytes = 64 * 1024; assoc = 8; line_bytes = 64 };
   }
 
+let tiny_l1i (base : Pipeline.config) =
+  { base with Pipeline.l1i = { Pi_uarch.Cache.size_bytes = 8 * 1024; assoc = 2; line_bytes = 64 } }
+
 let shared_l2_machines =
   [
     ("tiny-l2", tiny_l2 Machine.xeon_e5440);
-    ( "tiny-l1i+l2",
-      {
-        (tiny_l2 Machine.xeon_e5440) with
-        Pipeline.l1i = { Pi_uarch.Cache.size_bytes = 8 * 1024; assoc = 2; line_bytes = 64 };
-      } );
+    ("tiny-l1i", tiny_l1i Machine.xeon_e5440);
+    ("tiny-l1i+l2", tiny_l1i (tiny_l2 Machine.xeon_e5440));
     ("prefetcher", Machine.with_data_prefetcher Machine.xeon_e5440);
     ("tiny-l2+prefetcher", Machine.with_data_prefetcher (tiny_l2 Machine.xeon_e5440));
     ("tiny-l2 no wrong path", Machine.without_wrong_path (tiny_l2 Machine.xeon_e5440));
@@ -421,19 +423,35 @@ let check_lanes_h label batch got want_of =
 
 let steered_sub_batch = [ "bimodal-8"; "gshare-10/4"; "gas-16/12"; "hybrid-16/12"; "gshare-16/12" ]
 
+let l1i_splits axis =
+  Pi_obs.Metrics.counter ~labels:[ ("axis", axis) ] "pi_obs_sweep_l1i_split_sets_total"
+
 let test_shared_l2_golden () =
   let warmup_blocks = 2000 in
+  let splits = l1i_splits "predictor" in
+  let splits0 = Pi_obs.Metrics.counter_value splits in
   List.iter
     (fun bench_name ->
       let p, trace = traced bench_name in
       List.iter
         (fun (machine_name, base) ->
           let plan = Replay.compile base trace in
+          let oracle = base.Pipeline.l1i <> Machine.xeon_e5440.Pipeline.l1i in
           List.iter
             (fun (pl_name, placement) ->
               let label = Printf.sprintf "%s/%s/%s" bench_name machine_name pl_name in
               let want = Array.init (Array.length configs) (fun i ->
-                  lazy (sequential ~warmup_blocks base plan placement i)) in
+                  lazy
+                    (let c = sequential ~warmup_blocks base plan placement i in
+                     (if oracle then
+                        let name, make = configs.(i) in
+                        check_counts
+                          (Printf.sprintf "%s %s: replay = oracle" label name)
+                          c
+                          (Pipeline.run_unoptimized ~warmup_blocks
+                             (Machine.with_predictor base ~name make)
+                             trace placement));
+                     c)) in
               let want_of i = Lazy.force want.(i) in
               let grid = Replay.batch_of configs in
               check_lanes_h label grid (Replay.run_many ~warmup_blocks plan grid placement) want_of;
@@ -451,14 +469,18 @@ let test_shared_l2_golden () =
               ("heap_random", Placement.make ~heap_random:true p ~seed:3);
             ])
         shared_l2_machines)
-    [ "470.lbm"; "403.gcc" ]
+    [ "470.lbm"; "403.gcc" ];
+  Alcotest.(check bool) "L1I sets split" true (Pi_obs.Metrics.counter_value splits > splits0)
 
-(* The two L2-layer counters, bumped once per pass: lane references served
-   by a group image or by a split set, and sets split. On data-heavy
-   benches both paths and splits occur (on the cache axis, sets split only
-   where lanes' L1Is disagree, which 470.lbm's small code never makes
-   them do), and with no warmup the two paths add up to the lanes' own L2
-   access counts. *)
+(* The cache-layer counters, bumped once per pass by the same layer code
+   for L1I and L2: lane references served by a group image or by a split
+   set, and sets split. With no warmup the two paths add up to the lanes'
+   own access counts of that cache (an L1I repeat of the last fetched
+   line is served for the whole batch at once, as a shared reference).
+   These inputs make both paths and splits occur in both caches on both
+   axes: predictor lanes on a tiny L1I, whose wrong-path touches split L1I
+   sets; cache lanes on a tiny L2, whose L2 probes disagree within an L1I
+   group and whose fetch misses disagree within an L2 group. *)
 let test_shared_l2_metrics () =
   let module M = Pi_obs.Metrics in
   List.iter
@@ -466,23 +488,33 @@ let test_shared_l2_metrics () =
       let p, trace = traced bench_name in
       let placement = Placement.make p ~seed:2 in
       let plan = Replay.compile base trace in
-      let refs path = M.counter ~labels:[ ("axis", axis); ("path", path) ] "pi_obs_sweep_l2_refs_total" in
-      let splits = M.counter ~labels:[ ("axis", axis) ] "pi_obs_sweep_l2_split_sets_total" in
-      let all = [ refs "shared"; refs "lane"; splits ] in
+      let series cache =
+        let name = Printf.sprintf "pi_obs_sweep_%s_%s_total" cache in
+        let refs path = M.counter ~labels:[ ("axis", axis); ("path", path) ] (name "refs") in
+        [ refs "shared"; refs "lane"; M.counter ~labels:[ ("axis", axis) ] (name "split_sets") ]
+      in
+      let all = series "l1i" @ series "l2" in
       let before = List.map M.counter_value all in
       let counts = Replay.run_many plan batch placement in
+      let sum f = Array.fold_left (fun a c -> a + f c) 0 counts in
       match List.map2 (fun m b -> M.counter_value m - b) all before with
-      | [ shared; lane; split ] ->
-          Alcotest.(check bool) (axis ^ ": shared references") true (shared > 0);
-          Alcotest.(check bool) (axis ^ ": per-lane references") true (lane > 0);
-          Alcotest.(check bool) (axis ^ ": split sets") true (split > 0);
-          Alcotest.(check int)
-            (axis ^ ": paths add up to the lanes' L2 accesses")
-            (Array.fold_left (fun a c -> a + c.Pipeline.l2_accesses) 0 counts)
-            (shared + lane)
+      | [ i_shared; i_lane; i_split; shared; lane; split ] ->
+          List.iter
+            (fun (cache, shared, lane, split, accesses) ->
+              let label what = Printf.sprintf "%s %s: %s" axis cache what in
+              Alcotest.(check bool) (label "shared references") true (shared > 0);
+              Alcotest.(check bool) (label "per-lane references") true (lane > 0);
+              Alcotest.(check bool) (label "split sets") true (split > 0);
+              Alcotest.(check int)
+                (label "paths add up to the lanes' accesses")
+                accesses (shared + lane))
+            [
+              ("L1I", i_shared, i_lane, i_split, sum (fun c -> c.Pipeline.l1i_accesses));
+              ("L2", shared, lane, split, sum (fun c -> c.Pipeline.l2_accesses));
+            ]
       | _ -> assert false)
     [
-      ("predictor", "470.lbm", Machine.xeon_e5440, Replay.batch_of configs);
+      ("predictor", "403.gcc", tiny_l1i Machine.xeon_e5440, Replay.batch_of configs);
       ("cache", "429.mcf", tiny_l2 Machine.xeon_e5440, cache_grid_batch (tiny_l2 Machine.xeon_e5440));
     ]
 

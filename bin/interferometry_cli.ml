@@ -497,6 +497,50 @@ let sweep_cmd =
             (List.length bm.B.artifacts))
         bundle
     in
+    (* --check. Unsteered, [identical ()] runs the sequential per-config
+       study and compares it with the fused one. Steered, every replayed
+       lane must equal the full fused study's ([full ()]) bit for bit, and
+       every predicted lane's CPI must be within the tolerance (the
+       --max-err bound; 1% for --budget); [view] gives a point's name and
+       CPI, [sources] how each was obtained. *)
+    let check_study ~identical ~full ~view ~sources points =
+      match surrogate with
+      | None ->
+          if identical () then print_endline "check: fused study identical to sequential study"
+          else begin
+            prerr_endline "FAIL: fused study differs from sequential study";
+            exit 1
+          end
+      | Some steering ->
+          let full = full () in
+          let tol =
+            match steering with Pi_uarch.Sweep.Max_err e -> e | Pi_uarch.Sweep.Budget _ -> 1.0
+          in
+          let failures = ref 0 and pred_max = ref 0.0 in
+          Array.iteri
+            (fun i p ->
+              let name, cpi = view p and _, full_cpi = view full.(i) in
+              match sources.(i) with
+              | Pi_uarch.Sweep.Replayed ->
+                  if p <> full.(i) then begin
+                    Printf.eprintf "FAIL: replayed lane %s differs from the full study\n" name;
+                    incr failures
+                  end
+              | Pi_uarch.Sweep.Predicted ->
+                  let err = Float.abs (cpi -. full_cpi) /. full_cpi *. 100.0 in
+                  pred_max := Float.max !pred_max err;
+                  if err > tol then begin
+                    Printf.eprintf "FAIL: predicted lane %s CPI off by %.3f%% (> %.3f%%)\n" name
+                      err tol;
+                    incr failures
+                  end)
+            points;
+          if !failures = 0 then
+            Printf.printf
+              "check: replayed lanes bit-identical, predicted CPI within %.3f%% (max %.3f%%)\n"
+              tol !pred_max
+          else exit 1
+    in
     match axis with
     | `Predictor ->
         let s =
@@ -565,67 +609,22 @@ let sweep_cmd =
            Buffer.contents buf
          in
          emit_bundle ~axis_label:"predictor" ~metrics ~csv);
-        if check then begin
-          match surrogate with
-          | None ->
+        if check then
+          check_study ~sources:s.Pi_uarch.Sweep.sources s.Pi_uarch.Sweep.points
+            ~view:(fun (p : Pi_uarch.Sweep.point) ->
+              (p.Pi_uarch.Sweep.config_name, p.Pi_uarch.Sweep.cpi))
+            ~identical:(fun () ->
               let sequential =
                 Pi_uarch.Sweep.run_study ~warmup_blocks:prepared.E.warmup_blocks ~fused:false
                   ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace placement
               in
-              if
-                s.Pi_uarch.Sweep.points = sequential.Pi_uarch.Sweep.points
-                && s.Pi_uarch.Sweep.perfect_cpi = sequential.Pi_uarch.Sweep.perfect_cpi
-                && s.Pi_uarch.Sweep.ltage_point = sequential.Pi_uarch.Sweep.ltage_point
-              then print_endline "check: fused study identical to sequential study"
-              else begin
-                prerr_endline "FAIL: fused study differs from sequential study";
-                exit 1
-              end
-          | Some steering ->
-              (* Steered check: every replayed lane must match the full fused
-                 study bit for bit, and every predicted lane must be within
-                 the tolerance (the --max-err bound; 1% for --budget). *)
-              let full =
-                Pi_uarch.Sweep.run_study ~warmup_blocks:prepared.E.warmup_blocks ~shards:jobs
-                  ?map_shards ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace
-                  placement
-              in
-              let tol =
-                match steering with
-                | Pi_uarch.Sweep.Max_err e -> e
-                | Pi_uarch.Sweep.Budget _ -> 1.0
-              in
-              let failures = ref 0 in
-              let pred_max = ref 0.0 in
-              Array.iteri
-                (fun i (p : Pi_uarch.Sweep.point) ->
-                  let f = full.Pi_uarch.Sweep.points.(i) in
-                  match s.Pi_uarch.Sweep.sources.(i) with
-                  | Pi_uarch.Sweep.Replayed ->
-                      if p <> f then begin
-                        Printf.eprintf "FAIL: replayed lane %s differs from the full study\n"
-                          p.Pi_uarch.Sweep.config_name;
-                        incr failures
-                      end
-                  | Pi_uarch.Sweep.Predicted ->
-                      let err =
-                        Float.abs (p.Pi_uarch.Sweep.cpi -. f.Pi_uarch.Sweep.cpi)
-                        /. f.Pi_uarch.Sweep.cpi *. 100.0
-                      in
-                      pred_max := Float.max !pred_max err;
-                      if err > tol then begin
-                        Printf.eprintf "FAIL: predicted lane %s CPI off by %.3f%% (> %.3f%%)\n"
-                          p.Pi_uarch.Sweep.config_name err tol;
-                        incr failures
-                      end)
-                s.Pi_uarch.Sweep.points;
-              if !failures = 0 then
-                Printf.printf
-                  "check: replayed lanes bit-identical, predicted CPI within %.3f%% (max \
-                   %.3f%%)\n"
-                  tol !pred_max
-              else exit 1
-        end
+              s.Pi_uarch.Sweep.points = sequential.Pi_uarch.Sweep.points
+              && s.Pi_uarch.Sweep.perfect_cpi = sequential.Pi_uarch.Sweep.perfect_cpi
+              && s.Pi_uarch.Sweep.ltage_point = sequential.Pi_uarch.Sweep.ltage_point)
+            ~full:(fun () ->
+              (Pi_uarch.Sweep.run_study ~warmup_blocks:prepared.E.warmup_blocks ~shards:jobs
+                 ?map_shards ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace placement)
+                .Pi_uarch.Sweep.points)
     | `Cache ->
         let s =
           Pi_uarch.Sweep.run_cache_study ~warmup_blocks:prepared.E.warmup_blocks ~shards:jobs
@@ -695,66 +694,25 @@ let sweep_cmd =
            Buffer.contents buf
          in
          emit_bundle ~axis_label:"cache" ~metrics ~csv);
-        if check then begin
-          match surrogate with
-          | None ->
+        if check then
+          check_study ~sources:s.Pi_uarch.Sweep.cache_sources s.Pi_uarch.Sweep.cache_points
+            ~view:(fun (p : Pi_uarch.Sweep.cache_point) ->
+              (p.Pi_uarch.Sweep.geometry_name, p.Pi_uarch.Sweep.cache_cpi))
+            ~identical:(fun () ->
               let sequential =
                 Pi_uarch.Sweep.run_cache_study ~warmup_blocks:prepared.E.warmup_blocks
                   ~fused:false ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace
                   placement
               in
-              if
-                s.Pi_uarch.Sweep.cache_points = sequential.Pi_uarch.Sweep.cache_points
-                && s.Pi_uarch.Sweep.seed_point = sequential.Pi_uarch.Sweep.seed_point
-                && s.Pi_uarch.Sweep.predicted_seed_cpi
-                   = sequential.Pi_uarch.Sweep.predicted_seed_cpi
-              then print_endline "check: fused study identical to sequential study"
-              else begin
-                prerr_endline "FAIL: fused study differs from sequential study";
-                exit 1
-              end
-          | Some steering ->
-              let full =
-                Pi_uarch.Sweep.run_cache_study ~warmup_blocks:prepared.E.warmup_blocks
-                  ~shards:jobs ?map_shards ~benchmark:bench.Pi_workloads.Bench.name
-                  prepared.E.trace placement
-              in
-              let tol =
-                match steering with
-                | Pi_uarch.Sweep.Max_err e -> e
-                | Pi_uarch.Sweep.Budget _ -> 1.0
-              in
-              let failures = ref 0 in
-              let pred_max = ref 0.0 in
-              Array.iteri
-                (fun i (p : Pi_uarch.Sweep.cache_point) ->
-                  let f = full.Pi_uarch.Sweep.cache_points.(i) in
-                  match s.Pi_uarch.Sweep.cache_sources.(i) with
-                  | Pi_uarch.Sweep.Replayed ->
-                      if p <> f then begin
-                        Printf.eprintf "FAIL: replayed lane %s differs from the full study\n"
-                          p.Pi_uarch.Sweep.geometry_name;
-                        incr failures
-                      end
-                  | Pi_uarch.Sweep.Predicted ->
-                      let err =
-                        Float.abs (p.Pi_uarch.Sweep.cache_cpi -. f.Pi_uarch.Sweep.cache_cpi)
-                        /. f.Pi_uarch.Sweep.cache_cpi *. 100.0
-                      in
-                      pred_max := Float.max !pred_max err;
-                      if err > tol then begin
-                        Printf.eprintf "FAIL: predicted lane %s CPI off by %.3f%% (> %.3f%%)\n"
-                          p.Pi_uarch.Sweep.geometry_name err tol;
-                        incr failures
-                      end)
-                s.Pi_uarch.Sweep.cache_points;
-              if !failures = 0 then
-                Printf.printf
-                  "check: replayed lanes bit-identical, predicted CPI within %.3f%% (max \
-                   %.3f%%)\n"
-                  tol !pred_max
-              else exit 1
-        end
+              s.Pi_uarch.Sweep.cache_points = sequential.Pi_uarch.Sweep.cache_points
+              && s.Pi_uarch.Sweep.seed_point = sequential.Pi_uarch.Sweep.seed_point
+              && s.Pi_uarch.Sweep.predicted_seed_cpi
+                 = sequential.Pi_uarch.Sweep.predicted_seed_cpi)
+            ~full:(fun () ->
+              (Pi_uarch.Sweep.run_cache_study ~warmup_blocks:prepared.E.warmup_blocks
+                 ~shards:jobs ?map_shards ~benchmark:bench.Pi_workloads.Bench.name
+                 prepared.E.trace placement)
+                .Pi_uarch.Sweep.cache_points)
   in
   Cmd.v
     (Cmd.info "sweep"

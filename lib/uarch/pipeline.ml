@@ -439,24 +439,32 @@ let pack_groups (preds : Predictor.t array) =
     hist_keep = hist_keep kp n;
   }
 
-(* Groups [lo, lo + m) as a pack of their own. Tables are allocated in
-   group order, so the slice's tables occupy one contiguous slice of
-   [tab_init]; offsets are rebased to it (offsets of tables a slice's kinds
-   never read may go negative — they are never dereferenced). *)
-let sub_groups p lo m =
-  let hi = lo + m in
-  let start = p.kp.(lo * kp_words) in
-  let stop = if hi < p.pg_n then p.kp.(hi * kp_words) else Bytes.length p.tab_init in
-  let kp = Array.sub p.kp (lo * kp_words) (m * kp_words) in
-  for j = 0 to m - 1 do
-    List.iter
-      (fun slot -> kp.((j * kp_words) + slot) <- kp.((j * kp_words) + slot) - start)
-      [ 0; 2; 4 ]
-  done;
+(* Groups [gs] (ascending) as a pack of their own, gathered from [p]'s
+   image: a group's tables are allocated together, in group order, so each
+   group is one contiguous slice of [tab_init], copied next to the last and
+   its table offsets rebased to where it lands (offsets of tables a group's
+   kind never reads may go negative — they are never dereferenced). No
+   predictor is built. *)
+let gather_groups p gs =
+  let m = Array.length gs in
+  let start g = p.kp.(g * kp_words) in
+  let stop g = if g + 1 < p.pg_n then start (g + 1) else Bytes.length p.tab_init in
+  let tab_init = Bytes.create (Array.fold_left (fun a g -> a + stop g - start g) 0 gs) in
+  let kp = Array.make (m * kp_words) 0 in
+  let at = ref 0 in
+  Array.iteri
+    (fun j g ->
+      Bytes.blit p.tab_init (start g) tab_init !at (stop g - start g);
+      Array.blit p.kp (g * kp_words) kp (j * kp_words) kp_words;
+      List.iter
+        (fun slot -> kp.((j * kp_words) + slot) <- kp.((j * kp_words) + slot) - start g + !at)
+        [ 0; 2; 4 ];
+      at := !at + stop g - start g)
+    gs;
   {
     pg_n = m;
-    hyb_lo = max 0 (min m (p.hyb_lo - lo));
-    tab_init = Bytes.sub p.tab_init start (stop - start);
+    hyb_lo = Array.fold_left (fun a g -> if g < p.hyb_lo then a + 1 else a) 0 gs;
+    tab_init;
     kp;
     hist_keep = hist_keep kp m;
   }
@@ -1283,6 +1291,29 @@ let cache_batch_of ~(l1i : Cache.geometry) ~(l2 : Cache.geometry)
     geoms = Some (Array.map (fun i -> let _, gi, gd = configs.(i) in (gi, gd)) src);
   }
 
+(* Lanes [ls] (ascending internal positions) of [b] as a batch of their
+   own, with fallback set [fallback]; a predictor lane is its own group. *)
+let pick b ls fallback =
+  let sub a = Array.map (Array.get a) ls in
+  {
+    lanes = Array.length ls;
+    names = sub b.names;
+    src = sub b.src;
+    fallback;
+    preds = Option.map (fun p -> gather_groups p ls) b.preds;
+    geoms = Option.map sub b.geoms;
+  }
+
+(* The lanes and fallbacks of [b] whose caller indices are in [idxs], in
+   [b]'s internal order and keeping [b]'s caller indices; selecting all of
+   them is [b] itself. *)
+let batch_select b idxs =
+  let wanted i = Array.mem i idxs in
+  let ls = Array.of_seq (Seq.filter (fun l -> wanted b.src.(l)) (Seq.init b.lanes Fun.id)) in
+  let fallback = Array.of_seq (Seq.filter wanted (Array.to_seq b.fallback)) in
+  if Array.length ls = b.lanes && Array.length fallback = Array.length b.fallback then b
+  else pick b ls fallback
+
 (* Split a batch into [shards] contiguous sub-batches of near-equal lane
    count; the 1-shard "split" is the batch itself. A shard boundary inside
    a cache group leaves each shard its own part of the group (a pass
@@ -1295,15 +1326,7 @@ let batch_shard b ~shards =
   else
     Array.init k (fun s ->
         let lo = s * nl / k and hi = (s + 1) * nl / k in
-        let sub a = Array.sub a lo (hi - lo) in
-        {
-          lanes = hi - lo;
-          names = sub b.names;
-          src = sub b.src;
-          fallback = [||];
-          preds = Option.map (fun p -> sub_groups p lo (hi - lo)) b.preds;
-          geoms = Option.map sub b.geoms;
-        })
+        pick b (Array.init (hi - lo) (fun j -> lo + j)) [||])
 
 (* The one lane of a scalar replay: the plan machine's predictor and
    caches. *)

@@ -254,13 +254,23 @@ val batch_axis : batch -> string
 (** The axis the lanes vary: ["predictor"] or ["cache"]. Matches the
     [axis] label on the fused-pass metrics. *)
 
+val batch_select : batch -> int array -> batch
+(** [batch_select b idxs]: the lanes of [b] whose caller indices (see
+    {!batch_src}) are in [idxs], in [b]'s internal order, as a batch of
+    their own; its {!batch_src} and {!batch_fallback} keep [b]'s caller
+    indices, and its fallback set is [b]'s fallback indices in [idxs].
+    Predictor lanes take their counter tables from [b]'s packed image, so
+    no predictor is built. Selecting every lane and fallback returns [b]
+    itself. *)
+
 val batch_shard : batch -> shards:int -> batch array
 (** Split into at most [shards] contiguous sub-batches of near-equal lane
     count (at least one lane each), suitable for domain-parallel execution:
     replaying the sub-batches in any order and concatenating by
     {!batch_src} is deterministic and equal to replaying the whole batch.
-    A 1-shard split returns the batch itself; every split of 2+ builds
-    fresh sub-batches. *)
+    A 1-shard split returns the batch itself; every split of 2+ is a
+    selection of contiguous lane ranges, as {!batch_select} makes, with
+    no fallback lanes. *)
 
 val replay_many :
   ?warmup_blocks:int -> ?data_side:data_side -> plan -> batch -> Pi_layout.Placement.t ->

@@ -27,5 +27,6 @@ let batch_names = Pipeline.batch_names
 let batch_src = Pipeline.batch_src
 let batch_fallback = Pipeline.batch_fallback
 let batch_table_bytes = Pipeline.batch_table_bytes
+let select = Pipeline.batch_select
 let shard = Pipeline.batch_shard
 let run_many = Pipeline.replay_many

@@ -86,10 +86,19 @@ val batch_src : batch -> int array
 val batch_fallback : batch -> int array
 val batch_table_bytes : batch -> int
 
+val select : batch -> int array -> batch
+(** The lanes (and fallbacks) of a batch whose caller indices are in the
+    given array, as a batch of their own that keeps those caller indices
+    in {!batch_src} and {!batch_fallback}; predictor lanes take their
+    counter tables from the parent's image, so a steering round replays
+    a selection of its study's batch without building a predictor. See
+    {!Pipeline.batch_select}. *)
+
 val shard : batch -> shards:int -> batch array
-(** At most [shards] contiguous sub-batches; replaying them in any order
-    (e.g. on {!Pi_campaign.Scheduler} domains) and merging by
-    {!batch_src} equals replaying the whole batch. *)
+(** At most [shards] contiguous sub-batches, each a selection of a lane
+    range; replaying them in any order (e.g. on
+    {!Pi_campaign.Scheduler} domains) and merging by {!batch_src} equals
+    replaying the whole batch. *)
 
 val run_many :
   ?warmup_blocks:int -> ?data_side:data_side -> plan -> batch -> Pi_layout.Placement.t ->

@@ -92,11 +92,12 @@ let configurations () = Lazy.force configurations_memo
 (* The fused batch over the memoized grid is itself memoized: its packed
    table image and lane metadata depend only on [configurations ()], and
    [Replay.run_many] copies the table image per pass, so one batch serves
-   every study. Its passes, and the steering sub-batches', borrow the
+   every study. It stays lazy, forced by a study's first fused replay.
+   Steering rounds and shards replay selections of it ([Replay.select]),
+   which copy their lanes' tables from its image; every pass borrows the
    domain's pooled scratch, whose split-set strips stay allocated across
    studies. *)
 let grid_batch_memo = lazy (Replay.batch_of (Array.of_list (configurations ())))
-let grid_batch () = Lazy.force grid_batch_memo
 
 type point = { config_name : string; mpki : float; cpi : float }
 type source = Replayed | Predicted
@@ -189,7 +190,7 @@ type steered = {
 (* Constants validated against full-grid truth on a 10-benchmark panel:
    [safety]/[floor_c] trade pruning for bound validity; [knn] is the
    correction neighborhood; [chunk] lanes replay per round so the fused
-   sub-batches stay worth their packing cost. *)
+   selections stay worth a pass of their own. *)
 let steer_safety = 1.5
 let steer_floor_c = 1.0
 let steer_knn = 4
@@ -454,208 +455,176 @@ let steer ~steering ~feats ~anchors ~n_targets ~cpi_target ~replay n =
     st_mean_err = (if !err_n = 0 then 0.0 else !err_sum /. float_of_int !err_n);
   }
 
-(* A study's plan and the data side every one of its replays shares: no
-   sweep axis varies the L1D or the prefetcher, so the data side is
-   simulated at most once per study, not once per lane, pass or sub-batch
-   (and not at all when the plan already holds one for this placement). *)
-let study_plan ~base plan trace placement =
+(* A study's sequential replay of one configuration, and its fused replay
+   of a batch. No sweep axis varies the L1D or the prefetcher, so the data
+   side is simulated at most once per study, not once per lane, pass or
+   selection (and not at all when the plan already holds one for this
+   placement); swapping the predictor or the cache geometries never
+   invalidates the compiled arrays, so the rebind is free and one compile
+   serves the whole study. *)
+let study_replay ~base plan ~warmup_blocks trace placement =
   let plan = match plan with Some p -> p | None -> Replay.compile base trace in
-  (plan, Replay.data_side plan placement.Pi_layout.Placement.data)
+  let data_side = Replay.data_side plan placement.Pi_layout.Placement.data in
+  ( (fun config ->
+      Replay.run ~warmup_blocks ~data_side (Replay.with_config plan config) placement),
+    fun batch -> Replay.run_many ~warmup_blocks ~data_side plan batch placement )
 
-let simulate ~warmup_blocks ~data_side base plan placement name make =
-  let config = Machine.with_predictor base ~name make in
-  let config = if name = "perfect" then { config with Pipeline.perfect_btb = true } else config in
-  (* Swapping the predictor never invalidates the compiled arrays, so this
-     rebind is free: one compile serves the whole ~150-config study. *)
-  let counts = Replay.run ~warmup_blocks ~data_side (Replay.with_config plan config) placement in
-  { config_name = name; mpki = Pipeline.mpki counts; cpi = Pipeline.cpi counts }
+(* A study's grid values ([st_values], grid order), however obtained. *)
+type lanes = {
+  steered : steered;
+  fused_n : int;
+  fallback_n : int;
+  shards_n : int;
+  replay_s : float;  (* wall seconds replaying *)
+  model_s : float;  (* steering wall seconds outside replay *)
+}
 
-(* The 145-configuration grid through either path; the timing target of
-   BENCH_sweep.json. Returns
-   (points, fused_lanes, fallback_lanes, shards, grid_seconds). *)
-let grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement =
-  let t0 = Pi_obs.Clock.now () in
-  let simulate = simulate ~warmup_blocks ~data_side base plan placement in
-  let configs = Array.of_list (configurations ()) in
-  let n = Array.length configs in
-  let points = Array.make n { config_name = ""; mpki = 0.0; cpi = 0.0 } in
-  let point_of_counts name counts =
-    { config_name = name; mpki = Pipeline.mpki counts; cpi = Pipeline.cpi counts }
+(* The one lane driver of both axes. [simulate i] replays grid point [i]
+   sequentially, [targets] reads a replay's target values and [batch]
+   packs the whole grid. A replay of points [idxs] — the whole grid once
+   when unsteered, each of [steer]'s requests when steered — selects their
+   lanes from [batch], runs the selection's shards through [map_shards],
+   merges lanes by caller index (independent of shard execution order) and
+   replays the selection's fallback lanes sequentially; [fused:false]
+   replays every point sequentially. A budget covering the whole grid IS
+   the unsteered path, so it shortcuts to it, bit-identically by
+   construction. [space ()] gives the steering features and anchors. *)
+let drive ~simulate ~run_many ~targets ~batch ~shards ?map_shards ~fused ~space ~n_targets
+    ~cpi_target steering n =
+  let t_start = Pi_obs.Clock.now () in
+  let seconds = ref 0.0 in
+  let fused_n = ref 0 and fallback_n = ref 0 and shards_n = ref 0 in
+  let replay idxs =
+    let t0 = Pi_obs.Clock.now () in
+    let out = ref [] in
+    let emit i c = out := (i, targets c) :: !out in
+    if not fused then begin
+      Array.iter (fun i -> emit i (simulate i)) idxs;
+      fallback_n := !fallback_n + Array.length idxs
+    end
+    else begin
+      let batch = Replay.select (Lazy.force batch) idxs in
+      let sub = Replay.shard batch ~shards in
+      let n_shards = Array.length sub in
+      shards_n := max !shards_n n_shards;
+      let run_shard s = run_many sub.(s) in
+      let shard_counts =
+        match map_shards with
+        | Some m when n_shards > 1 -> m run_shard n_shards
+        | _ -> Array.init n_shards run_shard
+      in
+      Array.iteri
+        (fun s counts -> Array.iteri (fun j c -> emit (Replay.batch_src sub.(s)).(j) c) counts)
+        shard_counts;
+      let fallback = Replay.batch_fallback batch in
+      Array.iter (fun i -> emit i (simulate i)) fallback;
+      fused_n := !fused_n + Replay.batch_lanes batch;
+      fallback_n := !fallback_n + Array.length fallback
+    end;
+    seconds := !seconds +. (Pi_obs.Clock.now () -. t0);
+    !out
   in
-  if not fused then begin
-    Array.iteri (fun i (name, make) -> points.(i) <- simulate name make) configs;
-    (points, 0, n, 0, Pi_obs.Clock.now () -. t0)
-  end
-  else begin
-    let batch = grid_batch () in
-    let sub = Replay.shard batch ~shards in
-    let n_shards = Array.length sub in
-    let run_shard s = Replay.run_many ~warmup_blocks ~data_side plan sub.(s) placement in
-    let shard_counts =
-      match map_shards with
-      | Some m when n_shards > 1 -> m run_shard n_shards
-      | _ -> Array.init n_shards run_shard
-    in
-    (* Deterministic merge: every lane lands in the slot its caller index
-       names, independent of shard execution order. *)
-    Array.iteri
-      (fun s counts ->
-        let src = Replay.batch_src sub.(s) in
-        Array.iteri
-          (fun j c -> points.(src.(j)) <- point_of_counts (fst configs.(src.(j))) c)
-          counts)
-      shard_counts;
-    Array.iter
-      (fun i ->
-        let name, make = configs.(i) in
-        points.(i) <- simulate name make)
-      (Replay.batch_fallback batch);
-    ( points,
-      Replay.batch_lanes batch,
-      Array.length (Replay.batch_fallback batch),
-      n_shards,
-      Pi_obs.Clock.now () -. t0 )
-  end
+  let all () =
+    let values = Array.make n [||] in
+    List.iter (fun (i, v) -> values.(i) <- v) (replay (Array.init n Fun.id));
+    ( { st_values = values; st_sources = Array.make n Replayed; st_replayed = n; st_rounds = 0;
+        st_max_err = 0.0; st_mean_err = 0.0 },
+      0.0 )
+  in
+  let steered, model_s =
+    match steering with
+    | Some (Budget b) when b >= n -> all ()
+    | None -> all ()
+    | Some steering ->
+        let feats, anchors = space () in
+        let st = steer ~steering ~feats ~anchors ~n_targets ~cpi_target ~replay n in
+        (st, Pi_obs.Clock.now () -. t_start -. !seconds)
+  in
+  { steered; fused_n = !fused_n; fallback_n = !fallback_n; shards_n = !shards_n;
+    replay_s = !seconds; model_s }
+
+let grid_of points l = (points, l.fused_n, l.fallback_n, l.shards_n, l.replay_s)
+
+(* The predictor axis: the 145-configuration grid through [drive], as
+   points; [run_grid], the timing target of BENCH_sweep.json, is just this. *)
+let predictor_lanes ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused ~steering trace
+    placement =
+  let replay, run_many = study_replay ~base plan ~warmup_blocks trace placement in
+  let configs = Array.of_list (configurations ()) in
+  let simulate i =
+    let name, make = configs.(i) in
+    replay (Machine.with_predictor base ~name make)
+  in
+  (* Anchor the seed on the static predictors: the extreme ends of the
+     accuracy range, and the only fallback (kernel-less) lanes. *)
+  let space () =
+    ( Array.map (fun (name, _) -> Pi_stats.Surrogate.predictor_features name) configs,
+      List.filter
+        (fun i -> List.mem (fst configs.(i)) [ "static-taken"; "static-not-taken" ])
+        (List.init (Array.length configs) Fun.id) )
+  in
+  let l =
+    drive ~simulate ~run_many ~targets:(fun c -> [| Pipeline.mpki c; Pipeline.cpi c |])
+      ~batch:grid_batch_memo ~shards ?map_shards ~fused ~space ~n_targets:2 ~cpi_target:1
+      steering (Array.length configs)
+  in
+  let point i v = { config_name = fst configs.(i); mpki = v.(0); cpi = v.(1) } in
+  (replay, Array.mapi point l.steered.st_values, l)
 
 let run_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1) ?map_shards
     ?(fused = true) trace placement =
-  let plan, data_side = study_plan ~base plan trace placement in
-  grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement
+  let _, points, l =
+    predictor_lanes ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused ~steering:None trace
+      placement
+  in
+  grid_of points l
 
 let run_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1) ?map_shards
     ?(fused = true) ?surrogate ~benchmark trace placement =
-  let plan, data_side = study_plan ~base plan trace placement in
-  let configs = Array.of_list (configurations ()) in
-  let n = Array.length configs in
-  (* A budget that covers the whole grid IS the fused path: shortcut to it
-     so the result is bit-identical by construction. *)
-  let surrogate =
-    match surrogate with Some (Budget b) when b >= n -> None | s -> s
+  let replay, points, l =
+    predictor_lanes ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused ~steering:surrogate
+      trace placement
   in
-  let simulate = simulate ~warmup_blocks ~data_side base plan placement in
-  let finish points ~fused_lanes ~fallback_lanes ~shards_used ~sources ~replayed_lanes
-      ~surrogate_rounds ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds
-      ~model_seconds =
-    let perfect = simulate "perfect" Perfect.perfect in
-    let ltage_point = simulate "L-TAGE" (fun () -> Ltage.create ()) in
-    let xs = Array.map (fun p -> p.mpki) points in
-    let ys = Array.map (fun p -> p.cpi) points in
-    let regression = Pi_stats.Linreg.fit xs ys in
-    let predicted_perfect_cpi = Pi_stats.Linreg.predict regression 0.0 in
-    let predicted_ltage_cpi = Pi_stats.Linreg.predict regression ltage_point.mpki in
-    let error_percent predicted actual =
-      if actual = 0.0 then 0.0 else Float.abs (predicted -. actual) /. actual *. 100.0
-    in
-    {
-      benchmark;
-      points;
-      perfect_cpi = perfect.cpi;
-      ltage_point;
-      regression;
-      predicted_perfect_cpi;
-      perfect_error_percent = error_percent predicted_perfect_cpi perfect.cpi;
-      predicted_ltage_cpi;
-      ltage_error_percent = error_percent predicted_ltage_cpi ltage_point.cpi;
-      warmup_blocks;
-      fused_lanes;
-      fallback_lanes;
-      shards = shards_used;
-      sources;
-      replayed_lanes;
-      surrogate_rounds;
-      surrogate_max_abs_err;
-      surrogate_mean_abs_err;
-      grid_seconds;
-      model_seconds;
-      lane_seconds = grid_seconds /. float_of_int (max 1 replayed_lanes);
-    }
+  let reference name make =
+    let config = Machine.with_predictor base ~name make in
+    let config = if name = "perfect" then { config with Pipeline.perfect_btb = true } else config in
+    let c = replay config in
+    { config_name = name; mpki = Pipeline.mpki c; cpi = Pipeline.cpi c }
   in
-  match surrogate with
-  | None ->
-      let points, fused_lanes, fallback_lanes, shards_used, grid_seconds =
-        grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement
-      in
-      finish points ~fused_lanes ~fallback_lanes ~shards_used
-        ~sources:(Array.make (Array.length points) Replayed)
-        ~replayed_lanes:(Array.length points) ~surrogate_rounds:0 ~surrogate_max_abs_err:0.0
-        ~surrogate_mean_abs_err:0.0 ~grid_seconds ~model_seconds:0.0
-  | Some steering ->
-      let t_steer = Pi_obs.Clock.now () in
-      let feats = Array.map (fun (name, _) -> Pi_stats.Surrogate.predictor_features name) configs in
-      (* Anchor the seed on the static predictors: the extreme ends of the
-         accuracy range, and the only fallback (kernel-less) lanes. *)
-      let anchors = ref [] in
-      Array.iteri
-        (fun i (name, _) ->
-          if name = "static-taken" || name = "static-not-taken" then anchors := i :: !anchors)
-        configs;
-      let seconds = ref 0.0 in
-      let fused_total = ref 0 and fallback_total = ref 0 and shards_seen = ref 0 in
-      let replay idxs =
-        let t0 = Pi_obs.Clock.now () in
-        let subset = Array.map (fun i -> configs.(i)) idxs in
-        let out = ref [] in
-        let emit i (p : point) = out := (i, [| p.mpki; p.cpi |]) :: !out in
-        if not fused then begin
-          Array.iteri (fun j (name, make) -> emit idxs.(j) (simulate name make)) subset;
-          fallback_total := !fallback_total + Array.length subset
-        end
-        else begin
-          (* The chosen lanes still run fused in one pass: a fresh sub-grid
-             batch packed from the subset, sharded like the full path. *)
-          let batch = Replay.batch_of subset in
-          let sub = Replay.shard batch ~shards in
-          let n_shards = Array.length sub in
-          shards_seen := max !shards_seen n_shards;
-          let run_shard s = Replay.run_many ~warmup_blocks ~data_side plan sub.(s) placement in
-          let shard_counts =
-            match map_shards with
-            | Some m when n_shards > 1 -> m run_shard n_shards
-            | _ -> Array.init n_shards run_shard
-          in
-          Array.iteri
-            (fun s counts ->
-              let src = Replay.batch_src sub.(s) in
-              Array.iteri
-                (fun j c ->
-                  let gi = idxs.(src.(j)) in
-                  emit gi
-                    {
-                      config_name = fst configs.(gi);
-                      mpki = Pipeline.mpki c;
-                      cpi = Pipeline.cpi c;
-                    })
-                counts)
-            shard_counts;
-          Array.iter
-            (fun k ->
-              let gi = idxs.(k) in
-              let name, make = configs.(gi) in
-              emit gi (simulate name make))
-            (Replay.batch_fallback batch);
-          fused_total := !fused_total + Replay.batch_lanes batch;
-          fallback_total := !fallback_total + Array.length (Replay.batch_fallback batch)
-        end;
-        seconds := !seconds +. (Pi_obs.Clock.now () -. t0);
-        !out
-      in
-      let st =
-        steer ~steering ~feats ~anchors:(List.rev !anchors) ~n_targets:2 ~cpi_target:1 ~replay n
-      in
-      let steer_wall = Pi_obs.Clock.now () -. t_steer in
-      let points =
-        Array.init n (fun i ->
-            {
-              config_name = fst configs.(i);
-              mpki = st.st_values.(i).(0);
-              cpi = st.st_values.(i).(1);
-            })
-      in
-      finish points ~fused_lanes:!fused_total ~fallback_lanes:!fallback_total
-        ~shards_used:!shards_seen ~sources:st.st_sources ~replayed_lanes:st.st_replayed
-        ~surrogate_rounds:st.st_rounds ~surrogate_max_abs_err:st.st_max_err
-        ~surrogate_mean_abs_err:st.st_mean_err ~grid_seconds:!seconds
-        ~model_seconds:(steer_wall -. !seconds)
+  let perfect = reference "perfect" Perfect.perfect in
+  let ltage_point = reference "L-TAGE" (fun () -> Ltage.create ()) in
+  let regression =
+    Pi_stats.Linreg.fit (Array.map (fun p -> p.mpki) points) (Array.map (fun p -> p.cpi) points)
+  in
+  let predicted_perfect_cpi = Pi_stats.Linreg.predict regression 0.0 in
+  let predicted_ltage_cpi = Pi_stats.Linreg.predict regression ltage_point.mpki in
+  let error_percent predicted actual =
+    if actual = 0.0 then 0.0 else Float.abs (predicted -. actual) /. actual *. 100.0
+  in
+  let st = l.steered in
+  {
+    benchmark;
+    points;
+    perfect_cpi = perfect.cpi;
+    ltage_point;
+    regression;
+    predicted_perfect_cpi;
+    perfect_error_percent = error_percent predicted_perfect_cpi perfect.cpi;
+    predicted_ltage_cpi;
+    ltage_error_percent = error_percent predicted_ltage_cpi ltage_point.cpi;
+    warmup_blocks;
+    fused_lanes = l.fused_n;
+    fallback_lanes = l.fallback_n;
+    shards = l.shards_n;
+    sources = st.st_sources;
+    replayed_lanes = st.st_replayed;
+    surrogate_rounds = st.st_rounds;
+    surrogate_max_abs_err = st.st_max_err;
+    surrogate_mean_abs_err = st.st_mean_err;
+    grid_seconds = l.replay_s;
+    model_seconds = l.model_s;
+    lane_seconds = l.replay_s /. float_of_int (max 1 st.st_replayed);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The cache-geometry axis (INTERPLAY's question): sweep way-disabled and
@@ -749,79 +718,6 @@ type cache_study = {
   cache_lane_seconds : float;
 }
 
-let cache_point_of name gi gd counts =
-  {
-    geometry_name = name;
-    l1i_geometry = gi;
-    l2_geometry = gd;
-    l1i_mpki = Pipeline.l1i_mpki counts;
-    l2_mpki = Pipeline.l2_mpki counts;
-    cache_cpi = Pipeline.cpi counts;
-  }
-
-let simulate_cache ~warmup_blocks ~data_side base plan placement name gi gd =
-  (* Geometry changes never touch costs/overlap/store factors, so the
-     rebind reuses the compiled arrays, like the predictor sweep's. *)
-  let config = { base with Pipeline.l1i = gi; l2 = gd } in
-  let counts = Replay.run ~warmup_blocks ~data_side (Replay.with_config plan config) placement in
-  cache_point_of name gi gd counts
-
-(* The 100-geometry grid through either path; the timing target of
-   BENCH_cache_sweep.json. Same contract as [grid]. *)
-let cache_grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement =
-  let t0 = Pi_obs.Clock.now () in
-  let configs =
-    materialize_cache_configurations ~l1i:base.Pipeline.l1i ~l2:base.Pipeline.l2
-  in
-  let n = Array.length configs in
-  let dummy =
-    {
-      geometry_name = "";
-      l1i_geometry = base.Pipeline.l1i;
-      l2_geometry = base.Pipeline.l2;
-      l1i_mpki = 0.0;
-      l2_mpki = 0.0;
-      cache_cpi = 0.0;
-    }
-  in
-  let points = Array.make n dummy in
-  if not fused then begin
-    Array.iteri
-      (fun i (name, gi, gd) ->
-        points.(i) <- simulate_cache ~warmup_blocks ~data_side base plan placement name gi gd)
-      configs;
-    (points, 0, n, 0, Pi_obs.Clock.now () -. t0)
-  end
-  else begin
-    (* Packing costs ~30 us against a pass of hundreds of ms, so each
-       study builds its own batch; the tag images come from the domain's
-       pooled scratch. *)
-    let batch = Replay.cache_batch_of ~l1i:base.Pipeline.l1i ~l2:base.Pipeline.l2 configs in
-    let sub = Replay.shard batch ~shards in
-    let n_shards = Array.length sub in
-    let run_shard s = Replay.run_many ~warmup_blocks ~data_side plan sub.(s) placement in
-    let shard_counts =
-      match map_shards with
-      | Some m when n_shards > 1 -> m run_shard n_shards
-      | _ -> Array.init n_shards run_shard
-    in
-    Array.iteri
-      (fun s counts ->
-        let src = Replay.batch_src sub.(s) in
-        Array.iteri
-          (fun j c ->
-            let name, gi, gd = configs.(src.(j)) in
-            points.(src.(j)) <- cache_point_of name gi gd c)
-          counts)
-      shard_counts;
-    (points, Replay.batch_lanes batch, 0, n_shards, Pi_obs.Clock.now () -. t0)
-  end
-
-let run_cache_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1)
-    ?map_shards ?(fused = true) trace placement =
-  let plan, data_side = study_plan ~base plan trace placement in
-  cache_grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement
-
 let geometry_feature_vector g =
   Pi_stats.Surrogate.geometry_features ~sets:(Cache.geometry_sets g) ~ways:g.Cache.assoc
     ~line_bytes:g.Cache.line_bytes ~size_bytes:g.Cache.size_bytes
@@ -869,142 +765,101 @@ let degradation_fit xs ys =
         coefficient_standard_errors = Array.make k 0.0;
       }
 
-let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1)
-    ?map_shards ?(fused = true) ?surrogate ~benchmark trace placement =
-  let plan, data_side = study_plan ~base plan trace placement in
+(* The cache axis: the 100-geometry grid through [drive], as points;
+   [run_cache_grid], the timing target of BENCH_cache_sweep.json, is just
+   this. *)
+let cache_lanes ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused ~steering trace placement =
+  let replay, run_many = study_replay ~base plan ~warmup_blocks trace placement in
   let l1i = base.Pipeline.l1i and l2 = base.Pipeline.l2 in
   let configs = materialize_cache_configurations ~l1i ~l2 in
-  let n = Array.length configs in
-  let surrogate =
-    match surrogate with Some (Budget b) when b >= n -> None | s -> s
+  let simulate i =
+    let _, gi, gd = configs.(i) in
+    replay { base with Pipeline.l1i = gi; l2 = gd }
   in
-  let finish points ~fused_lanes ~fallback_lanes ~shards_used ~sources ~replayed_lanes
-      ~surrogate_rounds ~surrogate_max_abs_err ~surrogate_mean_abs_err ~grid_seconds
-      ~model_seconds =
-    let is_seed p = p.l1i_geometry = l1i && p.l2_geometry = l2 in
-    let seed_point =
-      match Array.find_opt is_seed points with
-      | Some p -> p
-      | None ->
-          invalid_arg
-            "Sweep.run_cache_study: the grid does not contain the seed geometries (w8 variants \
-             missing?)"
-    in
-    (* The INTERPLAY-style question: fit CPI against the two cache MPKIs over
-       the degraded points only, then predict the seed point's CPI from its
-       own miss rates and compare with the simulated truth. *)
-    let degraded = Array.of_list (List.filter (fun p -> not (is_seed p)) (Array.to_list points)) in
-    let xs = Array.map (fun p -> [| p.l1i_mpki; p.l2_mpki |]) degraded in
-    let ys = Array.map (fun p -> p.cache_cpi) degraded in
-    let degradation = degradation_fit xs ys in
-    let predicted_seed_cpi =
-      Pi_stats.Multireg.predict degradation [| seed_point.l1i_mpki; seed_point.l2_mpki |]
-    in
-    let seed_error_percent =
-      if seed_point.cache_cpi = 0.0 then 0.0
-      else Float.abs (predicted_seed_cpi -. seed_point.cache_cpi) /. seed_point.cache_cpi *. 100.0
-    in
-    {
-      cache_benchmark = benchmark;
-      cache_points = points;
-      seed_point;
-      degradation;
-      predicted_seed_cpi;
-      seed_error_percent;
-      cache_warmup_blocks = warmup_blocks;
-      cache_fused_lanes = fused_lanes;
-      cache_fallback_lanes = fallback_lanes;
-      cache_shards = shards_used;
-      cache_sources = sources;
-      cache_replayed_lanes = replayed_lanes;
-      cache_surrogate_rounds = surrogate_rounds;
-      cache_surrogate_max_abs_err = surrogate_max_abs_err;
-      cache_surrogate_mean_abs_err = surrogate_mean_abs_err;
-      cache_grid_seconds = grid_seconds;
-      cache_model_seconds = model_seconds;
-      cache_lane_seconds = grid_seconds /. float_of_int (max 1 replayed_lanes);
-    }
+  (* Anchor on the seed machine (so it is always replayed truth, never a
+     prediction) and the most-degraded corner. *)
+  let space () =
+    let seed_idx = ref 0 in
+    Array.iteri (fun i (_, gi, gd) -> if gi = l1i && gd = l2 then seed_idx := i) configs;
+    ( Array.map
+        (fun (_, gi, gd) -> Array.append (geometry_feature_vector gi) (geometry_feature_vector gd))
+        configs,
+      [ !seed_idx; 0 ] )
   in
-  match surrogate with
-  | None ->
-      let points, fused_lanes, fallback_lanes, shards_used, grid_seconds =
-        cache_grid ~base ~plan ~data_side ~warmup_blocks ~shards ?map_shards ~fused placement
-      in
-      finish points ~fused_lanes ~fallback_lanes ~shards_used
-        ~sources:(Array.make (Array.length points) Replayed)
-        ~replayed_lanes:(Array.length points) ~surrogate_rounds:0 ~surrogate_max_abs_err:0.0
-        ~surrogate_mean_abs_err:0.0 ~grid_seconds ~model_seconds:0.0
-  | Some steering ->
-      let t_steer = Pi_obs.Clock.now () in
-      let feats =
-        Array.map
-          (fun (_, gi, gd) ->
-            Array.append (geometry_feature_vector gi) (geometry_feature_vector gd))
-          configs
-      in
-      (* Anchor on the seed machine (so it is always replayed truth, never a
-         prediction) and the most-degraded corner. *)
-      let seed_idx = ref 0 in
-      Array.iteri (fun i (_, gi, gd) -> if gi = l1i && gd = l2 then seed_idx := i) configs;
-      let anchors = [ !seed_idx; 0 ] in
-      let seconds = ref 0.0 in
-      let fused_total = ref 0 and fallback_total = ref 0 and shards_seen = ref 0 in
-      let replay idxs =
-        let t0 = Pi_obs.Clock.now () in
-        let out = ref [] in
-        let emit i (p : cache_point) = out := (i, [| p.l1i_mpki; p.l2_mpki; p.cache_cpi |]) :: !out in
-        if not fused then begin
-          Array.iter
-            (fun gi_idx ->
-              let name, gi, gd = configs.(gi_idx) in
-              emit gi_idx
-                (simulate_cache ~warmup_blocks ~data_side base plan placement name gi gd))
-            idxs;
-          fallback_total := !fallback_total + Array.length idxs
-        end
-        else begin
-          let subset = Array.map (fun i -> configs.(i)) idxs in
-          let batch = Replay.cache_batch_of ~l1i ~l2 subset in
-          let sub = Replay.shard batch ~shards in
-          let n_shards = Array.length sub in
-          shards_seen := max !shards_seen n_shards;
-          let run_shard s = Replay.run_many ~warmup_blocks ~data_side plan sub.(s) placement in
-          let shard_counts =
-            match map_shards with
-            | Some m when n_shards > 1 -> m run_shard n_shards
-            | _ -> Array.init n_shards run_shard
-          in
-          Array.iteri
-            (fun s counts ->
-              let src = Replay.batch_src sub.(s) in
-              Array.iteri
-                (fun j c ->
-                  let gi_idx = idxs.(src.(j)) in
-                  let name, gi, gd = configs.(gi_idx) in
-                  emit gi_idx (cache_point_of name gi gd c))
-                counts)
-            shard_counts;
-          fused_total := !fused_total + Replay.batch_lanes batch
-        end;
-        seconds := !seconds +. (Pi_obs.Clock.now () -. t0);
-        !out
-      in
-      let st = steer ~steering ~feats ~anchors ~n_targets:3 ~cpi_target:2 ~replay n in
-      let steer_wall = Pi_obs.Clock.now () -. t_steer in
-      let points =
-        Array.init n (fun i ->
-            let name, gi, gd = configs.(i) in
-            {
-              geometry_name = name;
-              l1i_geometry = gi;
-              l2_geometry = gd;
-              l1i_mpki = st.st_values.(i).(0);
-              l2_mpki = st.st_values.(i).(1);
-              cache_cpi = st.st_values.(i).(2);
-            })
-      in
-      finish points ~fused_lanes:!fused_total ~fallback_lanes:!fallback_total
-        ~shards_used:!shards_seen ~sources:st.st_sources ~replayed_lanes:st.st_replayed
-        ~surrogate_rounds:st.st_rounds ~surrogate_max_abs_err:st.st_max_err
-        ~surrogate_mean_abs_err:st.st_mean_err ~grid_seconds:!seconds
-        ~model_seconds:(steer_wall -. !seconds)
+  (* Packing costs ~30 us against a pass of hundreds of ms, so each study
+     builds its own batch, once, and its steering rounds select from it;
+     the tag images come from the domain's pooled scratch. *)
+  let batch = lazy (Replay.cache_batch_of ~l1i ~l2 configs) in
+  let l =
+    drive ~simulate ~run_many
+      ~targets:(fun c -> [| Pipeline.l1i_mpki c; Pipeline.l2_mpki c; Pipeline.cpi c |])
+      ~batch ~shards ?map_shards ~fused ~space ~n_targets:3 ~cpi_target:2 steering
+      (Array.length configs)
+  in
+  let point i v =
+    let geometry_name, l1i_geometry, l2_geometry = configs.(i) in
+    { geometry_name; l1i_geometry; l2_geometry; l1i_mpki = v.(0); l2_mpki = v.(1);
+      cache_cpi = v.(2) }
+  in
+  (Array.mapi point l.steered.st_values, l)
+
+let run_cache_grid ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1)
+    ?map_shards ?(fused = true) trace placement =
+  let points, l =
+    cache_lanes ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused ~steering:None trace
+      placement
+  in
+  grid_of points l
+
+let run_cache_study ?(base = Machine.xeon_e5440) ?plan ?(warmup_blocks = 0) ?(shards = 1)
+    ?map_shards ?(fused = true) ?surrogate ~benchmark trace placement =
+  let points, l =
+    cache_lanes ~base ~plan ~warmup_blocks ~shards ?map_shards ~fused ~steering:surrogate trace
+      placement
+  in
+  let is_seed p = p.l1i_geometry = base.Pipeline.l1i && p.l2_geometry = base.Pipeline.l2 in
+  let seed_point =
+    match Array.find_opt is_seed points with
+    | Some p -> p
+    | None ->
+        invalid_arg
+          "Sweep.run_cache_study: the grid does not contain the seed geometries (w8 variants \
+           missing?)"
+  in
+  (* The INTERPLAY-style question: fit CPI against the two cache MPKIs over
+     the degraded points only, then predict the seed point's CPI from its
+     own miss rates and compare with the simulated truth. *)
+  let degraded = Array.of_list (List.filter (fun p -> not (is_seed p)) (Array.to_list points)) in
+  let degradation =
+    degradation_fit
+      (Array.map (fun p -> [| p.l1i_mpki; p.l2_mpki |]) degraded)
+      (Array.map (fun p -> p.cache_cpi) degraded)
+  in
+  let predicted_seed_cpi =
+    Pi_stats.Multireg.predict degradation [| seed_point.l1i_mpki; seed_point.l2_mpki |]
+  in
+  let seed_error_percent =
+    if seed_point.cache_cpi = 0.0 then 0.0
+    else Float.abs (predicted_seed_cpi -. seed_point.cache_cpi) /. seed_point.cache_cpi *. 100.0
+  in
+  let st = l.steered in
+  {
+    cache_benchmark = benchmark;
+    cache_points = points;
+    seed_point;
+    degradation;
+    predicted_seed_cpi;
+    seed_error_percent;
+    cache_warmup_blocks = warmup_blocks;
+    cache_fused_lanes = l.fused_n;
+    cache_fallback_lanes = l.fallback_n;
+    cache_shards = l.shards_n;
+    cache_sources = st.st_sources;
+    cache_replayed_lanes = st.st_replayed;
+    cache_surrogate_rounds = st.st_rounds;
+    cache_surrogate_max_abs_err = st.st_max_err;
+    cache_surrogate_mean_abs_err = st.st_mean_err;
+    cache_grid_seconds = l.replay_s;
+    cache_model_seconds = l.model_s;
+    cache_lane_seconds = l.replay_s /. float_of_int (max 1 st.st_replayed);
+  }

@@ -120,10 +120,11 @@ val run_study :
     [surrogate] switches on steering: the study seeds with a deterministic
     space-filling subset of the grid (anchored on the static predictors),
     fits a {!Pi_stats.Surrogate} per target metric in log space, and
-    replays — fused, via {!Replay.batch_of} sub-batches — only the lanes
-    whose predicted CPI uncertainty still exceeds the tolerance
-    ([Max_err]) or ranks highest under the lane budget ([Budget]),
-    filling the rest from the model. [sources] tags each point, and
+    replays — fused, each round a selection ({!Replay.select}) of the
+    memoized grid batch, sharded like the full grid, with no predictor
+    built — only the lanes whose predicted CPI uncertainty still exceeds
+    the tolerance ([Max_err]) or ranks highest under the lane budget
+    ([Budget]), filling the rest from the model. [sources] tags each point, and
     [surrogate_max_abs_err]/[surrogate_mean_abs_err] report the model's
     pre-replay predictions against every lane that was subsequently
     replayed. Steering is deterministic: no RNG anywhere, so two steered
@@ -209,8 +210,10 @@ val run_cache_grid :
     target of [BENCH_cache_sweep.json]. Returns
     [(points, fused_lanes, fallback_lanes, shards, grid_seconds)]; all
     arguments behave as in {!run_study} (the fused batch is one
-    {!Replay.cache_batch_of} pack, built per call; its passes borrow the
-    domain's pooled scratch, so concurrent grids never share tag state).
+    {!Replay.cache_batch_of} pack, built once per call or study, and a
+    steered study's rounds replay selections ({!Replay.select}) of it;
+    its passes borrow the domain's pooled scratch, so concurrent grids
+    never share tag state).
     The pack orders lanes by L2 geometry, so the grid replays as 10 groups
     of 10 lanes, each group sharing one L2 image until lanes whose L1Is
     disagree split a set; points still come back in grid order. *)

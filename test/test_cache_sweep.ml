@@ -317,12 +317,13 @@ let test_study_flat_predictors () =
    split), with the data prefetcher (fills on clean and split sets),
    without wrong-path effects, on a heap_random data side, with warmup;
    cut into 1, 2 and 3 shards (3 cuts groups at lanes 33 and 66), and as
-   a 5-lane subset holding two partial groups, as a steered study replays
-   it. Every lane must be %h-equal to a sequential replay of its
-   geometry. The L1I layer groups lanes by L1I geometry across L2 groups:
-   a 10-lane batch of one 2-way L1I over every L2 variant, whose lanes
-   disagree on the wrong-path L2 probe and so split L1I sets, must also
-   equal the oracle. *)
+   a 5-lane subset holding two partial groups, packed anew and selected
+   from the grid batch, as a steered study replays it. Every lane must be
+   %h-equal to a sequential replay of its geometry. The L1I layer groups
+   lanes by L1I geometry across L2 groups: a 10-lane batch of one 2-way
+   L1I over every L2 variant, whose lanes disagree on the wrong-path L2
+   probe and so split L1I sets, must also equal the oracle (and its
+   selection from the grid batch, the sequential replay). *)
 let tiny_l2 (base : Pipeline.config) =
   { base with Pipeline.l2 = { Cache.size_bytes = 64 * 1024; assoc = 8; line_bytes = 64 } }
 
@@ -380,6 +381,22 @@ let test_shared_l2_golden () =
               check (label ^ " 5-lane subset") sub
                 (Replay.run_many ~warmup_blocks plan sub placement)
                 (fun k -> Lazy.force want.(subset.(k)));
+              (* The same subset, and the one-L1I lanes below, as selections
+                 of the grid batch: lanes keep their grid indices. *)
+              let select what idxs =
+                let sel = Replay.select batch idxs in
+                let sorted a = List.sort compare (Array.to_list a) in
+                Alcotest.(check (list int))
+                  (label ^ " " ^ what ^ ": lanes keep grid indices")
+                  (sorted idxs) (sorted (Replay.batch_src sel));
+                Alcotest.(check (list int)) (label ^ " " ^ what ^ ": no fallbacks") []
+                  (sorted (Replay.batch_fallback sel));
+                check (label ^ " " ^ what) sel
+                  (Replay.run_many ~warmup_blocks plan sel placement)
+                  (fun i -> Lazy.force want.(i))
+              in
+              select "5-lane select" subset;
+              select "one-L1I select" (Array.init 10 (fun k -> 10 + k));
               (* Grid lanes 10-19: the 2-way L1I over the 10 L2 variants. *)
               let one_l1i = Array.init 10 (fun k -> 10 + k) in
               let sub = Replay.cache_batch_of ~l1i ~l2 (Array.map (fun i -> configs.(i)) one_l1i) in

@@ -383,8 +383,8 @@ let test_pool_threads () =
    lanes' L1Is diverge and fetch lines are partly missed), the data
    prefetcher (fills on clean and split sets), no wrong path (nothing
    splits), a heap_random data side, warmup (group counters are
-   snapshotted with the lanes'), and a 5-lane sub-batch as a steered sweep
-   replays it. Every lane must be %h-equal to a sequential replay of its
+   snapshotted with the lanes'), a 5-lane sub-batch, and selections of the
+   grid batch as a steered sweep replays them. Every lane must be %h-equal to a sequential replay of its
    config, and on the tiny-L1I machines to the oracle too; those machines
    must split L1I sets. *)
 
@@ -422,6 +422,10 @@ let check_lanes_h label batch got want_of =
     got
 
 let steered_sub_batch = [ "bimodal-8"; "gshare-10/4"; "gas-16/12"; "hybrid-16/12"; "gshare-16/12" ]
+(* gas-13/11 is the grid's last single-table lane, hybrid-11/6 its first
+   hybrid one. *)
+let four_kinds_and_fallback =
+  [ "hybrid-11/6"; "static-taken"; "gas-13/11"; "bimodal-10"; "gshare-12/6" ]
 
 let l1i_splits axis =
   Pi_obs.Metrics.counter ~labels:[ ("axis", axis) ] "pi_obs_sweep_l1i_split_sets_total"
@@ -463,7 +467,38 @@ let test_shared_l2_golden () =
               in
               check_lanes_h (label ^ " 5-lane") sub_batch
                 (Replay.run_many ~warmup_blocks plan sub_batch placement)
-                (fun k -> want_of (index_of (fst sub.(k)))))
+                (fun k -> want_of (index_of (fst sub.(k))));
+              (* As selections of the grid batch, their counter tables
+                 gathered from its image: the same 5 lanes; the lanes on
+                 either side of the single-table/hybrid boundary plus the
+                 other two kinds and a static fallback; and the grid
+                 without bimodal-16, which moves every later table 64 KB
+                 down (a table read at its grid offset lands on another
+                 lane's table). Lanes and fallbacks keep their grid
+                 indices. *)
+              List.iter
+                (fun (what, names) ->
+                  let idxs = List.map index_of names in
+                  let sel = Replay.select grid (Array.of_list idxs) in
+                  let fallback, lanes =
+                    List.partition (fun i -> Array.mem i (Replay.batch_fallback grid)) idxs
+                  in
+                  let sorted a = List.sort compare (Array.to_list a) in
+                  Alcotest.(check (list int))
+                    (label ^ " " ^ what ^ ": lanes keep grid indices")
+                    (List.sort compare lanes) (sorted (Replay.batch_src sel));
+                  Alcotest.(check (list int))
+                    (label ^ " " ^ what ^ ": fallbacks keep grid indices")
+                    (List.sort compare fallback) (sorted (Replay.batch_fallback sel));
+                  check_lanes_h (label ^ " " ^ what) sel
+                    (Replay.run_many ~warmup_blocks plan sel placement)
+                    want_of)
+                [
+                  ("5-lane select", steered_sub_batch);
+                  ("four-kind select", four_kinds_and_fallback);
+                  ( "grid-but-one select",
+                    List.filter (( <> ) "bimodal-16") (List.map fst (Array.to_list configs)) );
+                ])
             [
               ("seed3", Placement.make p ~seed:3);
               ("heap_random", Placement.make ~heap_random:true p ~seed:3);

@@ -69,14 +69,20 @@ cache-sweep-smoke:
 # (prune factor >= 5x), every predicted lane within 1% CPI of the golden
 # full fused study, replayed lanes bit-identical. Legs 2 and 3 drive the
 # same contract through the CLI's --max-err/--check path: 183.equake
-# settles in one round; 400.perlbench takes ~27 rounds of refits, each
-# replaying a 5-lane selection of the grid batch in the pooled fused
-# scratch. Leg 4 steers the cache axis in 2 shards (429.mcf: 14 rounds,
-# 72 of 100 lanes). Steering is deterministic, so this never flakes.
+# settles in one round; on 400.perlbench no refit certifies a lane, so
+# the break-even rule doubles its rounds (5, 10, 20, ... lanes, each a
+# selection of the grid batch) and the leg also fails past 6 rounds (5
+# with the rule, 27 without). Leg 4 steers the cache axis in 2 shards
+# (429.mcf: 5 rounds, 84 of 100 lanes). Steering is deterministic, so
+# this never flakes.
 surrogate-smoke:
 	dune exec bench/surrogate.exe
 	$(CLI) sweep 183.equake --scale 1 --max-err 1.0 --check
-	$(CLI) sweep 400.perlbench --scale 1 --max-err 1.0 --check
+	out=$$($(CLI) sweep 400.perlbench --scale 1 --max-err 1.0 --check) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	rounds=$$(echo "$$out" | sed -n 's/^surrogate: .*, \([0-9][0-9]*\) rounds,.*/\1/p'); \
+	test -n "$$rounds" && test "$$rounds" -le 6 || \
+	  { echo "surrogate-smoke: 400.perlbench steered in $$rounds rounds, over 6"; exit 1; }
 	$(CLI) sweep 429.mcf --scale 1 --axis cache --max-err 1.0 --jobs 2 --check
 
 # Tiny cold campaign with both observability artifacts; asserts the metric

@@ -334,9 +334,9 @@ type data_side = {
    predictor.
 
    Group predictor state is a structure of arrays: every group's
-   saturating-counter tables are packed into one byte image ([tab_init],
-   blitted into the pass's scratch) addressed through per-group
-   offset/mask arrays, and groups are sorted by kernel kind so the
+   saturating-counter tables are packed into one byte image, blitted into
+   the pass's scratch group by group ([load_tables]) and addressed through
+   per-group offset/mask arrays, and groups are sorted by kernel kind so the
    per-branch loops are branch-free dispatches over contiguous ranges:
    bimodal, gshare and GAs are one kernel, a table indexed by
    [((pc land amask) lsl hbits) lxor history] (bimodal: no history;
@@ -350,7 +350,9 @@ type pred_groups = {
   pg_n : int;  (** groups *)
   hyb_lo : int;
       (** groups [0,hyb_lo) have one table (bimodal, gshare, GAs), [hyb_lo,pg_n) are hybrid *)
-  tab_init : Bytes.t;  (** fresh counter-table image; blitted into scratch per pass *)
+  tab_src : Bytes.t;  (** fresh counter tables of the pack these groups came from *)
+  tab_from : int array;  (** per group: where its tables start in [tab_src] *)
+  tab_len : int;  (** bytes of the pass image *)
   kp : int array;
       (** kernel parameters, [kp_words] per group: the main counter table's
           offset and mask (hybrid: the GAs table), the hybrid bimodal and
@@ -434,40 +436,52 @@ let pack_groups (preds : Predictor.t array) =
   {
     pg_n = n;
     hyb_lo = Array.fold_left (fun a p -> if kernel_kind p < 3 then a + 1 else a) 0 preds;
-    tab_init;
+    tab_src = tab_init;
+    tab_from = Array.init n (fun j -> kp.(j * kp_words));
+    tab_len = !total;
     kp;
     hist_keep = hist_keep kp n;
   }
 
-(* Groups [gs] (ascending) as a pack of their own, gathered from [p]'s
-   image: a group's tables are allocated together, in group order, so each
-   group is one contiguous slice of [tab_init], copied next to the last and
-   its table offsets rebased to where it lands (offsets of tables a group's
-   kind never reads may go negative — they are never dereferenced). No
-   predictor is built. *)
+(* Group [g]'s tables: one contiguous slice of the pass image, starting at
+   its slot-0 offset (a group's tables are allocated together, in group
+   order) and ending where the next group's start. *)
+let group_start p g = p.kp.(g * kp_words)
+let group_stop p g = if g + 1 < p.pg_n then group_start p (g + 1) else p.tab_len
+
+(* Groups [gs] (ascending) as a pack of their own over [p]'s image: each
+   group's slice lands next to the last and its table offsets are rebased
+   to where it lands (offsets of tables a group's kind never reads may go
+   negative — they are never dereferenced). Nothing is copied until a pass
+   loads the slices; no predictor is built. *)
 let gather_groups p gs =
   let m = Array.length gs in
-  let start g = p.kp.(g * kp_words) in
-  let stop g = if g + 1 < p.pg_n then start (g + 1) else Bytes.length p.tab_init in
-  let tab_init = Bytes.create (Array.fold_left (fun a g -> a + stop g - start g) 0 gs) in
   let kp = Array.make (m * kp_words) 0 in
   let at = ref 0 in
   Array.iteri
     (fun j g ->
-      Bytes.blit p.tab_init (start g) tab_init !at (stop g - start g);
       Array.blit p.kp (g * kp_words) kp (j * kp_words) kp_words;
-      List.iter
-        (fun slot -> kp.((j * kp_words) + slot) <- kp.((j * kp_words) + slot) - start g + !at)
+      let shift = !at - group_start p g in
+      List.iter (fun slot -> kp.((j * kp_words) + slot) <- kp.((j * kp_words) + slot) + shift)
         [ 0; 2; 4 ];
-      at := !at + stop g - start g)
+      at := !at + group_stop p g - group_start p g)
     gs;
   {
     pg_n = m;
     hyb_lo = Array.fold_left (fun a g -> if g < p.hyb_lo then a + 1 else a) 0 gs;
-    tab_init;
+    tab_src = p.tab_src;
+    tab_from = Array.map (fun g -> p.tab_from.(g)) gs;
+    tab_len = !at;
     kp;
     hist_keep = hist_keep kp m;
   }
+
+(* A pass's fresh counter tables: every group's slice of its source image,
+   blitted into [tab]. *)
+let load_tables p tab =
+  for g = 0 to p.pg_n - 1 do
+    Bytes.blit p.tab_src p.tab_from.(g) tab (group_start p g) (group_stop p g - group_start p g)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Compiled replay plans.
@@ -1210,7 +1224,7 @@ let batch_axis b = if Option.is_some b.preds then "predictor" else "cache"
 
 let batch_table_bytes b =
   match (b.preds, b.geoms) with
-  | Some p, _ -> Bytes.length p.tab_init
+  | Some p, _ -> p.tab_len
   | None, Some geoms ->
       let words f =
         List.fold_left
@@ -1368,10 +1382,9 @@ let walk ~warmup_blocks plan ds batch (placement : Pi_layout.Placement.t) =
     | Some p -> (p, None)
     | None -> machine_groups scratch config.make_predictor
   in
-  let tab_len = Bytes.length pg.tab_init in
-  if Bytes.length scratch.tab < tab_len then scratch.tab <- Bytes.create tab_len;
+  if Bytes.length scratch.tab < pg.tab_len then scratch.tab <- Bytes.create pg.tab_len;
   let tab = scratch.tab in
-  Bytes.blit pg.tab_init 0 tab 0 tab_len;
+  load_tables pg tab;
   let kp = pg.kp in
   let hist_keep = pg.hist_keep in
   let history = ref 0 in

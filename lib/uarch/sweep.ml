@@ -189,8 +189,11 @@ type steered = {
 
 (* Constants validated against full-grid truth on a 10-benchmark panel:
    [safety]/[floor_c] trade pruning for bound validity; [knn] is the
-   correction neighborhood; [chunk] lanes replay per round so the fused
-   selections stay worth a pass of their own. *)
+   correction neighborhood; [chunk] lanes replay in a round so the fused
+   selections stay worth a pass of their own, doubling under [Max_err]
+   whenever a refit certifies no lane it did not replay (the break-even
+   rule: the model is not learning, so rounds stop paying a pass and a
+   refit per 5 lanes). *)
 let steer_safety = 1.5
 let steer_floor_c = 1.0
 let steer_knn = 4
@@ -389,24 +392,41 @@ let steer ~steering ~feats ~anchors ~n_targets ~cpi_target ~replay n =
   let err_sum = ref 0.0 and err_max = ref 0.0 and err_n = ref 0 in
   let finished = ref false in
   let predict = ref (build ()) in
+  let chunk = ref steer_chunk and prev_above = ref None in
   while (not !finished) && !replayed_count < budget && !rounds < 64 do
-    let scored = ref [] in
-    for i = n - 1 downto 0 do
-      if not replayed.(i) then begin
-        let _, unc = !predict i in
-        scored := (i, unc) :: !scored
-      end
-    done;
+    (* Every unreplayed lane scored once; a chosen lane's prediction is
+       its holdout record. *)
+    let scored =
+      Array.of_seq
+        (Seq.filter_map
+           (fun i ->
+             if replayed.(i) then None
+             else
+               let v, unc = !predict i in
+               Some (i, v.(cpi_target), unc))
+           (Seq.init n Fun.id))
+    in
     (* Descending uncertainty, ties to the lowest index — deterministic. *)
-    let scored = Array.of_list !scored in
-    Array.sort (fun (i, u) (j, v) -> if v <> u then compare v u else compare i j) scored;
-    let cap = min (min steer_chunk (budget - !replayed_count)) (Array.length scored) in
+    Array.sort (fun (i, _, u) (j, _, v) -> if v <> u then compare v u else compare i j) scored;
+    (* The lanes above tolerance lead the order. *)
+    let above = ref 0 in
+    while !above < Array.length scored && (let _, _, u = scored.(!above) in u > tol) do
+      incr above
+    done;
+    let above = !above in
+    (* Break-even: when the count above tolerance fell by no more than the
+       last round's chunk, the refit learned nothing beyond its own lanes,
+       so this round is twice as large. A budget keeps its fixed rounds. *)
+    (match (steering, !prev_above) with
+    | Max_err _, Some prev when prev - above <= !chunk -> chunk := 2 * !chunk
+    | _ -> ());
+    prev_above := Some above;
+    let cap = min (min !chunk (budget - !replayed_count)) (Array.length scored) in
     let chosen =
       match steering with
       | Budget _ -> Array.sub scored 0 cap
       | Max_err _ ->
-          let above = Array.of_list (List.filter (fun (_, u) -> u > tol) (Array.to_list scored)) in
-          if Array.length above > 0 then Array.sub above 0 (min cap (Array.length above))
+          if above > 0 then Array.sub scored 0 (min cap above)
           else if !rounds = 0 then
             (* Nothing exceeds the tolerance on the seed fit alone: replay a
                small validation batch anyway, so the reported holdout error
@@ -416,18 +436,12 @@ let steer ~steering ~feats ~anchors ~n_targets ~cpi_target ~replay n =
     in
     if Array.length chosen = 0 then finished := true
     else begin
-      (* Holdout validation: predictions recorded before the replay reveals
-         the truth, exactly what a trusted predicted point would have said. *)
-      let predictions =
-        Array.map
-          (fun (i, _) ->
-            let v, _ = !predict i in
-            (i, v.(cpi_target)))
-          chosen
-      in
-      do_replay (Array.map fst chosen);
+      do_replay (Array.map (fun (i, _, _) -> i) chosen);
+      (* Holdout validation: predictions recorded before the replay
+         revealed the truth, exactly what a trusted predicted point would
+         have said. *)
       Array.iter
-        (fun (i, pred) ->
+        (fun (i, pred, _) ->
           let actual = values.(i).(cpi_target) in
           if actual > 0.0 then begin
             let e = Float.abs (pred -. actual) /. actual *. 100.0 in
@@ -435,7 +449,7 @@ let steer ~steering ~feats ~anchors ~n_targets ~cpi_target ~replay n =
             err_max := Float.max !err_max e;
             incr err_n
           end)
-        predictions;
+        chosen;
       incr rounds;
       predict := build ()
     end

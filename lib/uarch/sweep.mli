@@ -124,7 +124,12 @@ val run_study :
     memoized grid batch, sharded like the full grid, with no predictor
     built — only the lanes whose predicted CPI uncertainty still exceeds
     the tolerance ([Max_err]) or ranks highest under the lane budget
-    ([Budget]), filling the rest from the model. [sources] tags each point, and
+    ([Budget]), filling the rest from the model. A round replays up to 5
+    of the most uncertain lanes. Under [Max_err], a round doubles that
+    size whenever the count above tolerance fell by no more than it
+    since the last round (the refit learned nothing beyond the lanes it
+    was given), so a grid the model cannot certify costs a few rounds,
+    not one per 5 lanes. [sources] tags each point, and
     [surrogate_max_abs_err]/[surrogate_mean_abs_err] report the model's
     pre-replay predictions against every lane that was subsequently
     replayed. Steering is deterministic: no RNG anywhere, so two steered

@@ -198,6 +198,40 @@ let test_steered_error_bound () =
     [ "400.perlbench"; "429.mcf"; "445.gobmk" ];
   Alcotest.(check bool) "pruned somewhere across the matrix" true (!total_pruned > 0)
 
+(* The break-even rule: on 400.perlbench every unreplayed lane stays above
+   the tolerance round after round, so rounds double and the study ends in
+   a handful (5-lane rounds took 26-27). Where the model does learn
+   (470.lbm: the count above tolerance falls by more than a round
+   replays) or settles at once (183.equake), rounds and replayed lanes
+   are those of fixed 5-lane rounds. *)
+let test_steered_break_even () =
+  let study bench_name seed =
+    let p, trace = traced bench_name in
+    let plan = Pi_uarch.Replay.compile Machine.xeon_e5440 trace in
+    let placement = Placement.make p ~seed in
+    ( Sweep.run_study ~plan ~benchmark:bench_name trace placement,
+      Sweep.run_study ~plan ~surrogate:(Sweep.Max_err 1.0) ~benchmark:bench_name trace placement )
+  in
+  List.iter
+    (fun seed ->
+      let full, steered = study "400.perlbench" seed in
+      let label = Printf.sprintf "400.perlbench/seed%d" seed in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d rounds <= 6" label steered.Sweep.surrogate_rounds)
+        true
+        (steered.Sweep.surrogate_rounds <= 6);
+      Alcotest.(check bool) (label ^ ": points equal the full study") true
+        (steered.Sweep.points = full.Sweep.points))
+    [ 1; 2 ];
+  List.iter
+    (fun (bench_name, rounds, replayed) ->
+      let _, steered = study bench_name 1 in
+      Alcotest.(check (pair int int))
+        (bench_name ^ ": (rounds, replayed lanes)")
+        (rounds, replayed)
+        (steered.Sweep.surrogate_rounds, steered.Sweep.replayed_lanes))
+    [ ("183.equake", 1, 19); ("470.lbm", 10, 64) ]
+
 let test_full_budget_identity () =
   let p, trace = traced "429.mcf" in
   let plan = Pi_uarch.Replay.compile Machine.xeon_e5440 trace in
@@ -263,5 +297,6 @@ let suite =
           test_steered_error_bound;
         Alcotest.test_case "full budget == plain fused study" `Quick test_full_budget_identity;
         Alcotest.test_case "steered cache axis: 1% CPI bound" `Slow test_steered_cache_axis;
+        Alcotest.test_case "steered study: break-even rounds" `Quick test_steered_break_even;
       ] );
   ]

@@ -165,13 +165,17 @@ let cache_digest (s : Sweep.cache_study) =
     s.Sweep.cache_surrogate_mean_abs_err;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* (bench, steering, predictor digest, cache digest) *)
+(* (bench, steering, predictor digest, cache digest). 400.perlbench's
+   [Max_err] pair was re-pinned when steering gained its break-even rule
+   (a round that teaches nothing doubles the next one): that rule changes
+   which of its lanes are replayed, and every newly replayed lane equals
+   the full fused study bit for bit. *)
 let golden =
   [
     ( "400.perlbench",
       Sweep.Max_err 1.0,
-      "f89f566614e1dde4e1d509ca75da7d94",
-      "f1d2cf755cc9578ac0ed44f44f850b67" );
+      "88c3d58dd759a8ad8ad2405863016c60",
+      "b28abaa9fc126d704c1a3dc9f5d559e8" );
     ( "400.perlbench",
       Sweep.Budget 30,
       "02b2218b872fe07a71b75d5dd6013a27",

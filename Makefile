@@ -39,13 +39,22 @@ perf:
 
 # Tiny configuration of the same benchmarks: correctness gate, not a timing
 # (the sweep and recorder gates are disabled; bit-identity across paths is
-# still enforced, recorder included). No artifacts, no history appends.
+# still enforced, recorder included). The five BENCH documents go to
+# _perf-smoke/, and each must parse and self-compare clean; no history
+# appends.
 perf-smoke:
+	rm -rf _perf-smoke && mkdir -p _perf-smoke
 	PI_PERF_SCALE=2 PI_PERF_LAYOUTS=2 PI_SWEEP_SCALE=1 PI_SWEEP_GATE=0 \
 	  PI_CACHE_SWEEP_GATE=0 PI_RECORDER_GATE=0 PI_SURROGATE_GATE=0 \
-	  PI_PERF_OUT=- PI_SWEEP_OUT=- \
-	  PI_CACHE_SWEEP_OUT=- PI_RECORDER_OUT=- PI_SURROGATE_OUT=- \
+	  PI_PERF_OUT=_perf-smoke/pipeline.json PI_SWEEP_OUT=_perf-smoke/sweep.json \
+	  PI_CACHE_SWEEP_OUT=_perf-smoke/cache_sweep.json \
+	  PI_RECORDER_OUT=_perf-smoke/recorder.json \
+	  PI_SURROGATE_OUT=_perf-smoke/surrogate.json \
 	  PI_HISTORY_OUT=- dune exec bench/perf.exe
+	for f in pipeline sweep cache_sweep recorder surrogate; do \
+	  $(CLI) compare _perf-smoke/$$f.json _perf-smoke/$$f.json > /dev/null || exit 1; \
+	done
+	@echo "perf-smoke OK: five BENCH documents written, each parses and self-compares clean"
 
 # Sharded fused sweep through the CLI: two domains, then a sequential
 # per-config study, which must match the fused one bit for bit. The
@@ -195,4 +204,4 @@ bundle-smoke:
 clean:
 	dune clean
 	rm -rf _campaign-cache _obs-smoke _resilience-smoke _serve-smoke _serve \
-	  _history-smoke _bundle-smoke history.jsonl
+	  _history-smoke _bundle-smoke _perf-smoke history.jsonl

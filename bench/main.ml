@@ -764,6 +764,6 @@ let () =
     Pi_obs.Log.info "trace: %s (load in Perfetto, see docs/OBSERVABILITY.md)" trace_out
   end;
   if metrics_out <> "-" then begin
-    Pi_obs.Metrics.save_prometheus ~path:metrics_out;
+    Pi_obs.Metrics.save ~path:metrics_out;
     Pi_obs.Log.info "metrics: %s" metrics_out
   end

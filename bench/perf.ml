@@ -82,39 +82,29 @@ let () =
   let cache_sweep_gate = gate_of "PI_CACHE_SWEEP_GATE" in
   let recorder_gate = gate_of "PI_RECORDER_GATE" in
   let surrogate_gate = gate_of "PI_SURROGATE_GATE" in
-  let r = Interferometry.Perf_bench.run ~bench ~scale ~layouts () in
-  print_endline (Interferometry.Perf_bench.summary r);
-  if out <> "-" then begin
-    Interferometry.Perf_bench.write_json ~path:out r;
-    Printf.printf "wrote %s\n" out
-  end;
-  let s = Interferometry.Perf_bench.run_sweep ~bench ~scale:sweep_scale () in
-  print_endline (Interferometry.Perf_bench.sweep_summary s);
-  if sweep_out <> "-" then begin
-    Interferometry.Perf_bench.write_sweep_json ~path:sweep_out s;
-    Printf.printf "wrote %s\n" sweep_out
-  end;
-  let c = Interferometry.Perf_bench.run_cache_sweep ~bench ~scale:cache_sweep_scale () in
-  print_endline (Interferometry.Perf_bench.cache_sweep_summary c);
-  if cache_sweep_out <> "-" then begin
-    Interferometry.Perf_bench.write_cache_sweep_json ~path:cache_sweep_out c;
-    Printf.printf "wrote %s\n" cache_sweep_out
-  end;
-  let rc = Interferometry.Perf_bench.run_recorder ~bench ~scale:recorder_scale () in
-  print_endline (Interferometry.Perf_bench.recorder_summary rc);
-  if recorder_out <> "-" then begin
-    Interferometry.Perf_bench.write_recorder_json ~path:recorder_out rc;
-    Printf.printf "wrote %s\n" recorder_out
-  end;
-  let su =
-    Interferometry.Perf_bench.run_surrogate ~bench:surrogate_bench
-      ~scale:surrogate_scale ()
+  let module P = Interferometry.Perf_bench in
+  let run summary to_json out result =
+    print_endline (summary result);
+    if out <> "-" then begin
+      P.write_json ~path:out (to_json result);
+      Printf.printf "wrote %s\n" out
+    end;
+    result
   in
-  print_endline (Interferometry.Perf_bench.surrogate_summary su);
-  if surrogate_out <> "-" then begin
-    Interferometry.Perf_bench.write_surrogate_json ~path:surrogate_out su;
-    Printf.printf "wrote %s\n" surrogate_out
-  end;
+  let r = run P.summary P.to_json out (P.run ~bench ~scale ~layouts ()) in
+  let s = run P.sweep_summary P.sweep_to_json sweep_out (P.run_sweep ~bench ~scale:sweep_scale ()) in
+  let c =
+    run P.cache_sweep_summary P.cache_sweep_to_json cache_sweep_out
+      (P.run_cache_sweep ~bench ~scale:cache_sweep_scale ())
+  in
+  let rc =
+    run P.recorder_summary P.recorder_to_json recorder_out
+      (P.run_recorder ~bench ~scale:recorder_scale ())
+  in
+  let su =
+    run P.surrogate_summary P.surrogate_to_json surrogate_out
+      (P.run_surrogate ~bench:surrogate_bench ~scale:surrogate_scale ())
+  in
   (* Every result joins the run-history ledger before the gates fire: a
      failing run's numbers are exactly the ones worth keeping. *)
   if history_out <> "-" then begin
@@ -126,14 +116,11 @@ let () =
         (Pi_obs.History.make ~kind:"perf" ~label:kind_label
            ~config_digest:(digest kind_label a_bench a_scale) metrics)
     in
-    append "pipeline" bench scale (Interferometry.Perf_bench.history_metrics r);
-    append "sweep" bench sweep_scale (Interferometry.Perf_bench.sweep_history_metrics s);
-    append "cache_sweep" bench cache_sweep_scale
-      (Interferometry.Perf_bench.cache_sweep_history_metrics c);
-    append "recorder" bench recorder_scale
-      (Interferometry.Perf_bench.recorder_history_metrics rc);
-    append "surrogate" surrogate_bench surrogate_scale
-      (Interferometry.Perf_bench.surrogate_history_metrics su);
+    append "pipeline" bench scale (P.history_metrics r);
+    append "sweep" bench sweep_scale (P.sweep_history_metrics s);
+    append "cache_sweep" bench cache_sweep_scale (P.cache_sweep_history_metrics c);
+    append "recorder" bench recorder_scale (P.recorder_history_metrics rc);
+    append "surrogate" surrogate_bench surrogate_scale (P.surrogate_history_metrics su);
     Printf.printf "appended 5 records to %s\n" history_out
   end;
   (match Sys.getenv_opt "PI_BUNDLE_OUT" with
@@ -154,16 +141,13 @@ let () =
       in
       let prefix p metrics = List.map (fun (k, v) -> (p ^ "_" ^ k, v)) metrics in
       let metrics =
-        prefix "pipeline" (Interferometry.Perf_bench.history_metrics r)
-        @ prefix "sweep" (Interferometry.Perf_bench.sweep_history_metrics s)
-        @ prefix "cache_sweep"
-            (Interferometry.Perf_bench.cache_sweep_history_metrics c)
-        @ prefix "recorder"
-            (Interferometry.Perf_bench.recorder_history_metrics rc)
-        @ prefix "surrogate"
-            (Interferometry.Perf_bench.surrogate_history_metrics su)
+        prefix "pipeline" (P.history_metrics r)
+        @ prefix "sweep" (P.sweep_history_metrics s)
+        @ prefix "cache_sweep" (P.cache_sweep_history_metrics c)
+        @ prefix "recorder" (P.recorder_history_metrics rc)
+        @ prefix "surrogate" (P.surrogate_history_metrics su)
       in
-      let module J = Pi_campaign.Telemetry in
+      let module J = Pi_obs.Json in
       let config_args =
         [
           ("bench", J.String bench);
@@ -183,55 +167,14 @@ let () =
       in
       Printf.printf "bundle: %s (%d pinned artifacts)\n" dir
         (List.length manifest.Pi_campaign.Bundle.artifacts));
-  if not r.Interferometry.Perf_bench.trace_identical then begin
-    prerr_endline "FAIL: one-pass Run_limiter.trace differs from the two-pass reference";
+  let failures =
+    P.pipeline_failures r
+    @ P.sweep_failures ~gate:sweep_gate s
+    @ P.cache_sweep_failures ~gate:cache_sweep_gate c
+    @ P.recorder_failures ~gate:recorder_gate rc
+    @ List.map (( ^ ) "steered sweep: ") (P.surrogate_failures ~gate:surrogate_gate su)
+  in
+  if failures <> [] then begin
+    List.iter (Printf.eprintf "FAIL: %s\n") failures;
     exit 1
-  end;
-  if not r.Interferometry.Perf_bench.identical then begin
-    prerr_endline "FAIL: replay counts differ from the legacy pipeline";
-    exit 1
-  end;
-  if not r.Interferometry.Perf_bench.heap_random_identical then begin
-    prerr_endline "FAIL: heap_random replay counts differ from the legacy pipeline";
-    exit 1
-  end;
-  if r.Interferometry.Perf_bench.speedup < 1.0 then begin
-    Printf.eprintf "FAIL: replay slower than legacy (%.2fx)\n"
-      r.Interferometry.Perf_bench.speedup;
-    exit 1
-  end;
-  if not s.Interferometry.Perf_bench.sweep_identical then begin
-    prerr_endline "FAIL: fused sweep diverges from the sequential study";
-    exit 1
-  end;
-  if s.Interferometry.Perf_bench.sweep_speedup < sweep_gate then begin
-    Printf.eprintf "FAIL: fused sweep speedup %.2fx below gate %.2fx\n"
-      s.Interferometry.Perf_bench.sweep_speedup sweep_gate;
-    exit 1
-  end;
-  if not c.Interferometry.Perf_bench.cache_identical then begin
-    prerr_endline "FAIL: fused cache sweep diverges from the sequential study";
-    exit 1
-  end;
-  if c.Interferometry.Perf_bench.cache_speedup < cache_sweep_gate then begin
-    Printf.eprintf "FAIL: fused cache sweep speedup %.2fx below gate %.2fx\n"
-      c.Interferometry.Perf_bench.cache_speedup cache_sweep_gate;
-    exit 1
-  end;
-  if not rc.Interferometry.Perf_bench.rec_identical then begin
-    prerr_endline "FAIL: sweep grid changed with the flight recorder on";
-    exit 1
-  end;
-  if
-    recorder_gate > 0.0
-    && rc.Interferometry.Perf_bench.rec_overhead_percent > recorder_gate
-  then begin
-    Printf.eprintf "FAIL: flight-recorder overhead %.2f%% above gate %.2f%%\n"
-      rc.Interferometry.Perf_bench.rec_overhead_percent recorder_gate;
-    exit 1
-  end;
-  match Interferometry.Perf_bench.surrogate_failures ~gate:surrogate_gate su with
-  | [] -> ()
-  | failures ->
-      List.iter (Printf.eprintf "FAIL: steered sweep: %s\n") failures;
-      exit 1
+  end

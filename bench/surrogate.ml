@@ -31,7 +31,7 @@ let () =
   let r = Interferometry.Perf_bench.run_surrogate ~bench ~scale () in
   print_endline (Interferometry.Perf_bench.surrogate_summary r);
   if out <> "-" then begin
-    Interferometry.Perf_bench.write_surrogate_json ~path:out r;
+    Interferometry.Perf_bench.(write_json ~path:out (surrogate_to_json r));
     Printf.printf "wrote %s\n" out
   end;
   match Interferometry.Perf_bench.surrogate_failures ~gate r with

@@ -42,31 +42,11 @@ let trace_out_term =
            ~doc:"Enable stage tracing and write the spans as Chrome \
                  trace-event JSON (loadable in Perfetto) on exit.")
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write_metrics path =
-  if Filename.check_suffix path ".json" then begin
-    mkdir_p (Filename.dirname path);
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc
-          (Pi_campaign.Telemetry.to_string
-             (Pi_campaign.Telemetry.metrics_json (Metrics.scrape ())));
-        output_char oc '\n')
-  end
-  else Metrics.save_prometheus ~path
-
 let with_obs ~metrics_out ~trace_out f =
   if Option.is_some trace_out then Pi_obs.Span.set_enabled true;
   let result = f () in
   Option.iter (fun path -> Pi_obs.Span.save ~path) trace_out;
-  Option.iter write_metrics metrics_out;
+  Option.iter (fun path -> Metrics.save ~path) metrics_out;
   result
 
 let bench_arg =
@@ -437,7 +417,7 @@ let sweep_cmd =
       Option.iter
         (fun dir ->
           let module B = Pi_campaign.Bundle in
-          let module JT = Pi_campaign.Telemetry in
+          let module JT = Pi_obs.Json in
           let bench_name = bench.Pi_workloads.Bench.name in
           let digest = Pi_campaign.Obs_cache.config_digest config in
           let config_args =
@@ -1018,7 +998,7 @@ let campaign_cmd =
             Printf.eprintf "%s\n" msg;
             exit 2
         | Ok benches ->
-            let module J = Pi_campaign.Telemetry in
+            let module J = Pi_obs.Json in
             let base = if quick then E.quick_config else E.default_config in
             let config =
               {
@@ -1093,92 +1073,6 @@ let stats_cmd =
               (ident s) h.Metrics.count h.Metrics.sum (q 0.5) (q 0.9) (q 0.99))
       samples
   in
-  (* Rebuild Metrics.sample values from a live daemon's /metrics.json scrape
-     (the inverse of Telemetry.metrics_json) so local and remote scrapes go
-     through the same pretty-printer — quantile estimates included. *)
-  let samples_of_json doc =
-    let module J = Pi_campaign.Telemetry in
-    let exception Bad of string in
-    let num name = function
-      | J.Float f -> f
-      | J.Int i -> float_of_int i
-      | _ -> raise (Bad (name ^ ": expected a number"))
-    in
-    let sample_of = function
-      | J.Obj fields ->
-          let field name =
-            match List.assoc_opt name fields with
-            | Some v -> v
-            | None -> raise (Bad ("sample without " ^ name))
-          in
-          let str name =
-            match field name with
-            | J.String s -> s
-            | _ -> raise (Bad (name ^ ": expected a string"))
-          in
-          let int name =
-            match field name with
-            | J.Int i -> i
-            | _ -> raise (Bad (name ^ ": expected an integer"))
-          in
-          let labels =
-            match List.assoc_opt "labels" fields with
-            | Some (J.Obj l) ->
-                List.map
-                  (fun (k, v) ->
-                    match v with
-                    | J.String s -> (k, s)
-                    | _ -> raise (Bad "label value: expected a string"))
-                  l
-            | _ -> []
-          in
-          let help =
-            match List.assoc_opt "help" fields with Some (J.String h) -> h | _ -> ""
-          in
-          let value =
-            match str "type" with
-            | "counter" -> Metrics.Counter (int "value")
-            | "gauge" -> Metrics.Gauge (num "value" (field "value"))
-            | "histogram" ->
-                let buckets =
-                  match field "buckets" with
-                  | J.List bs ->
-                      List.map
-                        (function
-                          | J.Obj b ->
-                              ( num "le" (Option.value ~default:J.Null (List.assoc_opt "le" b)),
-                                match List.assoc_opt "count" b with
-                                | Some (J.Int n) -> n
-                                | _ -> raise (Bad "bucket count: expected an integer") )
-                          | _ -> raise (Bad "bucket: expected an object"))
-                        bs
-                  | _ -> raise (Bad "buckets: expected a list")
-                in
-                let overflow =
-                  match List.assoc_opt "overflow" fields with Some (J.Int n) -> n | _ -> 0
-                in
-                Metrics.Histogram
-                  {
-                    Metrics.bounds = Array.of_list (List.map fst buckets);
-                    bucket_counts = Array.of_list (List.map snd buckets @ [ overflow ]);
-                    count = int "count";
-                    sum = num "sum" (field "sum");
-                  }
-            | other -> raise (Bad ("unknown metric type " ^ other))
-          in
-          { Metrics.name = str "name"; help; labels; value }
-      | _ -> raise (Bad "sample: expected an object")
-    in
-    match doc with
-    | J.Obj fields -> (
-        match List.assoc_opt "metrics" fields with
-        | Some (J.List items) -> (
-            match List.map sample_of items with
-            | samples -> Ok samples
-            | exception Bad msg -> Error ("malformed /metrics.json: " ^ msg))
-        | _ -> Error "malformed /metrics.json: no \"metrics\" list")
-    | _ -> Error "malformed /metrics.json: not an object"
-  in
   let run bench layouts seed scale url state_dir =
     match (url, state_dir) with
     | None, None ->
@@ -1225,9 +1119,9 @@ let stats_cmd =
             Printf.eprintf "stats: %s\n" msg;
             exit 2
         | Ok doc -> (
-            match samples_of_json doc with
+            match Metrics.of_json doc with
             | Error msg ->
-                Printf.eprintf "stats: %s\n" msg;
+                Printf.eprintf "stats: malformed /metrics.json: %s\n" msg;
                 exit 2
             | Ok samples ->
                 Printf.printf "live metrics from %s:%d:\n\n" conn.Pi_serve.Client.host
@@ -1280,61 +1174,40 @@ let stats_cmd =
 
 let perf_cmd =
   let run bench scale sweep_scale layouts out sweep_out history =
-    let r = Interferometry.Perf_bench.run ~bench:bench.Pi_workloads.Bench.name ~scale ~layouts () in
-    print_endline (Interferometry.Perf_bench.summary r);
+    let module P = Interferometry.Perf_bench in
+    let bench = bench.Pi_workloads.Bench.name in
+    let r = P.run ~bench ~scale ~layouts () in
+    print_endline (P.summary r);
     Option.iter
       (fun path ->
-        Interferometry.Perf_bench.write_json ~path r;
+        P.write_json ~path (P.to_json r);
         Printf.printf "wrote %s\n" path)
       out;
-    let s =
-      Interferometry.Perf_bench.run_sweep ~bench:bench.Pi_workloads.Bench.name
-        ~scale:sweep_scale ()
-    in
-    print_endline (Interferometry.Perf_bench.sweep_summary s);
+    let s = P.run_sweep ~bench ~scale:sweep_scale () in
+    print_endline (P.sweep_summary s);
     Option.iter
       (fun path ->
-        Interferometry.Perf_bench.write_sweep_json ~path s;
+        P.write_json ~path (P.sweep_to_json s);
         Printf.printf "wrote %s\n" path)
       sweep_out;
     Option.iter
       (fun path ->
-        let digest label a_scale =
-          Digest.to_hex
-            (Digest.string
-               (Printf.sprintf "%s:%s:%d" label bench.Pi_workloads.Bench.name a_scale))
+        let append label a_scale metrics =
+          let digest =
+            Digest.to_hex (Digest.string (Printf.sprintf "%s:%s:%d" label bench a_scale))
+          in
+          Pi_obs.History.append ~path
+            (Pi_obs.History.make ~kind:"perf" ~label ~config_digest:digest metrics)
         in
-        Pi_obs.History.append ~path
-          (Pi_obs.History.make ~kind:"perf" ~label:"pipeline"
-             ~config_digest:(digest "pipeline" scale)
-             (Interferometry.Perf_bench.history_metrics r));
-        Pi_obs.History.append ~path
-          (Pi_obs.History.make ~kind:"perf" ~label:"sweep"
-             ~config_digest:(digest "sweep" sweep_scale)
-             (Interferometry.Perf_bench.sweep_history_metrics s));
+        append "pipeline" scale (P.history_metrics r);
+        append "sweep" sweep_scale (P.sweep_history_metrics s);
         Printf.printf "history: %s\n" path)
       history;
-    if not r.Interferometry.Perf_bench.trace_identical then begin
-      prerr_endline "FAIL: one-pass Run_limiter.trace differs from the two-pass reference";
-      exit 1
-    end;
-    if not r.Interferometry.Perf_bench.identical then begin
-      prerr_endline "FAIL: replay counts differ from the legacy pipeline";
-      exit 1
-    end;
-    if not r.Interferometry.Perf_bench.heap_random_identical then begin
-      prerr_endline "FAIL: heap_random replay counts differ from the legacy pipeline";
-      exit 1
-    end;
-    if r.Interferometry.Perf_bench.speedup < 1.0 then begin
-      Printf.eprintf "FAIL: replay slower than legacy (%.2fx)\n"
-        r.Interferometry.Perf_bench.speedup;
-      exit 1
-    end;
-    if not s.Interferometry.Perf_bench.sweep_identical then begin
-      prerr_endline "FAIL: fused sweep diverges from the sequential study";
-      exit 1
-    end
+    match P.pipeline_failures r @ P.sweep_failures ~gate:0.0 s with
+    | [] -> ()
+    | failures ->
+        List.iter (Printf.eprintf "FAIL: %s\n") failures;
+        exit 1
   in
   let bench_term =
     Arg.(
@@ -1531,7 +1404,7 @@ let compare_cmd =
       match In_channel.with_open_text path In_channel.input_all with
       | exception Sys_error msg -> Error msg
       | contents -> (
-          let module J = Pi_campaign.Telemetry in
+          let module J = Pi_obs.Json in
           match J.parse contents with
           | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
           | Ok doc ->
@@ -1550,11 +1423,8 @@ let compare_cmd =
                 | J.List items ->
                     List.fold_left
                       (fun acc item ->
-                        match item with
-                        | J.Obj fields -> (
-                            match List.assoc_opt "bench" fields with
-                            | Some (J.String name) -> flatten (key name) item acc
-                            | _ -> acc)
+                        match J.member "bench" item with
+                        | J.String name -> flatten (key name) item acc
                         | _ -> acc)
                       acc items
                 | J.String _ | J.Bool _ | J.Null -> acc
@@ -2006,19 +1876,13 @@ let submit_cmd =
         Printf.eprintf "submit: %s\n" msg;
         exit 2
     | Ok ack -> (
-        print_endline (Pi_campaign.Telemetry.to_string ack);
+        print_endline (Pi_obs.Json.to_string ack);
         if wait then
-          let module J = Pi_campaign.Telemetry in
           let id =
-            match ack with
-            | J.Obj fields -> (
-                match List.assoc_opt "id" fields with
-                | Some (J.String id) -> id
-                | _ ->
-                    Printf.eprintf "submit: acknowledgement carries no job id\n";
-                    exit 2)
+            match Pi_obs.Json.member "id" ack with
+            | Pi_obs.Json.String id -> id
             | _ ->
-                Printf.eprintf "submit: malformed acknowledgement\n";
+                Printf.eprintf "submit: acknowledgement carries no job id\n";
                 exit 2
           in
           match Pi_serve.Client.wait_job conn ~id with
@@ -2055,7 +1919,7 @@ let job_id_term =
 let status_cmd =
   let run state_dir port id =
     match Pi_serve.Client.status (connect state_dir port) ~id with
-    | Ok doc -> print_endline (Pi_campaign.Telemetry.to_string doc)
+    | Ok doc -> print_endline (Pi_obs.Json.to_string doc)
     | Error msg ->
         Printf.eprintf "status: %s\n" msg;
         exit 2

@@ -1,4 +1,4 @@
-module J = Telemetry
+module J = Pi_obs.Json
 
 (* ------------------------------------------------------------------ *)
 (* Canonical JSON                                                      *)
@@ -8,10 +8,10 @@ module J = Telemetry
    function of its *content*, not of field-insertion order: objects are
    rendered with keys sorted bytewise (the RFC 8785 JCS ordering for
    ASCII keys, which all of ours are) and then serialized by
-   [Telemetry.to_string], whose float rendering is already canonical
+   [Pi_obs.Json.to_string], whose float rendering is already canonical
    (shortest %.12g form that round-trips, else %.17g). Two manifests with
    equal content therefore hash equal, byte for byte. *)
-let rec canonical (j : J.json) =
+let rec canonical (j : J.t) =
   match j with
   | J.Obj fields ->
       J.Obj
@@ -36,7 +36,7 @@ type manifest = {
   kind : string;
   label : string;
   config_digest : string;
-  config_args : (string * J.json) list;
+  config_args : (string * J.t) list;
   benches : string list;
   n_layouts : int;
   workers : int;
@@ -81,105 +81,51 @@ let manifest_to_json m =
       ("artifacts", J.List (List.map artifact_to_json m.artifacts));
     ]
 
-exception Bad of string
-
-let member name = function
-  | J.Obj fields -> ( match List.assoc_opt name fields with Some v -> v | None -> J.Null)
-  | _ -> J.Null
-
-let get_int name j =
-  match member name j with J.Int i -> i | _ -> raise (Bad ("missing int field " ^ name))
-
-let get_string name j =
-  match member name j with
-  | J.String s -> s
-  | _ -> raise (Bad ("missing string field " ^ name))
-
-(* Canonical float rendering turns 100.0 into "100", which parses back
-   as Int — numeric fields must accept both shapes. *)
-let get_number name j =
-  match member name j with
-  | J.Float f -> f
-  | J.Int i -> float_of_int i
-  | _ -> raise (Bad ("missing numeric field " ^ name))
-
-let get_obj name j =
-  match member name j with
-  | J.Obj fields -> fields
-  | J.Null -> []
-  | _ -> raise (Bad ("field " ^ name ^ " is not an object"))
-
-let get_list name j =
-  match member name j with
-  | J.List items -> items
-  | J.Null -> []
-  | _ -> raise (Bad ("field " ^ name ^ " is not a list"))
-
 let artifact_of_json j =
   {
-    rel_path = get_string "path" j;
-    sha256 = get_string "sha256" j;
-    bytes = get_int "bytes" j;
+    rel_path = J.get_string "path" j;
+    sha256 = J.get_string "sha256" j;
+    bytes = J.get_int "bytes" j;
     role =
-      (match role_of_string (get_string "role" j) with
+      (match role_of_string (J.get_string "role" j) with
       | Ok r -> r
-      | Error e -> raise (Bad e));
+      | Error e -> raise (J.Type_error e));
   }
 
 let manifest_of_json j =
   try
-    let v = get_int "version" j in
+    let v = J.get_int "version" j in
     if v <> version then Error (Printf.sprintf "unsupported bundle version %d" v)
     else
       Ok
         {
           version = v;
-          kind = get_string "kind" j;
-          label = get_string "label" j;
-          config_digest = get_string "config_digest" j;
-          config_args = get_obj "config_args" j;
+          kind = J.get_string "kind" j;
+          label = J.get_string "label" j;
+          config_digest = J.get_string "config_digest" j;
+          config_args = Option.value ~default:[] (J.opt J.get_obj "config_args" j);
           benches =
             List.map
               (function
-                | J.String s -> s | _ -> raise (Bad "benches must be strings"))
-              (get_list "benches" j);
-          n_layouts = get_int "n_layouts" j;
-          workers = get_int "workers" j;
-          created_at = get_number "created_at" j;
+                | J.String s -> s | _ -> raise (J.Type_error "benches must be strings"))
+              (Option.value ~default:[] (J.opt J.get_list "benches" j));
+          n_layouts = J.get_int "n_layouts" j;
+          workers = J.get_int "workers" j;
+          created_at = J.get_float "created_at" j;
           metrics =
             List.map
-              (fun (k, v) ->
-                match v with
-                | J.Float f -> (k, f)
-                | J.Int i -> (k, float_of_int i)
-                | _ -> raise (Bad ("metric " ^ k ^ " is not numeric")))
-              (get_obj "metrics" j);
-          artifacts = List.map artifact_of_json (get_list "artifacts" j);
+              (fun (k, _) -> (k, J.get_float k (J.member "metrics" j)))
+              (Option.value ~default:[] (J.opt J.get_obj "metrics" j));
+          artifacts =
+            List.map artifact_of_json (Option.value ~default:[] (J.opt J.get_list "artifacts" j));
         }
-  with Bad msg -> Error msg
+  with J.Type_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write_file path contents =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* sha256sum(1)-compatible line: digest, two spaces, relative path. *)
 let sums_line ~sha256 ~rel_path = Printf.sprintf "%s  %s" sha256 rel_path
@@ -208,10 +154,10 @@ let parse_sums text =
 
 let write ~dir ~kind ~label ~config_digest ~config_args ~benches ~n_layouts ~workers
     ~created_at ~metrics ~inputs ~outputs ?(meta = []) () =
-  mkdir_p dir;
+  Pi_obs.Fs.mkdir_p dir;
   let emit role prefix (rel, contents) =
     let rel_path = prefix ^ "/" ^ rel in
-    write_file (Filename.concat dir rel_path) contents;
+    Pi_obs.Fs.write_file ~path:(Filename.concat dir rel_path) contents;
     {
       rel_path;
       sha256 = Sha256.string contents;
@@ -229,7 +175,8 @@ let write ~dir ~kind ~label ~config_digest ~config_args ~benches ~n_layouts ~wor
      run-manifest carries wall-clock timings that legitimately differ
      between a run and its byte-identical replay. *)
   List.iter
-    (fun (rel, contents) -> write_file (Filename.concat dir ("meta/" ^ rel)) contents)
+    (fun (rel, contents) ->
+      Pi_obs.Fs.write_file ~path:(Filename.concat dir ("meta/" ^ rel)) contents)
     meta;
   let manifest =
     {
@@ -247,7 +194,7 @@ let write ~dir ~kind ~label ~config_digest ~config_args ~benches ~n_layouts ~wor
     }
   in
   let manifest_text = canonical_string (manifest_to_json manifest) ^ "\n" in
-  write_file (Filename.concat dir manifest_file) manifest_text;
+  Pi_obs.Fs.write_file ~path:(Filename.concat dir manifest_file) manifest_text;
   (* The sums file covers every pinned artifact plus the manifest itself,
      so no hash-bearing byte of the bundle is outside the hash tree
      (SHA256SUMS.txt is the root). *)
@@ -255,7 +202,7 @@ let write ~dir ~kind ~label ~config_digest ~config_args ~benches ~n_layouts ~wor
     List.map (fun a -> (a.sha256, a.rel_path)) artifacts
     @ [ (Sha256.string manifest_text, manifest_file) ]
   in
-  write_file (Filename.concat dir sums_file) (render_sums sums);
+  Pi_obs.Fs.write_file ~path:(Filename.concat dir sums_file) (render_sums sums);
   manifest
 
 (* ------------------------------------------------------------------ *)

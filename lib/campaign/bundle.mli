@@ -23,14 +23,11 @@
 
 (** {1 Canonical JSON} *)
 
-val canonical : Telemetry.json -> Telemetry.json
-(** Recursively sort object keys bytewise (the RFC 8785 ordering for
-    ASCII keys). Rendering the result with {!Telemetry.to_string} — whose
-    float form is already canonical — makes serialization a function of
-    content alone, so equal manifests hash equal. *)
-
-val canonical_string : Telemetry.json -> string
-(** [Telemetry.to_string (canonical j)]. *)
+val canonical_string : Pi_obs.Json.t -> string
+(** Render with object keys sorted bytewise, recursively (the RFC 8785
+    ordering for ASCII keys). {!Pi_obs.Json.to_string}'s float form is
+    already canonical, so serialization is a function of content alone
+    and equal manifests hash equal. *)
 
 (** {1 Manifest} *)
 
@@ -48,7 +45,7 @@ type manifest = {
   kind : string;  (** ["campaign"] | ["sweep"] *)
   label : string;
   config_digest : string;  (** {!Obs_cache.config_digest} of the run config *)
-  config_args : (string * Telemetry.json) list;
+  config_args : (string * Pi_obs.Json.t) list;
       (** the caller-facing knobs that rebuild the config — what [bundle
           replay] re-runs from *)
   benches : string list;
@@ -61,10 +58,6 @@ type manifest = {
 }
 
 val manifest_file : string
-val sums_file : string
-
-val manifest_to_json : manifest -> Telemetry.json
-val manifest_of_json : Telemetry.json -> (manifest, string) result
 
 (** {1 Writing} *)
 
@@ -73,7 +66,7 @@ val write :
   kind:string ->
   label:string ->
   config_digest:string ->
-  config_args:(string * Telemetry.json) list ->
+  config_args:(string * Pi_obs.Json.t) list ->
   benches:string list ->
   n_layouts:int ->
   workers:int ->

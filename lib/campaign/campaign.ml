@@ -1,7 +1,7 @@
 module E = Interferometry.Experiment
 module Bench = Pi_workloads.Bench
 module Linreg = Pi_stats.Linreg
-module J = Telemetry
+module J = Pi_obs.Json
 module Span = Pi_obs.Span
 
 let m_cache_hits =
@@ -80,7 +80,7 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
   let bench_arr = Array.of_list benches in
   let n_benches = Array.length bench_arr in
   let name i = bench_arr.(i).Bench.name in
-  J.emit events ~event:"campaign_started"
+  Telemetry.emit events ~event:"campaign_started"
     [
       ("label", J.String label);
       ("benches", J.Int n_benches);
@@ -96,9 +96,9 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
     @@ fun () ->
     Scheduler.map ~jobs ?deadline ~retries ~backoff
       ~on_start:(fun i ~pending:_ ->
-        J.emit events ~event:"prepare_started" [ ("bench", J.String (name i)) ])
+        Telemetry.emit events ~event:"prepare_started" [ ("bench", J.String (name i)) ])
       ~on_retry:(fun i ~attempt ~backoff e ~pending:_ ->
-        J.emit events ~event:"prepare_retried"
+        Telemetry.emit events ~event:"prepare_retried"
           [
             ("bench", J.String (name i));
             ("attempt", J.Int attempt);
@@ -108,10 +108,10 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
       ~on_finish:(fun c ~pending:_ ->
         match c.Scheduler.result with
         | Ok _ ->
-            J.emit events ~event:"prepare_finished"
+            Telemetry.emit events ~event:"prepare_finished"
               [ ("bench", J.String (name c.Scheduler.index)); ("secs", J.Float c.Scheduler.elapsed) ]
         | Error e ->
-            J.emit events ~event:"prepare_failed"
+            Telemetry.emit events ~event:"prepare_failed"
               [
                 ("bench", J.String (name c.Scheduler.index));
                 ("error", J.String e.Scheduler.message);
@@ -137,7 +137,7 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
             Pi_obs.Metrics.add m_cache_misses (n_layouts - List.length hits);
             List.iter
               (fun (o : E.observation) ->
-                J.emit events ~event:"job_cached"
+                Telemetry.emit events ~event:"job_cached"
                   [ ("bench", J.String (name i)); ("seed", J.Int o.E.layout_seed) ])
               hits;
             hits
@@ -241,7 +241,7 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
           benches = entries;
         }
         ~path;
-      J.emit events ~event:"checkpoint_saved"
+      Telemetry.emit events ~event:"checkpoint_saved"
         [ ("path", J.String path); ("pending_jobs", J.Int (Array.length job_specs)) ]);
   let job_field idx =
     let bench_idx, seed = job_specs.(idx) in
@@ -257,9 +257,9 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
     @@ fun () ->
     Scheduler.map ~jobs ?deadline ~retries ~backoff
       ~on_start:(fun i ~pending ->
-        J.emit events ~event:"job_started" (job_field i @ [ ("queue_depth", J.Int pending) ]))
+        Telemetry.emit events ~event:"job_started" (job_field i @ [ ("queue_depth", J.Int pending) ]))
       ~on_retry:(fun i ~attempt ~backoff e ~pending:_ ->
-        J.emit events ~event:"job_retried"
+        Telemetry.emit events ~event:"job_retried"
           (job_field i
           @ [
               ("attempt", J.Int attempt);
@@ -269,11 +269,11 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
       ~on_finish:(fun c ~pending ->
         (match c.Scheduler.result with
         | Ok _ ->
-            J.emit events ~event:"job_finished"
+            Telemetry.emit events ~event:"job_finished"
               (job_field c.Scheduler.index
               @ [ ("secs", J.Float c.Scheduler.elapsed); ("queue_depth", J.Int pending) ])
         | Error e ->
-            J.emit events ~event:"job_failed"
+            Telemetry.emit events ~event:"job_failed"
               (job_field c.Scheduler.index
               @ [
                   ("error", J.String e.Scheduler.message);
@@ -295,7 +295,7 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
                     ~site:(Printf.sprintf "store|%s|%d" (name bench_idx) seed)
                     (Obs_cache.entry_path cache ~bench:(name bench_idx) ~config)
                 then
-                  J.emit events ~event:"fault_corrupted_cache"
+                  Telemetry.emit events ~event:"fault_corrupted_cache"
                     [ ("bench", J.String (name bench_idx)); ("seed", J.Int seed) ]
             | None -> ())
         | _ -> ())
@@ -451,7 +451,7 @@ let run ?(config = E.default_config) ?jobs ?cache_dir ?(events = Telemetry.null)
       benches = List.map (fun o -> o.entry) outcomes;
     }
   in
-  J.emit events ~event:"campaign_finished"
+  Telemetry.emit events ~event:"campaign_finished"
     [
       ("label", J.String label);
       ("computed", J.Int manifest.Manifest.computed_jobs);

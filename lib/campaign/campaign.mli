@@ -51,7 +51,7 @@ val run :
   ?backoff:float ->
   ?fault:Fault.t ->
   ?checkpoint_path:string ->
-  ?config_args:(string * Telemetry.json) list ->
+  ?config_args:(string * Pi_obs.Json.t) list ->
   ?label:string ->
   ?observe:
     (bench:string ->
@@ -85,9 +85,6 @@ val run :
     jobs — the hook through which {!Coordinator} runs jobs on worker
     processes. It must be a pure function of [(bench, config, seed)]
     (the default is), or the bit-identical invariant breaks. *)
-
-val suite_label : Pi_workloads.Bench.t list -> string
-(** "2006", "2000", "all" or "custom", from the benchmarks' suite tags. *)
 
 val sweep_shard_map : ?jobs:int -> unit -> Pi_uarch.Sweep.shard_map
 (** A {!Pi_uarch.Sweep.shard_map} backed by {!Scheduler.map}: evaluates the

@@ -1,6 +1,6 @@
 module E = Interferometry.Experiment
 module Dataset_io = Interferometry.Dataset_io
-module J = Telemetry
+module J = Pi_obs.Json
 
 let m_workers =
   Pi_obs.Metrics.gauge ~help:"live campaign worker processes" "pi_obs_coordinator_workers"
@@ -43,7 +43,7 @@ let config_of_args args =
 (* Frame protocol                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* One message = 4-byte big-endian payload length + a Telemetry JSON
+(* One message = 4-byte big-endian payload length + a Pi_obs.Json
    object. Length-prefix framing (rather than line framing) keeps the
    protocol self-delimiting even if a payload ever contains a newline,
    and makes truncation — the signature of a dead worker — unambiguous:
@@ -53,21 +53,13 @@ let max_frame = 16 * 1024 * 1024
 
 let rec retry_eintr f = try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
 
-let write_all fd buf =
-  let len = Bytes.length buf in
-  let off = ref 0 in
-  while !off < len do
-    let n = retry_eintr (fun () -> Unix.write fd buf !off (len - !off)) in
-    off := !off + n
-  done
-
 let write_frame fd json =
   let payload = J.to_string json in
   let n = String.length payload in
   let buf = Bytes.create (4 + n) in
   Bytes.set_int32_be buf 0 (Int32.of_int n);
   Bytes.blit_string payload 0 buf 4 n;
-  write_all fd buf
+  Pi_obs.Fs.write_all fd (Bytes.unsafe_to_string buf)
 
 (* [false] = EOF before [len] bytes arrived. *)
 let read_exact fd buf len =
@@ -93,23 +85,9 @@ let read_frame fd =
         | Ok json -> Ok json
         | Error e -> Error (`Garbage e)
 
-(* Message field access; a malformed message from the peer is a protocol
+(* A malformed message from the peer raises [J.Type_error]: a protocol
    error, not a crash. *)
-exception Bad of string
-
-let member name = function
-  | J.Obj fields -> ( match List.assoc_opt name fields with Some v -> v | None -> J.Null)
-  | _ -> J.Null
-
-let get_string name j =
-  match member name j with
-  | J.String s -> s
-  | _ -> raise (Bad ("missing string field " ^ name))
-
-let get_int name j =
-  match member name j with J.Int i -> i | _ -> raise (Bad ("missing int field " ^ name))
-
-let op j = match member "op" j with J.String s -> s | _ -> ""
+let op j = match J.member "op" j with J.String s -> s | _ -> ""
 
 (* ------------------------------------------------------------------ *)
 (* Worker side                                                         *)
@@ -138,10 +116,10 @@ let worker_main () =
         match op msg with
         | "hello" -> (
             match
-              let args = match member "config_args" msg with J.Obj f -> f | _ -> [] in
+              let args = match J.member "config_args" msg with J.Obj f -> f | _ -> [] in
               let cfg = config_of_args args in
               let digest = Obs_cache.config_digest cfg in
-              let want = get_string "config_digest" msg in
+              let want = J.get_string "config_digest" msg in
               if digest <> want then
                 Error
                   (Printf.sprintf
@@ -156,11 +134,11 @@ let worker_main () =
             | Ok digest ->
                 reply (J.Obj [ ("op", J.String "ready"); ("config_digest", J.String digest) ]);
                 loop ()
-            | Error msg | (exception Bad msg) ->
+            | Error msg | (exception J.Type_error msg) ->
                 reply (J.Obj [ ("op", J.String "error"); ("message", J.String msg) ]);
                 exit 1)
         | "observe" -> (
-            let bench = get_string "bench" msg and seed = get_int "seed" msg in
+            let bench = J.get_string "bench" msg and seed = J.get_int "seed" msg in
             let respond = function
               | Ok row ->
                   reply
@@ -216,7 +194,7 @@ type worker = {
 type t = {
   exe : string;
   argv : string array;
-  hello : J.json;
+  hello : J.t;
   workers : worker array;
   idle : worker Queue.t;
   mutex : Mutex.t;
@@ -251,7 +229,7 @@ let spawn ~exe ~argv ~hello =
   match read_frame w.resp with
   | Ok reply when op reply = "ready" -> w
   | Ok reply -> (
-      match member "message" reply with
+      match J.member "message" reply with
       | J.String m -> fail m
       | _ -> fail ("unexpected reply op " ^ op reply))
   | Error `Eof -> fail "worker exited during handshake"
@@ -350,7 +328,7 @@ let observe t ~bench ~seed =
         match op reply with
         | "ok" -> (
             match
-              (get_string "bench" reply, get_int "seed" reply, get_string "row" reply)
+              (J.get_string "bench" reply, J.get_int "seed" reply, J.get_string "row" reply)
             with
             | b, s, _ when b <> bench || s <> seed ->
                 died (Printf.sprintf "reply for wrong job %s/%d" b s)
@@ -360,13 +338,13 @@ let observe t ~bench ~seed =
                     Pi_obs.Metrics.inc m_jobs;
                     obs
                 | Error e -> died ("unparseable observation row: " ^ e))
-            | exception Bad msg -> died msg)
+            | exception J.Type_error msg -> died msg)
         | "fail" ->
             (* The worker is healthy; the job itself raised. Propagate as
                an ordinary job error so the scheduler's retry/failure
                accounting treats process-pool campaigns exactly like
                in-process ones. *)
-            let msg = try get_string "error" reply with Bad _ -> "unknown worker error" in
+            let msg = try J.get_string "error" reply with J.Type_error _ -> "unknown worker error" in
             Pi_obs.Metrics.inc m_jobs;
             failwith msg
         | other -> died ("unexpected reply op " ^ other))

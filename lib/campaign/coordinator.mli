@@ -18,7 +18,7 @@
     coordinator's serialized on-finish hook), so re-dispatch cannot
     duplicate or tear anything.
 
-    Protocol: 4-byte big-endian length + one {!Telemetry} JSON object per
+    Protocol: 4-byte big-endian length + one {!Pi_obs.Json} object per
     message. [hello] (config_args + expected digest — the worker rebuilds
     the config and refuses on mismatch, catching version skew) →
     [ready]; then [observe {bench, seed}] → [ok {row}] / [fail {error}];
@@ -26,7 +26,7 @@
     stderr at startup, so stray prints cannot corrupt frames. *)
 
 val config_of_args :
-  (string * Telemetry.json) list -> Interferometry.Experiment.config
+  (string * Pi_obs.Json.t) list -> Interferometry.Experiment.config
 (** Rebuild the experiment config from the caller-facing knobs recorded
     in manifests and bundles ([quick], [seed], [scale], [heap_random] —
     absent keys default). The {e single} decoder shared by
@@ -39,7 +39,7 @@ val create :
   ?exe:string ->
   ?subcommand:string ->
   workers:int ->
-  config_args:(string * Telemetry.json) list ->
+  config_args:(string * Pi_obs.Json.t) list ->
   unit ->
   t
 (** Spawn and handshake [workers] processes ([exe] defaults to

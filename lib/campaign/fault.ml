@@ -151,9 +151,6 @@ let maybe_corrupt t ~site path =
          tool. A torn final row alone would be a crashed append, which
          loaders drop quietly; the bad header makes the whole entry corrupt,
          so loaders must count it, move it aside and treat it as a miss. *)
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc "layout_seed,cpi,mpki\n1,0.93,");
+      Pi_obs.Fs.write_file ~path "layout_seed,cpi,mpki\n1,0.93,";
       true
   | _ -> false

@@ -1,4 +1,4 @@
-module J = Telemetry
+module J = Pi_obs.Json
 
 type fit = {
   r_squared : float;
@@ -33,7 +33,7 @@ type t = {
   jobs : int;
   config_digest : string;
   cache_dir : string option;
-  config_args : (string * J.json) list;
+  config_args : (string * J.t) list;
   checkpoint : bool;
   started_at : float;
   wall_seconds : float;
@@ -109,107 +109,63 @@ let to_json t =
 
 (* ---- reading a manifest back (campaign --resume) ---- *)
 
-exception Bad of string
-
-let member name = function
-  | J.Obj fields -> ( match List.assoc_opt name fields with Some v -> v | None -> J.Null)
-  | _ -> raise (Bad (Printf.sprintf "%S: expected an object" name))
-
-let get_int name j =
-  match member name j with
-  | J.Int i -> i
-  | _ -> raise (Bad (Printf.sprintf "%S: expected an integer" name))
-
-let get_int_default name ~default j =
-  match member name j with J.Int i -> i | J.Null -> default | _ -> raise (Bad name)
-
-(* Floats that happen to be integral render without a decimal point and
-   parse back as Int — accept both. *)
-let get_num name j =
-  match member name j with
-  | J.Float f -> f
-  | J.Int i -> float_of_int i
-  | _ -> raise (Bad (Printf.sprintf "%S: expected a number" name))
-
-let get_string name j =
-  match member name j with
-  | J.String s -> s
-  | _ -> raise (Bad (Printf.sprintf "%S: expected a string" name))
-
-let get_string_opt name j =
-  match member name j with
-  | J.String s -> Some s
-  | J.Null -> None
-  | _ -> raise (Bad (Printf.sprintf "%S: expected a string or null" name))
-
-let get_bool_default name ~default j =
-  match member name j with
-  | J.Bool b -> b
-  | J.Null -> default
-  | _ -> raise (Bad (Printf.sprintf "%S: expected a bool" name))
-
-let get_list name j =
-  match member name j with
-  | J.List items -> items
-  | _ -> raise (Bad (Printf.sprintf "%S: expected a list" name))
-
 let fit_of_json j =
   match j with
   | J.Null -> None
   | j ->
       Some
         {
-          r_squared = get_num "r_squared" j;
-          slope = get_num "slope" j;
-          intercept = get_num "intercept" j;
-          mean_mpki = get_num "mean_mpki" j;
-          mean_cpi = get_num "mean_cpi" j;
+          r_squared = J.get_float "r_squared" j;
+          slope = J.get_float "slope" j;
+          intercept = J.get_float "intercept" j;
+          mean_mpki = J.get_float "mean_mpki" j;
+          mean_cpi = J.get_float "mean_cpi" j;
         }
 
-let failure_of_json j = { seed = get_int "seed" j; error = get_string "error" j }
+let failure_of_json j = { seed = J.get_int "seed" j; error = J.get_string "error" j }
 
 let bench_of_json j =
   {
-    bench = get_string "bench" j;
-    suite = get_string "suite" j;
-    requested = get_int "requested" j;
-    computed = get_int "computed" j;
-    cached = get_int "cached" j;
-    warmup_blocks = get_int_default "warmup_blocks" ~default:0 j;
-    retries = get_int_default "retries" ~default:0 j;
-    failures = List.map failure_of_json (get_list "failures" j);
-    prepare_seconds = get_num "prepare_seconds" j;
-    observe_seconds = get_num "observe_seconds" j;
-    wall_seconds = get_num "wall_seconds" j;
-    cpu_seconds = get_num "cpu_seconds" j;
-    prepare_error = get_string_opt "prepare_error" j;
-    fit = fit_of_json (member "fit" j);
+    bench = J.get_string "bench" j;
+    suite = J.get_string "suite" j;
+    requested = J.get_int "requested" j;
+    computed = J.get_int "computed" j;
+    cached = J.get_int "cached" j;
+    warmup_blocks = Option.value ~default:0 (J.opt J.get_int "warmup_blocks" j);
+    retries = Option.value ~default:0 (J.opt J.get_int "retries" j);
+    failures = List.map failure_of_json (J.get_list "failures" j);
+    prepare_seconds = J.get_float "prepare_seconds" j;
+    observe_seconds = J.get_float "observe_seconds" j;
+    wall_seconds = J.get_float "wall_seconds" j;
+    cpu_seconds = J.get_float "cpu_seconds" j;
+    prepare_error = J.opt J.get_string "prepare_error" j;
+    fit = fit_of_json (J.member "fit" j);
   }
 
 let of_json j =
   match
     {
-      label = get_string "label" j;
-      n_layouts = get_int "n_layouts" j;
-      jobs = get_int "jobs" j;
-      config_digest = get_string "config_digest" j;
-      cache_dir = get_string_opt "cache_dir" j;
-      config_args = (match member "config_args" j with J.Obj f -> f | _ -> []);
-      checkpoint = get_bool_default "checkpoint" ~default:false j;
-      started_at = get_num "started_at" j;
-      wall_seconds = get_num "wall_seconds" j;
-      total_jobs = get_int "total_jobs" j;
-      computed_jobs = get_int "computed_jobs" j;
-      cached_jobs = get_int "cached_jobs" j;
-      failed_jobs = get_int "failed_jobs" j;
-      retried_jobs = get_int_default "retried_jobs" ~default:0 j;
-      cache_hits = get_int "cache_hits" j;
-      cache_misses = get_int "cache_misses" j;
-      benches = List.map bench_of_json (get_list "benches" j);
+      label = J.get_string "label" j;
+      n_layouts = J.get_int "n_layouts" j;
+      jobs = J.get_int "jobs" j;
+      config_digest = J.get_string "config_digest" j;
+      cache_dir = J.opt J.get_string "cache_dir" j;
+      config_args = (match J.member "config_args" j with J.Obj f -> f | _ -> []);
+      checkpoint = Option.value ~default:false (J.opt J.get_bool "checkpoint" j);
+      started_at = J.get_float "started_at" j;
+      wall_seconds = J.get_float "wall_seconds" j;
+      total_jobs = J.get_int "total_jobs" j;
+      computed_jobs = J.get_int "computed_jobs" j;
+      cached_jobs = J.get_int "cached_jobs" j;
+      failed_jobs = J.get_int "failed_jobs" j;
+      retried_jobs = Option.value ~default:0 (J.opt J.get_int "retried_jobs" j);
+      cache_hits = J.get_int "cache_hits" j;
+      cache_misses = J.get_int "cache_misses" j;
+      benches = List.map bench_of_json (J.get_list "benches" j);
     }
   with
   | t -> Ok t
-  | exception Bad msg -> Error (Printf.sprintf "not a manifest: bad field %s" msg)
+  | exception J.Type_error msg -> Error (Printf.sprintf "not a manifest: bad field %s" msg)
 
 let load ~path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -223,12 +179,7 @@ let load ~path =
           | Ok t -> Ok t))
 
 let save t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (J.to_string (to_json t));
-      output_char oc '\n')
+  Pi_obs.Fs.write_file ~path (J.to_string (to_json t) ^ "\n")
 
 let summary_table t =
   let buf = Buffer.create 1024 in

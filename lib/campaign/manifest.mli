@@ -51,7 +51,7 @@ type t = {
   jobs : int;
   config_digest : string;
   cache_dir : string option;
-  config_args : (string * Telemetry.json) list;
+  config_args : (string * Pi_obs.Json.t) list;
       (** the caller-facing knobs (quick/seed/scale/heap_random for the
           CLI) that rebuilt [config]; [campaign --resume] reconstructs the
           config from these and verifies it against [config_digest] *)
@@ -77,9 +77,9 @@ val complete : t -> bool
 (** True when this is a final (non-checkpoint) manifest and every
     observation job of every benchmark succeeded. *)
 
-val to_json : t -> Telemetry.json
+val to_json : t -> Pi_obs.Json.t
 
-val of_json : Telemetry.json -> (t, string) result
+val of_json : Pi_obs.Json.t -> (t, string) result
 (** Inverse of {!to_json}. Fields added after v1 ([retries],
     [checkpoint], [config_args], [warmup_blocks]) default when absent, so
     older manifests still load. *)

@@ -10,12 +10,6 @@ type t = { dir : string }
    or parallel campaigns in tests); the pid distinguishes processes. *)
 let tmp_counter = Atomic.make 0
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (* A crashed (or killed) writer leaves its unique temp file behind; the
    entry itself is intact, so the orphan is pure garbage. Reap it on the
    next [create] — but only once it is old enough that it cannot belong to
@@ -39,11 +33,9 @@ let cleanup_orphan_tmps dir =
         entries
 
 let create ~dir =
-  mkdir_p dir;
+  Pi_obs.Fs.mkdir_p dir;
   cleanup_orphan_tmps dir;
   { dir }
-
-let dir t = t.dir
 
 type stats = { entries : int; bytes : int }
 
@@ -331,10 +323,6 @@ let trim_torn_tail fd =
     end
   end
 
-let rec write_all fd s ofs =
-  if ofs < String.length s then
-    write_all fd s (ofs + Unix.write_substring fd s ofs (String.length s - ofs))
-
 (* Open the entry and take its lock, retrying when the file we locked is
    no longer the entry; [None] when there is no entry. The lock is held
    until [fd] is closed. *)
@@ -369,7 +357,7 @@ let store t ~bench ~config observations =
   let append fd =
     if rows <> "" then begin
       trim_torn_tail fd;
-      write_all fd rows 0;
+      Pi_obs.Fs.write_all fd rows;
       Unix.fsync fd
     end
   in

@@ -32,8 +32,6 @@ val create : dir:string -> t
     than ten minutes — young ones may belong to a live campaign sharing
     the directory) are removed. *)
 
-val dir : t -> string
-
 type stats = { entries : int  (** CSV entries on disk *); bytes : int }
 
 val stats : t -> stats

@@ -8,7 +8,7 @@
     grepped, or replayed after the fact. See docs/CAMPAIGN.md for the
     event schema. *)
 
-type json =
+type json = Pi_obs.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -16,30 +16,14 @@ type json =
   | String of string
   | List of json list
   | Obj of (string * json) list
+(** Re-exported from {!Pi_obs.Json}, the one JSON codec, for callers that
+    still use these names. New code uses [Pi_obs.Json] directly. *)
 
 val to_string : json -> string
-(** Compact single-line rendering. Non-finite floats become [null] (JSON
-    has no NaN/infinity). *)
+(** {!Pi_obs.Json.to_string}. *)
 
 val parse : ?max_bytes:int -> ?max_depth:int -> string -> (json, string) result
-(** Parse one JSON value (the dialect {!to_string} emits, plus
-    insignificant whitespace) — enough to read back a {!Manifest} for
-    [campaign --resume] without an external JSON dependency. Numbers
-    without a fraction or exponent parse as [Int], everything else as
-    [Float]; trailing non-whitespace is an error.
-
-    The parser is safe on hostile input (it also guards the [pi_serve]
-    network boundary): any malformed, oversized ([max_bytes], default
-    16 MiB), too-deeply-nested ([max_depth], default 256) or
-    duplicate-keyed input returns [Error] — it never raises, overflows
-    the stack, or goes super-linear. *)
-
-val metrics_json : Pi_obs.Metrics.sample list -> json
-(** Render a {!Pi_obs.Metrics.scrape} as
-    [{"metrics":[{"name":...,"labels":{...},"type":...,...},...]}] — the
-    JSON twin of the Prometheus text format, for consumers that already
-    parse this module's output. Histograms carry non-cumulative per-bucket
-    counts plus the [+Inf] overflow. *)
+(** {!Pi_obs.Json.parse}. *)
 
 type sink
 (** A destination for event lines. Writes are serialized by a mutex, so
@@ -53,10 +37,7 @@ val to_file : string -> sink
     flushed as they are written so a concurrent [tail -f] sees live
     progress. *)
 
-val to_channel : out_channel -> sink
-(** Emit to an existing channel; {!close} will not close it. *)
-
-val emit : sink -> event:string -> (string * json) list -> unit
+val emit : sink -> event:string -> (string * Pi_obs.Json.t) list -> unit
 (** [emit sink ~event fields] writes
     [{"event":<event>,"ts":<unix-seconds>,<fields>...}] as one line. *)
 

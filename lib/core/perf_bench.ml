@@ -10,6 +10,7 @@
 
 module Pipeline = Pi_uarch.Pipeline
 module Replay = Pi_uarch.Replay
+module J = Pi_obs.Json
 
 type result = {
   bench : string;
@@ -73,6 +74,16 @@ let best_of ~reps measure f =
   (Option.get !result, !best)
 
 let per_sec count seconds = if seconds > 0.0 then count /. seconds else 0.0
+
+(* A BENCH figure rounded to [d] decimals, as the summaries print it. *)
+let decimals d x =
+  let k = 10.0 ** float_of_int d in
+  J.Float (Float.round (x *. k) /. k)
+
+let write_json ~path json = Pi_obs.Fs.write_file ~path (J.to_string json ^ "\n")
+
+(* The gate's failure messages, [None] where a check passes. *)
+let failures checks = List.filter_map Fun.id checks
 
 let trace_of config program =
   Pi_layout.Run_limiter.trace ~seed:config.Experiment.master_seed program
@@ -169,43 +180,32 @@ let run ?(bench = "400.perlbench") ?(scale = 4) ?(layouts = 12) () =
   }
 
 let to_json r =
-  String.concat "\n"
+  J.Obj
     [
-      "{";
-      Printf.sprintf "  \"bench\": %S," r.bench;
-      Printf.sprintf "  \"scale\": %d," r.scale;
-      Printf.sprintf "  \"layouts\": %d," r.layouts;
-      Printf.sprintf "  \"blocks_per_observation\": %d," r.blocks;
-      Printf.sprintf "  \"mem_events_per_observation\": %d," r.mem_events;
-      Printf.sprintf "  \"plan_words\": %d," r.plan_words;
-      Printf.sprintf "  \"prepared_words\": %d," r.prepared_words;
-      Printf.sprintf "  \"trace_seconds\": %.6f," r.trace_seconds;
-      Printf.sprintf "  \"trace_identical\": %b," r.trace_identical;
-      Printf.sprintf "  \"compile_seconds\": %.6f," r.compile_seconds;
-      Printf.sprintf "  \"data_side_seconds\": %.6f," r.data_side_seconds;
-      Printf.sprintf "  \"legacy_seconds\": %.6f," r.legacy_seconds;
-      Printf.sprintf "  \"replay_seconds\": %.6f," r.replay_seconds;
-      Printf.sprintf "  \"legacy_obs_per_sec\": %.2f," r.legacy_obs_per_sec;
-      Printf.sprintf "  \"replay_obs_per_sec\": %.2f," r.replay_obs_per_sec;
-      Printf.sprintf "  \"replay_blocks_per_sec\": %.0f," r.replay_blocks_per_sec;
-      Printf.sprintf "  \"speedup\": %.3f," r.speedup;
-      Printf.sprintf "  \"identical_counts\": %b," r.identical;
-      Printf.sprintf "  \"heap_random_legacy_seconds\": %.6f," r.heap_random_legacy_seconds;
-      Printf.sprintf "  \"heap_random_replay_seconds\": %.6f," r.heap_random_replay_seconds;
-      Printf.sprintf "  \"heap_random_replay_obs_per_sec\": %.2f,"
-        r.heap_random_replay_obs_per_sec;
-      Printf.sprintf "  \"heap_random_speedup\": %.3f," r.heap_random_speedup;
-      Printf.sprintf "  \"heap_random_identical_counts\": %b" r.heap_random_identical;
-      "}";
+      ("bench", J.String r.bench);
+      ("scale", J.Int r.scale);
+      ("layouts", J.Int r.layouts);
+      ("blocks_per_observation", J.Int r.blocks);
+      ("mem_events_per_observation", J.Int r.mem_events);
+      ("plan_words", J.Int r.plan_words);
+      ("prepared_words", J.Int r.prepared_words);
+      ("trace_seconds", decimals 6 r.trace_seconds);
+      ("trace_identical", J.Bool r.trace_identical);
+      ("compile_seconds", decimals 6 r.compile_seconds);
+      ("data_side_seconds", decimals 6 r.data_side_seconds);
+      ("legacy_seconds", decimals 6 r.legacy_seconds);
+      ("replay_seconds", decimals 6 r.replay_seconds);
+      ("legacy_obs_per_sec", decimals 2 r.legacy_obs_per_sec);
+      ("replay_obs_per_sec", decimals 2 r.replay_obs_per_sec);
+      ("replay_blocks_per_sec", decimals 0 r.replay_blocks_per_sec);
+      ("speedup", decimals 3 r.speedup);
+      ("identical_counts", J.Bool r.identical);
+      ("heap_random_legacy_seconds", decimals 6 r.heap_random_legacy_seconds);
+      ("heap_random_replay_seconds", decimals 6 r.heap_random_replay_seconds);
+      ("heap_random_replay_obs_per_sec", decimals 2 r.heap_random_replay_obs_per_sec);
+      ("heap_random_speedup", decimals 3 r.heap_random_speedup);
+      ("heap_random_identical_counts", J.Bool r.heap_random_identical);
     ]
-
-let write_json ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_json r);
-      output_char oc '\n')
 
 let summary r =
   Printf.sprintf
@@ -227,6 +227,20 @@ let summary r =
     r.prepared_words
     (float_of_int (r.prepared_words * 8) /. 1024.0 /. 1024.0)
     r.heap_random_replay_obs_per_sec r.heap_random_speedup r.heap_random_identical
+
+let pipeline_failures r =
+  failures
+    [
+      (if not r.trace_identical then
+         Some "one-pass Run_limiter.trace differs from the two-pass reference"
+       else None);
+      (if not r.identical then Some "replay counts differ from the legacy pipeline" else None);
+      (if not r.heap_random_identical then
+         Some "heap_random replay counts differ from the legacy pipeline"
+       else None);
+      (if r.speedup < 1.0 then Some (Printf.sprintf "replay slower than legacy (%.2fx)" r.speedup)
+       else None);
+    ]
 
 (* Fused-sweep benchmark (BENCH_sweep.json): the full 145-configuration
    predictor study through the sequential per-config loop versus the fused
@@ -311,32 +325,22 @@ let run_sweep ?(bench = "400.perlbench") ?(scale = 4) () =
   }
 
 let sweep_to_json r =
-  String.concat "\n"
+  J.Obj
     [
-      "{";
-      Printf.sprintf "  \"bench\": %S," r.sweep_bench;
-      Printf.sprintf "  \"scale\": %d," r.sweep_scale;
-      Printf.sprintf "  \"study_configs\": %d," r.study_configs;
-      Printf.sprintf "  \"fused_lanes\": %d," r.fused_lanes;
-      Printf.sprintf "  \"fallback_lanes\": %d," r.fallback_lanes;
-      Printf.sprintf "  \"blocks_per_pass\": %d," r.blocks_per_pass;
-      Printf.sprintf "  \"baseline_seconds\": %.6f," r.baseline_seconds;
-      Printf.sprintf "  \"fused_seconds\": %.6f," r.fused_seconds;
-      Printf.sprintf "  \"baseline_configs_per_sec\": %.2f," r.baseline_configs_per_sec;
-      Printf.sprintf "  \"fused_configs_per_sec\": %.2f," r.fused_configs_per_sec;
-      Printf.sprintf "  \"lane_blocks_per_sec\": %.0f," r.lane_blocks_per_sec;
-      Printf.sprintf "  \"speedup\": %.3f," r.sweep_speedup;
-      Printf.sprintf "  \"identical_studies\": %b" r.sweep_identical;
-      "}";
+      ("bench", J.String r.sweep_bench);
+      ("scale", J.Int r.sweep_scale);
+      ("study_configs", J.Int r.study_configs);
+      ("fused_lanes", J.Int r.fused_lanes);
+      ("fallback_lanes", J.Int r.fallback_lanes);
+      ("blocks_per_pass", J.Int r.blocks_per_pass);
+      ("baseline_seconds", decimals 6 r.baseline_seconds);
+      ("fused_seconds", decimals 6 r.fused_seconds);
+      ("baseline_configs_per_sec", decimals 2 r.baseline_configs_per_sec);
+      ("fused_configs_per_sec", decimals 2 r.fused_configs_per_sec);
+      ("lane_blocks_per_sec", decimals 0 r.lane_blocks_per_sec);
+      ("speedup", decimals 3 r.sweep_speedup);
+      ("identical_studies", J.Bool r.sweep_identical);
     ]
-
-let write_sweep_json ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (sweep_to_json r);
-      output_char oc '\n')
 
 let sweep_summary r =
   Printf.sprintf
@@ -347,6 +351,16 @@ let sweep_summary r =
     r.sweep_bench r.sweep_scale r.study_configs r.fused_lanes r.fallback_lanes r.blocks_per_pass
     r.baseline_configs_per_sec r.baseline_seconds r.fused_configs_per_sec r.fused_seconds
     (r.lane_blocks_per_sec /. 1e6) r.sweep_speedup r.sweep_identical
+
+let sweep_failures ~gate r =
+  failures
+    [
+      (if not r.sweep_identical then Some "fused sweep diverges from the sequential study"
+       else None);
+      (if r.sweep_speedup < gate then
+         Some (Printf.sprintf "fused sweep speedup %.2fx below gate %.2fx" r.sweep_speedup gate)
+       else None);
+    ]
 
 (* Cache-axis benchmark (BENCH_cache_sweep.json): the 100-geometry cache
    study through the sequential per-geometry loop versus the fused
@@ -420,31 +434,21 @@ let run_cache_sweep ?(bench = "400.perlbench") ?(scale = 4) () =
   }
 
 let cache_sweep_to_json r =
-  String.concat "\n"
+  J.Obj
     [
-      "{";
-      Printf.sprintf "  \"bench\": %S," r.cache_bench;
-      Printf.sprintf "  \"scale\": %d," r.cache_scale;
-      Printf.sprintf "  \"study_configs\": %d," r.cache_study_configs;
-      Printf.sprintf "  \"fused_lanes\": %d," r.cache_fused_lanes;
-      Printf.sprintf "  \"blocks_per_pass\": %d," r.cache_blocks_per_pass;
-      Printf.sprintf "  \"baseline_seconds\": %.6f," r.cache_baseline_seconds;
-      Printf.sprintf "  \"fused_seconds\": %.6f," r.cache_fused_seconds;
-      Printf.sprintf "  \"baseline_configs_per_sec\": %.2f," r.cache_baseline_configs_per_sec;
-      Printf.sprintf "  \"fused_configs_per_sec\": %.2f," r.cache_fused_configs_per_sec;
-      Printf.sprintf "  \"lane_blocks_per_sec\": %.0f," r.cache_lane_blocks_per_sec;
-      Printf.sprintf "  \"speedup\": %.3f," r.cache_speedup;
-      Printf.sprintf "  \"identical_studies\": %b" r.cache_identical;
-      "}";
+      ("bench", J.String r.cache_bench);
+      ("scale", J.Int r.cache_scale);
+      ("study_configs", J.Int r.cache_study_configs);
+      ("fused_lanes", J.Int r.cache_fused_lanes);
+      ("blocks_per_pass", J.Int r.cache_blocks_per_pass);
+      ("baseline_seconds", decimals 6 r.cache_baseline_seconds);
+      ("fused_seconds", decimals 6 r.cache_fused_seconds);
+      ("baseline_configs_per_sec", decimals 2 r.cache_baseline_configs_per_sec);
+      ("fused_configs_per_sec", decimals 2 r.cache_fused_configs_per_sec);
+      ("lane_blocks_per_sec", decimals 0 r.cache_lane_blocks_per_sec);
+      ("speedup", decimals 3 r.cache_speedup);
+      ("identical_studies", J.Bool r.cache_identical);
     ]
-
-let write_cache_sweep_json ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (cache_sweep_to_json r);
-      output_char oc '\n')
 
 let cache_sweep_summary r =
   Printf.sprintf
@@ -457,6 +461,19 @@ let cache_sweep_summary r =
     r.cache_fused_seconds
     (r.cache_lane_blocks_per_sec /. 1e6)
     r.cache_speedup r.cache_identical
+
+let cache_sweep_failures ~gate r =
+  failures
+    [
+      (if not r.cache_identical then
+         Some "fused cache sweep diverges from the sequential study"
+       else None);
+      (if r.cache_speedup < gate then
+         Some
+           (Printf.sprintf "fused cache sweep speedup %.2fx below gate %.2fx" r.cache_speedup
+              gate)
+       else None);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder overhead benchmark (BENCH_recorder.json): the fused
@@ -537,31 +554,21 @@ let run_recorder ?(bench = "400.perlbench") ?(scale = 4) () =
   }
 
 let recorder_to_json r =
-  String.concat "\n"
+  J.Obj
     [
-      "{";
-      Printf.sprintf "  \"bench\": %S," r.rec_bench;
-      Printf.sprintf "  \"scale\": %d," r.rec_scale;
-      Printf.sprintf "  \"configs\": %d," r.rec_configs;
-      Printf.sprintf "  \"scrape_interval\": %.3f," r.rec_scrape_interval;
-      Printf.sprintf "  \"off_seconds\": %.6f," r.rec_off_seconds;
-      Printf.sprintf "  \"on_seconds\": %.6f," r.rec_on_seconds;
-      Printf.sprintf "  \"off_configs_per_sec\": %.2f," r.rec_off_configs_per_sec;
-      Printf.sprintf "  \"on_configs_per_sec\": %.2f," r.rec_on_configs_per_sec;
-      Printf.sprintf "  \"overhead_percent\": %.2f," r.rec_overhead_percent;
-      Printf.sprintf "  \"timeseries_points\": %d," r.rec_points;
-      Printf.sprintf "  \"collected_spans\": %d," r.rec_spans;
-      Printf.sprintf "  \"identical_grids\": %b" r.rec_identical;
-      "}";
+      ("bench", J.String r.rec_bench);
+      ("scale", J.Int r.rec_scale);
+      ("configs", J.Int r.rec_configs);
+      ("scrape_interval", decimals 3 r.rec_scrape_interval);
+      ("off_seconds", decimals 6 r.rec_off_seconds);
+      ("on_seconds", decimals 6 r.rec_on_seconds);
+      ("off_configs_per_sec", decimals 2 r.rec_off_configs_per_sec);
+      ("on_configs_per_sec", decimals 2 r.rec_on_configs_per_sec);
+      ("overhead_percent", decimals 2 r.rec_overhead_percent);
+      ("timeseries_points", J.Int r.rec_points);
+      ("collected_spans", J.Int r.rec_spans);
+      ("identical_grids", J.Bool r.rec_identical);
     ]
-
-let write_recorder_json ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (recorder_to_json r);
-      output_char oc '\n')
 
 let recorder_summary r =
   Printf.sprintf
@@ -572,6 +579,18 @@ let recorder_summary r =
     (r.rec_scrape_interval *. 1000.0)
     r.rec_off_configs_per_sec r.rec_off_seconds r.rec_on_configs_per_sec r.rec_on_seconds
     r.rec_overhead_percent r.rec_points r.rec_spans r.rec_identical
+
+let recorder_failures ~gate r =
+  failures
+    [
+      (if not r.rec_identical then Some "sweep grid changed with the flight recorder on"
+       else None);
+      (if gate > 0.0 && r.rec_overhead_percent > gate then
+         Some
+           (Printf.sprintf "flight-recorder overhead %.2f%% above gate %.2f%%"
+              r.rec_overhead_percent gate)
+       else None);
+    ]
 
 (* Surrogate-steered sweep benchmark (BENCH_surrogate.json): the steered
    Max_err study against the golden full fused study on the same plan —
@@ -659,37 +678,27 @@ let run_surrogate ?(bench = "183.equake") ?(scale = 2) ?(max_err = 1.0) () =
   }
 
 let surrogate_to_json r =
-  String.concat "\n"
+  J.Obj
     [
-      "{";
-      Printf.sprintf "  \"bench\": %S," r.sur_bench;
-      Printf.sprintf "  \"scale\": %d," r.sur_scale;
-      Printf.sprintf "  \"grid_configs\": %d," r.sur_grid_configs;
-      Printf.sprintf "  \"max_err_percent\": %.3f," r.sur_max_err_percent;
-      Printf.sprintf "  \"replayed_lanes\": %d," r.sur_replayed_lanes;
-      Printf.sprintf "  \"pruned_lanes\": %d," r.sur_pruned_lanes;
-      Printf.sprintf "  \"prune_factor\": %.2f," r.sur_prune_factor;
-      Printf.sprintf "  \"rounds\": %d," r.sur_rounds;
-      Printf.sprintf "  \"holdout_max_abs_err\": %.4f," r.sur_holdout_max_err;
-      Printf.sprintf "  \"holdout_mean_abs_err\": %.4f," r.sur_holdout_mean_err;
-      Printf.sprintf "  \"predicted_cpi_max_err\": %.4f," r.sur_predicted_max_err;
-      Printf.sprintf "  \"full_seconds\": %.6f," r.sur_full_seconds;
-      Printf.sprintf "  \"steered_seconds\": %.6f," r.sur_steered_seconds;
-      Printf.sprintf "  \"replay_seconds\": %.6f," r.sur_replay_seconds;
-      Printf.sprintf "  \"model_seconds\": %.6f," r.sur_model_seconds;
-      Printf.sprintf "  \"speedup\": %.3f," r.sur_speedup;
-      Printf.sprintf "  \"replayed_identical\": %b," r.sur_replayed_identical;
-      Printf.sprintf "  \"within_tolerance\": %b" r.sur_within_tolerance;
-      "}";
+      ("bench", J.String r.sur_bench);
+      ("scale", J.Int r.sur_scale);
+      ("grid_configs", J.Int r.sur_grid_configs);
+      ("max_err_percent", decimals 3 r.sur_max_err_percent);
+      ("replayed_lanes", J.Int r.sur_replayed_lanes);
+      ("pruned_lanes", J.Int r.sur_pruned_lanes);
+      ("prune_factor", decimals 2 r.sur_prune_factor);
+      ("rounds", J.Int r.sur_rounds);
+      ("holdout_max_abs_err", decimals 4 r.sur_holdout_max_err);
+      ("holdout_mean_abs_err", decimals 4 r.sur_holdout_mean_err);
+      ("predicted_cpi_max_err", decimals 4 r.sur_predicted_max_err);
+      ("full_seconds", decimals 6 r.sur_full_seconds);
+      ("steered_seconds", decimals 6 r.sur_steered_seconds);
+      ("replay_seconds", decimals 6 r.sur_replay_seconds);
+      ("model_seconds", decimals 6 r.sur_model_seconds);
+      ("speedup", decimals 3 r.sur_speedup);
+      ("replayed_identical", J.Bool r.sur_replayed_identical);
+      ("within_tolerance", J.Bool r.sur_within_tolerance);
     ]
-
-let write_surrogate_json ~path r =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (surrogate_to_json r);
-      output_char oc '\n')
 
 let surrogate_summary r =
   Printf.sprintf
@@ -706,8 +715,7 @@ let surrogate_summary r =
     r.sur_within_tolerance
 
 let surrogate_failures ~gate r =
-  List.filter_map
-    (fun x -> x)
+  failures
     [
       (if not r.sur_replayed_identical then
          Some "steered replayed lanes diverge from the full fused study"

@@ -53,11 +53,21 @@ val two_pass_trace : ?seed:int -> Pi_isa.Program.t -> budget_blocks:int -> Pi_is
     then run again under the instrumentation's limits (or the profile's
     own, when there is nothing to instrument). *)
 
-val to_json : result -> string
-val write_json : path:string -> result -> unit
+val to_json : result -> Pi_obs.Json.t
+(** The BENCH_pipeline.json document. *)
+
+val write_json : path:string -> Pi_obs.Json.t -> unit
+(** Write one BENCH document (any of the five [*to_json] results),
+    newline-terminated. *)
 
 val summary : result -> string
 (** Human-readable multi-line summary. *)
+
+val pipeline_failures : result -> string list
+(** Gate verdicts, empty when the result passes: the one-pass trace
+    differs from {!two_pass_trace}, replay counts differ from the legacy
+    path on either leg, or replay is slower than legacy. Shared by
+    [bench/perf.exe] and the CLI's [perf] subcommand. *)
 
 (** {1 Fused-sweep benchmark}
 
@@ -94,11 +104,14 @@ val run_sweep : ?bench:string -> ?scale:int -> unit -> sweep_result
     grids) bit for bit. Both paths are warmed by one untimed fused study
     first. *)
 
-val sweep_to_json : sweep_result -> string
-val write_sweep_json : path:string -> sweep_result -> unit
+val sweep_to_json : sweep_result -> Pi_obs.Json.t
 
 val sweep_summary : sweep_result -> string
 (** Human-readable multi-line summary. *)
+
+val sweep_failures : gate:float -> sweep_result -> string list
+(** Gate verdicts: the fused study diverges from the sequential one, or
+    the fused speedup is below [gate] (pass [0.] for no timing gate). *)
 
 (** {1 Cache-axis sweep benchmark}
 
@@ -132,11 +145,13 @@ val run_cache_sweep : ?bench:string -> ?scale:int -> unit -> cache_sweep_result
     identical sequential work on both paths and is excluded from timing;
     [cache_identical] still compares the two full studies bit for bit. *)
 
-val cache_sweep_to_json : cache_sweep_result -> string
-val write_cache_sweep_json : path:string -> cache_sweep_result -> unit
+val cache_sweep_to_json : cache_sweep_result -> Pi_obs.Json.t
 
 val cache_sweep_summary : cache_sweep_result -> string
 (** Human-readable multi-line summary. *)
+
+val cache_sweep_failures : gate:float -> cache_sweep_result -> string list
+(** {!sweep_failures} for the cache axis. *)
 
 (** {1 Flight-recorder overhead benchmark}
 
@@ -166,11 +181,14 @@ val run_recorder : ?bench:string -> ?scale:int -> unit -> recorder_result
 (** Same protocol as {!run_sweep}: compile once, warm once, best-of-5
     timed grids per mode. Restores the global tracing flag on exit. *)
 
-val recorder_to_json : recorder_result -> string
-val write_recorder_json : path:string -> recorder_result -> unit
+val recorder_to_json : recorder_result -> Pi_obs.Json.t
 
 val recorder_summary : recorder_result -> string
 (** Human-readable multi-line summary. *)
+
+val recorder_failures : gate:float -> recorder_result -> string list
+(** Gate verdicts: the grid changed with the recorder on, or a positive
+    [gate] is below the overhead percent. *)
 
 (** {1 Surrogate-steered sweep benchmark}
 
@@ -219,8 +237,7 @@ val run_surrogate :
     three each. Steering is deterministic, so the gated lane counts are
     identical across reps; only the wall times vary. *)
 
-val surrogate_to_json : surrogate_result -> string
-val write_surrogate_json : path:string -> surrogate_result -> unit
+val surrogate_to_json : surrogate_result -> Pi_obs.Json.t
 
 val surrogate_summary : surrogate_result -> string
 (** Human-readable multi-line summary. *)

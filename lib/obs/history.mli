@@ -5,9 +5,10 @@
     [history.jsonl] file: a wall-clock timestamp, the run kind and
     label, the configuration digest, and a flat bag of numeric metrics
     (wall/cpu seconds, obs/sec, fused configs/s, cache hit ratio,
-    per-bench R², …). Records are framed exactly like the serve WAL —
-    [md5_hex(payload) ^ " " ^ payload], one per line, fsynced — so a
-    torn tail from a crash mid-append is detected, not misparsed.
+    per-bench R², …). Each record is one {!Json} object in a {!Framed_log}
+    line — the serve WAL's frame, [md5_hex(payload) ^ " " ^ payload],
+    fsynced — so a torn tail from a crash mid-append is detected, not
+    misparsed. A non-finite metric is written as [0].
 
     Unlike the WAL, whose records form a causal sequence (everything
     after the first bad record is suspect), history records are
@@ -32,20 +33,6 @@ val make :
   (string * float) list -> record
 (** Sorts and dedups metrics (first binding wins); [ts] defaults to
     {!Clock.wall}. *)
-
-(** {1 Framing} *)
-
-val render : record -> string
-(** One-line canonical JSON payload (no newline). *)
-
-val parse_payload : string -> (record, string) result
-
-val frame : string -> string
-(** [md5_hex payload ^ " " ^ payload]. *)
-
-val parse_record : string -> (record, string) result
-(** Validate one framed line: length, hex digest, separator, digest
-    match, then payload JSON. *)
 
 (** {1 Ledger I/O} *)
 

@@ -31,13 +31,6 @@ let set_level = function
   | Some l -> Atomic.set current (rank l)
   | None -> Atomic.set current quiet_rank
 
-let level () =
-  match Atomic.get current with
-  | 0 -> Some Debug
-  | 1 -> Some Info
-  | 2 -> Some Warn
-  | 3 -> Some Error
-  | _ -> None
 
 let write_mutex = Mutex.create ()
 let custom_writer : (level -> string -> unit) option ref = ref None

@@ -18,8 +18,6 @@ val set_level : level option -> unit
 (** [Some l] shows records at [l] and above; [None] is quiet (shows
     nothing). Overrides the [PI_LOG] environment initialisation. *)
 
-val level : unit -> level option
-
 val level_of_string : string -> level option option
 (** Parses [PI_LOG] values: ["debug"], ["info"], ["warn"], ["error"]
     to [Some (Some l)]; ["quiet"]/["off"]/["none"] to [Some None];

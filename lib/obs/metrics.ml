@@ -196,13 +196,10 @@ let scrape () =
          })
   |> List.sort (fun a b -> compare (a.name, a.labels) (b.name, b.labels))
 
-(* Prometheus text exposition. Floats use the shortest representation
-   that round-trips, mirroring Telemetry's JSON rendering. *)
+(* Prometheus text exposition. Finite floats render as [Json.number]
+   does; NaN and the infinities keep their Prometheus spellings. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+  if Float.is_finite f then Json.to_string (Json.number f) else Printf.sprintf "%.17g" f
 
 let escape_label_value v =
   let buf = Buffer.create (String.length v + 2) in
@@ -263,15 +260,69 @@ let to_prometheus () =
     (scrape ());
   Buffer.contents buf
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+(* ---------------- The JSON twin ---------------- *)
 
-let save_prometheus ~path =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_prometheus ()))
+let sample_to_json s =
+  let labels = Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) s.labels) in
+  let help = match s.help with "" -> [] | h -> [ ("help", Json.String h) ] in
+  Json.Obj
+    ((("name", Json.String s.name) :: ("labels", labels) :: help)
+    @
+    match s.value with
+    | Counter n -> [ ("type", Json.String "counter"); ("value", Json.Int n) ]
+    | Gauge v -> [ ("type", Json.String "gauge"); ("value", Json.Float v) ]
+    | Histogram h ->
+        let n = Array.length h.bounds in
+        [
+          ("type", Json.String "histogram");
+          ("count", Json.Int h.count);
+          ("sum", Json.Float h.sum);
+          ( "buckets",
+            Json.List
+              (List.init n (fun b ->
+                   Json.Obj
+                     [
+                       ("le", Json.Float h.bounds.(b)); ("count", Json.Int h.bucket_counts.(b));
+                     ])) );
+          ("overflow", Json.Int h.bucket_counts.(n));
+        ])
+
+let to_json samples = Json.Obj [ ("metrics", Json.List (List.map sample_to_json samples)) ]
+
+let sample_of_json j =
+  let value =
+    match Json.get_string "type" j with
+    | "counter" -> Counter (Json.get_int "value" j)
+    | "gauge" -> Gauge (Json.get_float "value" j)
+    | "histogram" ->
+        let buckets = Json.get_list "buckets" j in
+        let bounds = Array.of_list (List.map (Json.get_float "le") buckets) in
+        let counts = List.map (Json.get_int "count") buckets @ [ Json.get_int "overflow" j ] in
+        Histogram
+          {
+            bounds;
+            bucket_counts = Array.of_list counts;
+            count = Json.get_int "count" j;
+            sum = Json.get_float "sum" j;
+          }
+    | other -> raise (Json.Type_error (Printf.sprintf "unknown metric type %S" other))
+  in
+  {
+    name = Json.get_string "name" j;
+    help = Option.value ~default:"" (Json.opt Json.get_string "help" j);
+    labels =
+      List.map
+        (fun (k, _) -> (k, Json.get_string k (Json.member "labels" j)))
+        (Json.get_obj "labels" j);
+    value;
+  }
+
+let of_json j =
+  match List.map sample_of_json (Json.get_list "metrics" j) with
+  | samples -> Ok samples
+  | exception Json.Type_error msg -> Error msg
+
+let save ~path =
+  Fs.write_file ~path
+    (if Filename.check_suffix path ".json" then Json.to_string (to_json (scrape ())) ^ "\n"
+     else to_prometheus ())

@@ -13,8 +13,8 @@
     hot code holds the handle, it never looks anything up.
 
     Scrapes export in Prometheus text exposition format ({!to_prometheus})
-    and as a neutral {!sample} list that
-    {!Pi_campaign.Telemetry.metrics_json} renders as JSON. Metric names
+    and as a neutral {!sample} list with a JSON twin ({!to_json},
+    {!of_json}). Metric names
     follow Prometheus conventions: [pi_obs_] prefix, [_total] suffix on
     counters, [_seconds] on time histograms. See docs/OBSERVABILITY.md for
     the full catalogue. *)
@@ -34,12 +34,9 @@ val gauge : ?help:string -> ?labels:(string * string) list -> string -> gauge
 
 val histogram :
   ?help:string -> ?labels:(string * string) list -> ?buckets:float array -> string -> histogram
-(** [buckets] are strictly increasing upper bounds (default
-    {!default_buckets}, tuned for seconds); an implicit [+Inf] bucket
-    catches the overflow. Re-registering with different buckets raises. *)
-
-val default_buckets : float array
-(** 100 µs .. 300 s, roughly logarithmic — job and phase latencies. *)
+(** [buckets] are strictly increasing upper bounds (default 100 µs ..
+    300 s, roughly logarithmic: job and phase latencies in seconds); an
+    implicit [+Inf] bucket catches the overflow. Re-registering with different buckets raises. *)
 
 (** {1 Updates (hot path)} *)
 
@@ -100,13 +97,23 @@ val scrape : unit -> sample list
 
 val float_repr : float -> string
 (** Shortest decimal string that round-trips through [float_of_string]
-    (integers without an exponent) — the rendering used by the
-    Prometheus exposition, shared by the flight-recorder JSON writers. *)
+    (integers without an exponent, as {!Json.number} renders them) — the
+    rendering used by the Prometheus exposition and the CLI's reports. *)
 
 val to_prometheus : unit -> string
 (** Prometheus text exposition format: [# HELP] / [# TYPE] per metric
     name, [name{label="v",...} value] per sample, histograms as
     cumulative [_bucket{le="..."}] plus [_sum] / [_count]. *)
 
-val save_prometheus : path:string -> unit
-(** Write {!to_prometheus} to [path], creating parent directories. *)
+val to_json : sample list -> Json.t
+(** [{"metrics":[{"name":...,"labels":{...},"type":...,...},...]}] — the
+    JSON twin of the Prometheus text format, served as [/metrics.json].
+    Histograms carry non-cumulative per-bucket counts plus the [+Inf]
+    overflow. *)
+
+val of_json : Json.t -> (sample list, string) result
+(** Inverse of {!to_json}, so a remote scrape prints like a local one. *)
+
+val save : path:string -> unit
+(** Write a scrape to [path], creating parent directories: {!to_json} when
+    [path] ends in [.json], else {!to_prometheus}. *)

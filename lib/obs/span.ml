@@ -163,67 +163,37 @@ let clear () =
 
 (* ---------------- Chrome trace-event export ---------------- *)
 
-let escape_json buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+(* Chrome trace timestamps are microseconds, kept to three decimals; the
+   epoch is arbitrary (monotonic), only differences matter to the viewer. *)
+let micros seconds = Json.Float (Float.round (seconds *. 1e9) /. 1e3)
+
+let event_to_json e =
+  Json.Obj
+    [
+      ("name", Json.String e.name);
+      ("cat", Json.String e.cat);
+      ("ph", Json.String "X");
+      ("pid", Json.Int 1);
+      ("tid", Json.Int e.tid);
+      ("ts", micros e.ts);
+      ("dur", micros e.dur);
+      ( "args",
+        Json.Obj
+          (List.map (fun (k, v) -> (k, Json.String v)) e.args
+          @ [
+              ("alloc_bytes", Json.number (Float.round e.alloc_bytes));
+              ("depth", Json.Int e.depth);
+            ]) );
+    ]
 
 let events_to_chrome_json evs =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"name\":";
-      escape_json buf e.name;
-      Buffer.add_string buf ",\"cat\":";
-      escape_json buf e.cat;
-      Buffer.add_string buf ",\"ph\":\"X\",\"pid\":1,\"tid\":";
-      Buffer.add_string buf (string_of_int e.tid);
-      (* Chrome trace timestamps are microseconds; the epoch is arbitrary
-         (monotonic), only differences matter to the viewer. *)
-      Buffer.add_string buf (Printf.sprintf ",\"ts\":%.3f,\"dur\":%.3f" (e.ts *. 1e6) (e.dur *. 1e6));
-      Buffer.add_string buf ",\"args\":{";
-      List.iter
-        (fun (k, v) ->
-          escape_json buf k;
-          Buffer.add_char buf ':';
-          escape_json buf v;
-          Buffer.add_char buf ',')
-        e.args;
-      Buffer.add_string buf "\"alloc_bytes\":";
-      Buffer.add_string buf (Printf.sprintf "%.0f" e.alloc_bytes);
-      Buffer.add_string buf ",\"depth\":";
-      Buffer.add_string buf (string_of_int e.depth);
-      Buffer.add_string buf "}}")
-    evs;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.String "ms");
+         ("traceEvents", Json.List (List.map event_to_json evs));
+       ])
 
 let to_chrome_json () = events_to_chrome_json (events ())
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let save ~path =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_chrome_json ());
-      output_char oc '\n')
+let save ~path = Fs.write_file ~path (to_chrome_json () ^ "\n")

@@ -81,7 +81,6 @@ let create ?(capacity = 512) ?(downsample = 8) () =
     series_list = [];
   }
 
-let capacity t = t.capacity
 let downsample t = t.downsample
 
 let series_key name labels =
@@ -163,8 +162,6 @@ let record t ?ts samples =
     samples;
   Metrics.inc m_scrapes
 
-let scrape_into t = record t (Metrics.scrape ())
-
 type series_snapshot = {
   name : string;
   labels : (string * string) list;
@@ -188,66 +185,28 @@ let snapshot t =
 
 (* ---------------- JSON export ---------------- *)
 
-let escape_json buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let json_number f =
-  if Float.is_finite f then Metrics.float_repr f else "null"
-
-let add_points buf pts =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i p ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '[';
-      Buffer.add_string buf (json_number p.ts);
-      Buffer.add_char buf ',';
-      Buffer.add_string buf (json_number p.value);
-      Buffer.add_char buf ']')
-    pts;
-  Buffer.add_char buf ']'
+let points_json pts =
+  Json.List (List.map (fun p -> Json.List [ Json.number p.ts; Json.number p.value ]) pts)
 
 let to_json t =
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf "{\"capacity\":";
-  Buffer.add_string buf (string_of_int t.capacity);
-  Buffer.add_string buf ",\"downsample\":";
-  Buffer.add_string buf (string_of_int t.downsample);
-  Buffer.add_string buf ",\"series\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"name\":";
-      escape_json buf s.name;
-      Buffer.add_string buf ",\"labels\":{";
-      List.iteri
-        (fun j (k, v) ->
-          if j > 0 then Buffer.add_char buf ',';
-          escape_json buf k;
-          Buffer.add_char buf ':';
-          escape_json buf v)
-        s.labels;
-      Buffer.add_string buf "},\"points\":";
-      add_points buf s.points;
-      Buffer.add_string buf ",\"downsampled\":";
-      add_points buf s.downsampled;
-      Buffer.add_char buf '}')
-    (snapshot t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [
+         ("capacity", Json.Int t.capacity);
+         ("downsample", Json.Int t.downsample);
+         ( "series",
+           Json.List
+             (List.map
+                (fun s ->
+                  Json.Obj
+                    [
+                      ("name", Json.String s.name);
+                      ("labels", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) s.labels));
+                      ("points", points_json s.points);
+                      ("downsampled", points_json s.downsampled);
+                    ])
+                (snapshot t)) );
+       ])
 
 (* ---------------- Background sampler ---------------- *)
 
@@ -256,7 +215,7 @@ let sampler ?(interval = 1.0) ?(on_tick = fun () -> ()) t =
   let stop = Atomic.make false in
   let tick () =
     (try on_tick () with _ -> ());
-    scrape_into t
+    record t (Metrics.scrape ())
   in
   let thread =
     Thread.create

@@ -2,7 +2,7 @@
     the daemon's flight recorder.
 
     A store holds one bounded series per metric identity seen in the
-    scrapes folded into it ({!record} / {!scrape_into}): counters and
+    scrapes folded into it ({!record}): counters and
     gauges map to one series each, histograms split into
     [<name>_count] and [<name>_sum] so rates and means stay derivable.
     Each series keeps two tiers:
@@ -33,7 +33,6 @@ val create : ?capacity:int -> ?downsample:int -> unit -> t
 (** [capacity] points per tier per series (default 512);
     [downsample] raw points per coarse point (default 8, must be ≥ 2). *)
 
-val capacity : t -> int
 val downsample : t -> int
 
 type point = { ts : float; value : float }
@@ -44,9 +43,6 @@ val observe : t -> ?ts:float -> name:string -> ?labels:(string * string) list ->
 val record : t -> ?ts:float -> Metrics.sample list -> unit
 (** Fold a scrape into the store: one point per series the samples
     flatten to, all sharing [ts] (default {!Clock.now}). *)
-
-val scrape_into : t -> unit
-(** [record t (Metrics.scrape ())]. *)
 
 type series_snapshot = {
   name : string;
@@ -65,7 +61,7 @@ val to_json : t -> string
 
 val sampler : ?interval:float -> ?on_tick:(unit -> unit) -> t -> unit -> unit
 (** [sampler t] starts a background thread that calls [on_tick] then
-    {!scrape_into} every [interval] seconds (default 1.0; first scrape
-    immediately), and returns the stop function, which joins the thread
+    {!record}s a registry scrape every [interval] seconds (default 1.0;
+    first scrape immediately), and returns the stop function, which joins the thread
     (idempotent). [on_tick] exceptions are swallowed — a flaky gauge
     refresher must not kill the recorder. *)

@@ -1,4 +1,4 @@
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 
 type conn = { host : string; port : int }
 
@@ -14,11 +14,10 @@ let resolve ?port ~state_dir () =
       | contents -> (
           match J.parse contents with
           | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-          | Ok (J.Obj fields) -> (
-              match List.assoc_opt "port" fields with
-              | Some (J.Int port) -> Ok { host = "127.0.0.1"; port }
-              | _ -> Error (Printf.sprintf "%s: no \"port\" field" path))
-          | Ok _ -> Error (Printf.sprintf "%s: not a JSON object" path)))
+          | Ok doc -> (
+              match J.member "port" doc with
+              | J.Int port -> Ok { host = "127.0.0.1"; port }
+              | _ -> Error (Printf.sprintf "%s: no \"port\" field" path))))
 
 let get conn path = Http.request ~host:conn.host ~port:conn.port ~meth:"GET" ~path ()
 
@@ -44,11 +43,8 @@ let expect_json = function
       | Error msg -> Error (Printf.sprintf "malformed daemon response: %s" msg))
   | Ok (code, body) -> (
       let detail =
-        match J.parse body with
-        | Ok (J.Obj fields) -> (
-            match List.assoc_opt "error" fields with
-            | Some (J.String msg) -> msg
-            | _ -> String.trim body)
+        match Result.map (J.member "error") (J.parse body) with
+        | Ok (J.String msg) -> msg
         | _ -> String.trim body
       in
       match detail with
@@ -57,7 +53,6 @@ let expect_json = function
 
 let metrics conn = expect_json (get conn "/metrics.json")
 
-let timeseries conn = expect_json (get conn "/api/timeseries")
 
 let trace conn ~id =
   match get conn (Printf.sprintf "/api/jobs/%s/trace" id) with
@@ -91,14 +86,7 @@ let wait_job ?(poll_interval = 0.2) ?(timeout = 300.0) conn ~id =
     match status conn ~id with
     | Error msg -> Error msg
     | Ok json -> (
-        let field name =
-          match json with
-          | J.Obj fields -> (
-              match List.assoc_opt name fields with
-              | Some (J.String s) -> Some s
-              | _ -> None)
-          | _ -> None
-        in
+        let field name = match J.member name json with J.String s -> Some s | _ -> None in
         match field "status" with
         | Some "done" -> result conn ~id
         | Some "failed" ->

@@ -16,12 +16,9 @@ val wait_ready : ?attempts:int -> conn -> (unit, string) result
 (** Poll [GET /readyz] until 200 (0.1s between tries, default 50 attempts)
     — for scripts that just started the daemon. *)
 
-val metrics : conn -> (Pi_campaign.Telemetry.json, string) result
+val metrics : conn -> (Pi_obs.Json.t, string) result
 (** [GET /metrics.json] — a live daemon's scrape, the feed for
     [interferometry stats --url]. *)
-
-val timeseries : conn -> (Pi_campaign.Telemetry.json, string) result
-(** [GET /api/timeseries] — the flight recorder's ring buffers. *)
 
 val trace : conn -> id:string -> (string, string) result
 (** [GET /api/jobs/:id/trace] — the job's Chrome trace-event JSON,
@@ -31,12 +28,12 @@ val submit :
   ?client:string ->
   conn ->
   body:string ->
-  (Pi_campaign.Telemetry.json, string) result
+  (Pi_obs.Json.t, string) result
 (** [POST /api/jobs]. [client] sets the [X-Client] fairness key. Returns
     the acknowledgement document ([id], [status], [duplicate]); HTTP
     4xx/5xx become [Error]s carrying the server's message. *)
 
-val status : conn -> id:string -> (Pi_campaign.Telemetry.json, string) result
+val status : conn -> id:string -> (Pi_obs.Json.t, string) result
 (** [GET /api/jobs/:id]. *)
 
 val result : conn -> id:string -> (string, string) result

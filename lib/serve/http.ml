@@ -130,16 +130,11 @@ let read_request ?(max_header_bytes = 16 * 1024) ?(max_body_bytes = 1024 * 1024)
               | Error _ as e -> e
               | Ok body -> Ok { meth; path; headers; body })))
 
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
-  let rec go off =
-    if off < len then go (off + Unix.write fd bytes off (len - off))
-  in
-  try go 0 with Unix.Unix_error _ -> () (* peer gone: response is best-effort *)
+(* Best-effort: a peer that went away mid-exchange is not an error here. *)
+let send fd s = try Pi_obs.Fs.write_all fd s with Unix.Unix_error _ -> ()
 
 let write_response fd { code; content_type; body } =
-  write_all fd
+  send fd
     (Printf.sprintf
        "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
        code (reason code) content_type (String.length body) body)
@@ -160,7 +155,7 @@ let request ?(timeout = 30.0) ?(headers = []) ~host ~port ~meth ~path ?(body = "
                 (List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers)
               ^ if body = "" then "" else "Content-Type: application/json\r\n"
             in
-            write_all fd
+            send fd
               (Printf.sprintf "%s %s HTTP/1.1\r\nHost: %s\r\n%sContent-Length: %d\r\nConnection: close\r\n\r\n%s"
                  meth path host extra (String.length body) body);
             let buf = Buffer.create 1024 in

@@ -1,4 +1,4 @@
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 module E = Interferometry.Experiment
 module Model = Interferometry.Model
 module Predict = Interferometry.Predict

@@ -12,7 +12,7 @@
     after a crash+replay is byte-identical to the same job finished in one
     uninterrupted run (the [serve-smoke] invariant). *)
 
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 
 type kind =
   | Measure  (** observations + model fit for each benchmark *)
@@ -49,7 +49,7 @@ type params = {
 
 val kind_name : kind -> string
 
-val parse : J.json -> (params, string) result
+val parse : J.t -> (params, string) result
 (** Parse and validate a submission body, e.g.
     [{"kind":"measure","bench":"429.mcf","layouts":12,"quick":true}].
     Accepts ["bench"] (one), ["benches"] (list) or ["suite"]
@@ -61,7 +61,7 @@ val parse : J.json -> (params, string) result
     are [Error]s — the network boundary validates before the ledger ever
     sees the request. *)
 
-val canonical : params -> J.json
+val canonical : params -> J.t
 (** Canonical JSON form: fixed field order, benches sorted — equal params
     render identically. This is what the ledger records. *)
 
@@ -72,12 +72,7 @@ val id_of_key : string -> string
 (** The public job id derived from a key (short digest prefix), stable
     across restarts so clients can poll through a daemon crash. *)
 
-val config_of : params -> Interferometry.Experiment.config
-(** The experiment config this job measures under — same derivation as the
-    CLI's [--seed]/[--scale]/[--heap-random]/[--quick] flags, so daemon
-    jobs and single-shot CLI runs share cache entries bit-for-bit. *)
-
-val execute : cache:Pi_campaign.Obs_cache.t -> params -> (J.json, string) result
+val execute : cache:Pi_campaign.Obs_cache.t -> params -> (J.t, string) result
 (** Run the job and build its result document.
 
     Measurement jobs are cache-first: if every seed [1..layouts] of a

@@ -1,4 +1,4 @@
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 module Metrics = Pi_obs.Metrics
 
 let m_appends =
@@ -16,32 +16,17 @@ let m_torn =
 type t = { fd : Unix.file_descr; mutex : Mutex.t; mutable open_ : bool }
 
 type replay = {
-  records : J.json list;
+  records : J.t list;
   valid_bytes : int;
   torn_bytes : int;
 }
 
-let digest_hex payload = Digest.to_hex (Digest.string payload)
-let digest_len = 32 (* MD5 hex *)
-
-let frame payload = digest_hex payload ^ " " ^ payload ^ "\n"
-
-(* One record line, or None when the line fails any framing check: short,
-   digest not hex, missing separator, digest mismatch, unparsable payload.
-   A single check failing means the record (and by the prefix rule,
-   everything after it) cannot be trusted. *)
+(* One record line, or None when the line fails its frame or its payload
+   does not parse. A single check failing means the record (and by the
+   prefix rule, everything after it) cannot be trusted. *)
 let parse_record line =
-  let n = String.length line in
-  if n < digest_len + 2 then None
-  else if line.[digest_len] <> ' ' then None
-  else
-    let digest = String.sub line 0 digest_len in
-    let hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false in
-    if not (String.for_all hex digest) then None
-    else
-      let payload = String.sub line (digest_len + 1) (n - digest_len - 1) in
-      if digest_hex payload <> digest then None
-      else match J.parse payload with Ok json -> Some json | Error _ -> None
+  Option.bind (Pi_obs.Framed_log.unframe line) (fun payload ->
+      Result.to_option (J.parse payload))
 
 let read ~path =
   let contents =
@@ -68,14 +53,8 @@ let read ~path =
   let records, valid_bytes = walk 0 [] in
   { records; valid_bytes; torn_bytes = total - valid_bytes }
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let open_ ~path =
-  mkdir_p (Filename.dirname path);
+  Pi_obs.Fs.mkdir_p (Filename.dirname path);
   let replay = read ~path in
   Metrics.add m_replayed (List.length replay.records);
   if replay.torn_bytes > 0 then Metrics.inc m_torn;
@@ -89,19 +68,10 @@ let open_ ~path =
   ignore (Unix.lseek fd replay.valid_bytes Unix.SEEK_SET : int);
   ({ fd; mutex = Mutex.create (); open_ = true }, replay)
 
-let write_all fd bytes =
-  let len = Bytes.length bytes in
-  let rec go off =
-    if off < len then go (off + Unix.write fd bytes off (len - off))
-  in
-  go 0
-
 let append t json =
   Mutex.protect t.mutex (fun () ->
       if not t.open_ then invalid_arg "Ledger.append: closed";
-      let line = frame (J.to_string json) in
-      write_all t.fd (Bytes.of_string line);
-      Unix.fsync t.fd;
+      Pi_obs.Framed_log.(append t.fd (frame (J.to_string json)));
       Metrics.inc m_appends)
 
 let close t =

@@ -2,7 +2,7 @@
 
     Every mutating request the daemon accepts is appended here {e before}
     it is acknowledged or dispatched — write-ahead logging. A record is
-    one line:
+    one {!Pi_obs.Framed_log} line:
 
     {v <md5-hex of payload> <payload JSON>\n v}
 
@@ -22,7 +22,7 @@
 type t
 
 type replay = {
-  records : Pi_campaign.Telemetry.json list;  (** valid records, oldest first *)
+  records : Pi_obs.Json.t list;  (** valid records, oldest first *)
   valid_bytes : int;  (** length of the verified prefix *)
   torn_bytes : int;
       (** bytes after the verified prefix that failed framing or digest
@@ -39,7 +39,7 @@ val open_ : path:string -> t * replay
     away first, so the file self-heals on boot. Creates missing parent
     directories. *)
 
-val append : t -> Pi_campaign.Telemetry.json -> unit
+val append : t -> Pi_obs.Json.t -> unit
 (** Serialize, frame, write, flush and [fsync] one record. Returns only
     once the record is durable — the fsync-before-ack contract. Safe from
     concurrent threads (appends are serialized by a mutex). Raises

@@ -1,4 +1,4 @@
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 
 type params = (string * string) list
 

@@ -14,7 +14,7 @@ type route
 val get : string -> (params -> Http.request -> Http.response) -> route
 val post : string -> (params -> Http.request -> Http.response) -> route
 
-val json : int -> Pi_campaign.Telemetry.json -> Http.response
+val json : int -> Pi_obs.Json.t -> Http.response
 (** ["application/json"] response from a rendered value. *)
 
 val text : int -> string -> Http.response

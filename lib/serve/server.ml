@@ -1,4 +1,4 @@
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 module Metrics = Pi_obs.Metrics
 module Span = Pi_obs.Span
 module Timeseries = Pi_obs.Timeseries
@@ -128,12 +128,6 @@ type t = {
 
 let port t = t.actual_port
 
-let rec mkdir_p path =
-  if path <> "" && path <> "." && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let result_path t id = Filename.concat (Filename.concat t.options.state_dir "jobs") (id ^ ".json")
 let port_file state_dir = Filename.concat state_dir "serve.json"
 
@@ -142,17 +136,13 @@ let port_file state_dir = Filename.concat state_dir "serve.json"
    distinction replay uses to decide whether to re-run the job. *)
 let write_result t id doc =
   let path = result_path t id in
-  mkdir_p (Filename.dirname path);
+  Pi_obs.Fs.mkdir_p (Filename.dirname path);
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let line = J.to_string doc ^ "\n" in
-      let bytes = Bytes.of_string line in
-      let len = Bytes.length bytes in
-      let rec go off = if off < len then go (off + Unix.write fd bytes off (len - off)) in
-      go 0;
+      Pi_obs.Fs.write_all fd (J.to_string doc ^ "\n");
       Unix.fsync fd);
   Sys.rename tmp path
 
@@ -174,10 +164,7 @@ let failed_record ~key ~error =
   J.Obj
     [ ("record", J.String "failed"); ("key", J.String key); ("error", J.String error) ]
 
-let record_field name = function
-  | J.Obj fields -> (
-      match List.assoc_opt name fields with Some (J.String s) -> Some s | _ -> None)
-  | _ -> None
+let record_field name j = match J.member name j with J.String s -> Some s | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Job execution                                                      *)
@@ -443,7 +430,7 @@ let routes t =
         Router.text 200 (Metrics.to_prometheus ()));
     Router.get "/metrics.json" (fun _ _ ->
         ignore (Obs_cache.update_gauges t.cache : Obs_cache.stats);
-        Router.json 200 (J.metrics_json (Metrics.scrape ())));
+        Router.json 200 (Metrics.to_json (Metrics.scrape ())));
     Router.get "/stats" (fun _ _ -> handle_stats t);
     Router.post "/api/jobs" (fun _ req -> handle_submit t req);
     Router.get "/api/jobs" (fun _ _ ->
@@ -541,12 +528,9 @@ let replay_ledger t (replay : Ledger.replay) =
     (fun record ->
       match record_field "record" record with
       | Some "submit" -> (
-          match (record_field "key" record, record) with
-          | Some key, J.Obj fields -> (
-              let params_json =
-                match List.assoc_opt "params" fields with Some p -> p | None -> J.Null
-              in
-              match Jobs.parse params_json with
+          match record_field "key" record with
+          | Some key -> (
+              match Jobs.parse (J.member "params" record) with
               | Error _ -> () (* unparsable params: benchmark set changed; skip *)
               | Ok params when Jobs.key params <> key -> ()
               | Ok params ->
@@ -563,7 +547,7 @@ let replay_ledger t (replay : Ledger.replay) =
                     Hashtbl.replace t.jobs key job;
                     t.order <- key :: t.order
                   end)
-          | _ -> ())
+          | None -> ())
       | Some "done" -> (
           match record_field "key" record with
           | Some key -> (
@@ -606,14 +590,10 @@ let write_port_file t =
   let doc =
     J.Obj [ ("port", J.Int t.actual_port); ("pid", J.Int (Unix.getpid ())) ]
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (J.to_string doc ^ "\n"))
+  Pi_obs.Fs.write_file ~path (J.to_string doc ^ "\n")
 
 let start options =
-  mkdir_p options.state_dir;
-  mkdir_p (Filename.concat options.state_dir "jobs");
+  Pi_obs.Fs.mkdir_p (Filename.concat options.state_dir "jobs");
   if options.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity < 1";
   if options.workers < 1 then invalid_arg "Server.start: workers < 1";
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in

@@ -2,7 +2,7 @@
    180-4 vectors, canonical JSON ordering, bundle write/load/verify round
    trips, single-flipped-byte detection, and the metric diff gate. *)
 
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 module Sha256 = Pi_campaign.Sha256
 module Bundle = Pi_campaign.Bundle
 module History = Pi_obs.History

@@ -287,7 +287,7 @@ let test_telemetry_stream () =
   Alcotest.(check int) "a job_finished per seed" 4 (count "job_finished")
 
 let test_json_rendering () =
-  let open Telemetry in
+  let open Pi_obs.Json in
   Alcotest.(check string) "escaping"
     {|{"a":"x\"y\n","b":[1,true,null],"c":-2.5}|}
     (to_string

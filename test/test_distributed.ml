@@ -6,7 +6,7 @@
    subcommand — the dune stanza depends on it, and the path is derived
    from the test runner's own location so cwd does not matter. *)
 
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 module E = Interferometry.Experiment
 module Campaign = Pi_campaign.Campaign
 module Coordinator = Pi_campaign.Coordinator

@@ -91,7 +91,7 @@ let test_timeseries_json_parses () =
   let t = Timeseries.create ~capacity:4 ~downsample:2 () in
   Timeseries.observe t ~ts:1.0 ~name:"flight_test_json" ~labels:[ ("k", "v\"q") ] 42.0;
   Timeseries.observe t ~ts:2.0 ~name:"flight_test_json" ~labels:[ ("k", "v\"q") ] 43.0;
-  let module J = Pi_campaign.Telemetry in
+  let module J = Pi_obs.Json in
   match J.parse (Timeseries.to_json t) with
   | Error msg -> Alcotest.failf "to_json output does not parse: %s" msg
   | Ok (J.Obj fields) -> (
@@ -141,6 +141,9 @@ let test_sampler_collects () =
 let record ?(ts = 1000.0) ?(label = "quick") metrics =
   History.make ~ts ~kind:"campaign" ~label ~config_digest:"cafe0123" metrics
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
 let test_history_frame_roundtrip () =
   let r = record [ ("obs_per_sec", 123.5); ("failed_jobs", 0.0); ("obs_per_sec", 999.0) ] in
   (* make dedups: first binding wins, sorted by name. *)
@@ -148,15 +151,62 @@ let test_history_frame_roundtrip () =
     "metrics sorted and deduped"
     [ ("failed_jobs", 0.0); ("obs_per_sec", 123.5) ]
     r.History.metrics;
-  let line = History.frame (History.render r) in
-  (match History.parse_record line with
-  | Ok r' -> Alcotest.(check bool) "frame/parse round-trips the record" true (r = r')
-  | Error msg -> Alcotest.failf "framed record does not parse: %s" msg);
+  let path = Filename.concat (temp_dir ()) "history.jsonl" in
+  History.append ~path r;
+  let line = read_file path in
+  (match Pi_obs.Framed_log.unframe (String.sub line 0 (String.length line - 1)) with
+  | Some payload ->
+      Alcotest.(check string) "one framed line" line (Pi_obs.Framed_log.frame payload)
+  | None -> Alcotest.fail "appended line fails its digest");
+  (match (History.read ~path).History.records with
+  | [ r' ] -> Alcotest.(check bool) "frame/parse round-trips the record" true (r = r')
+  | _ -> Alcotest.fail "framed record does not parse");
   (* Any payload corruption flips the digest check. *)
-  let corrupt = String.map (fun c -> if c = '5' then '6' else c) line in
-  match History.parse_record corrupt with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "corrupted payload must not parse"
+  write_file path (String.map (fun c -> if c = '5' then '6' else c) line);
+  let corrupt = History.read ~path in
+  Alcotest.(check int) "corrupted payload must not parse" 0 (List.length corrupt.History.records);
+  Alcotest.(check int) "it counts as one invalid line" 1 corrupt.History.invalid_lines
+
+(* Three lines as an earlier release's [History.append] wrote them: a label
+   with an escaped quote, newline and control character, integral metrics
+   below and above 1e12, and non-finite metrics, which that writer rendered
+   as 0. The ledger format is kept, not just the code: each line must read
+   back to its record and re-render to the same bytes. *)
+let legacy_history =
+  [
+    "7890b94b8f0db3d3e415cea9e3f17047 {\"ts\":1760886945.123456,\"kind\":\"campaign\",\"label\":\"quote\\\" nl\\n ctl\\u0001 tab\\t end\",\"config_digest\":\"cafe0123\",\"metrics\":{\"big_count\":25000000000000,\"obs_per_sec\":123.456,\"total_jobs\":400000000000,\"wall_seconds\":0.1}}\n";
+    "1ef7010599f72c22eaa9a8fc3b48f19e {\"ts\":1700000000,\"kind\":\"perf\",\"label\":\"pipeline\",\"config_digest\":\"0123abcd\",\"metrics\":{\"failed_jobs\":0,\"r_squared\":0,\"speedup\":0}}\n";
+    "7deaaf4d8ac31d0e65f8ac90566f02c7 {\"ts\":1760886999.5,\"kind\":\"sweep\",\"label\":\"400.perlbench\",\"config_digest\":\"d1g35t\",\"metrics\":{\"cpi\":1.2345678901234567,\"huge\":2.5e+20,\"neg\":-3,\"tiny\":1e-07}}\n";
+  ]
+
+let legacy_records ~non_finite =
+  [
+    History.make ~ts:1760886945.123456 ~kind:"campaign"
+      ~label:"quote\" nl\n ctl\001 tab\t end" ~config_digest:"cafe0123"
+      [ ("obs_per_sec", 123.456); ("total_jobs", 4e11); ("big_count", 2.5e13); ("wall_seconds", 0.1) ];
+    History.make ~ts:1700000000.0 ~kind:"perf" ~label:"pipeline" ~config_digest:"0123abcd"
+      [ ("r_squared", non_finite Float.nan); ("speedup", non_finite Float.infinity); ("failed_jobs", 0.0) ];
+    History.make ~ts:1760886999.5 ~kind:"sweep" ~label:"400.perlbench" ~config_digest:"d1g35t"
+      [ ("cpi", 1.2345678901234567); ("tiny", 1e-7); ("huge", 2.5e20); ("neg", -3.0) ];
+  ]
+
+let test_history_legacy_format () =
+  let dir = temp_dir () in
+  let legacy = Filename.concat dir "legacy.jsonl" in
+  write_file legacy (String.concat "" legacy_history);
+  let replay = History.read ~path:legacy in
+  Alcotest.(check int) "every legacy line is valid" 0 replay.History.invalid_lines;
+  Alcotest.(check bool) "legacy lines read back to their records" true
+    (replay.History.records = legacy_records ~non_finite:(fun _ -> 0.0));
+  let rerendered = Filename.concat dir "rerendered.jsonl" in
+  List.iter (History.append ~path:rerendered) replay.History.records;
+  Alcotest.(check (list string)) "re-rendering gives the legacy bytes" legacy_history
+    (List.map (fun l -> l ^ "\n")
+       (List.filter (( <> ) "") (String.split_on_char '\n' (read_file rerendered))));
+  let fresh = Filename.concat dir "fresh.jsonl" in
+  List.iter (History.append ~path:fresh) (legacy_records ~non_finite:Fun.id);
+  Alcotest.(check string) "non-finite metrics still render as 0"
+    (String.concat "" legacy_history) (read_file fresh)
 
 let test_history_append_read_torn_tail () =
   let dir = temp_dir () in
@@ -358,6 +408,8 @@ let suite =
           test_sampler_collects;
         Alcotest.test_case "history: frame/parse round-trip, digest check" `Quick
           test_history_frame_roundtrip;
+        Alcotest.test_case "history: legacy ledger lines read and re-render" `Quick
+          test_history_legacy_format;
         Alcotest.test_case "history: append/read, torn tail heals" `Quick
           test_history_append_read_torn_tail;
         Alcotest.test_case "history: corrupt lines skipped and counted" `Quick

@@ -149,11 +149,11 @@ let prop_fuzz_one_pass_trace =
         [ 1; 2; 11; 97; 500; 3_000 ])
 
 (* ---- hostile JSON at the network boundary ------------------------- *)
-(* Telemetry.parse guards the pi_serve submission endpoint: whatever a
+(* Pi_obs.Json.parse guards the pi_serve submission endpoint: whatever a
    client sends, the parser must return Error — never raise, never
    overflow the stack, never go super-linear. *)
 
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 
 let expect_error name input =
   match J.parse input with

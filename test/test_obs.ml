@@ -592,8 +592,7 @@ let test_metrics_json_renders () =
   Metrics.inc c;
   let doc =
     parse_json
-      (Pi_campaign.Telemetry.to_string
-         (Pi_campaign.Telemetry.metrics_json (Metrics.scrape ())))
+      (Pi_obs.Json.to_string (Metrics.to_json (Metrics.scrape ())))
   in
   match doc with
   | JObj [ ("metrics", JList samples) ] ->
@@ -616,7 +615,26 @@ let test_metrics_json_renders () =
           Alcotest.(check bool) "help carried over" true
             (List.assoc_opt "help" fields = Some (JStr "json render"))
       | _ -> Alcotest.failf "expected exactly one sample, got %d" (List.length ours))
-  | _ -> Alcotest.fail "metrics_json shape"
+  | _ -> Alcotest.fail "Metrics.to_json shape"
+
+(* /metrics.json read back by a remote [interferometry stats] must be the
+   scrape that was rendered: a counter, a labelled gauge and a histogram
+   with observations in several buckets and the overflow. *)
+let test_metrics_json_round_trip () =
+  Metrics.add (Metrics.counter ~help:"round trip" "test_obs_rt_total") 3;
+  Metrics.set (Metrics.gauge ~labels:[ ("side", "a\"b") ] "test_obs_rt_gauge") 0.1;
+  let h = Metrics.histogram ~buckets:[| 0.5; 1.0; 2.5 |] "test_obs_rt_seconds" in
+  List.iter (Metrics.observe h) [ 0.1; 0.7; 2.0; 9.75 ];
+  let ours =
+    List.filter
+      (fun s -> String.starts_with ~prefix:"test_obs_rt_" s.Metrics.name)
+      (Metrics.scrape ())
+  in
+  Alcotest.(check int) "three samples" 3 (List.length ours);
+  let rendered = Pi_obs.Json.to_string (Metrics.to_json ours) in
+  match Metrics.of_json (Result.get_ok (Pi_obs.Json.parse rendered)) with
+  | Ok back -> Alcotest.(check bool) "of_json (to_json scrape) = scrape" true (back = ours)
+  | Error msg -> Alcotest.failf "of_json: %s" msg
 
 let suite =
   [
@@ -648,5 +666,7 @@ let suite =
         Alcotest.test_case "clock: monotonic and nonnegative" `Quick test_clock_monotonic;
         Alcotest.test_case "telemetry: metrics scrape renders as JSON" `Quick
           test_metrics_json_renders;
+        Alcotest.test_case "metrics: JSON twin round-trips a scrape" `Quick
+          test_metrics_json_round_trip;
       ] );
   ]

@@ -10,6 +10,7 @@ module Scheduler = Pi_campaign.Scheduler
 module Obs_cache = Pi_campaign.Obs_cache
 module Manifest = Pi_campaign.Manifest
 module Telemetry = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 module Fault = Pi_campaign.Fault
 module Spec = Pi_workloads.Spec
 module Bench = Pi_workloads.Bench
@@ -475,7 +476,7 @@ let test_checkpoint_resume () =
      manifest reaches disk before any job runs. *)
   let interrupted =
     Campaign.run ~config:quick ~jobs:2 ~cache_dir:dir ~checkpoint_path:ckpt
-      ~config_args:[ ("quick", Telemetry.Bool true) ]
+      ~config_args:[ ("quick", J.Bool true) ]
       ~fault:(fault_exn 0.4 2) ~n_layouts:6 (benches ())
   in
   let failed = interrupted.Campaign.manifest.Manifest.failed_jobs in
@@ -493,7 +494,7 @@ let test_checkpoint_resume () =
         (Obs_cache.config_digest quick) m.Manifest.config_digest;
       Alcotest.(check (option string)) "identity: cache dir" (Some dir) m.Manifest.cache_dir;
       Alcotest.(check bool) "config_args preserved" true
-        (List.assoc_opt "quick" m.Manifest.config_args = Some (Telemetry.Bool true));
+        (List.assoc_opt "quick" m.Manifest.config_args = Some (J.Bool true));
       Alcotest.(check (list string)) "identity: benches"
         (List.map (fun b -> b.Bench.name) (benches ()))
         (List.map (fun (b : Manifest.bench_entry) -> b.Manifest.bench) m.Manifest.benches));
@@ -528,19 +529,19 @@ let test_manifest_roundtrip () =
      of_json -> render. *)
   let faulty =
     Campaign.run ~config:quick ~jobs:2 ~retries:3 ~backoff:0.0 ~cache_dir:(temp_dir "pi-rt")
-      ~config_args:[ ("quick", Telemetry.Bool true); ("seed", Telemetry.Int 1) ]
+      ~config_args:[ ("quick", J.Bool true); ("seed", J.Int 1) ]
       ~fault:(fault_exn 0.3 1) ~n_layouts:4 (benches ())
   in
   let m = faulty.Campaign.manifest in
-  let rendered = Telemetry.to_string (Manifest.to_json m) in
-  (match Telemetry.parse rendered with
+  let rendered = J.to_string (Manifest.to_json m) in
+  (match J.parse rendered with
   | Error e -> Alcotest.failf "rendered manifest unparsable: %s" e
   | Ok j -> (
       match Manifest.of_json j with
       | Error e -> Alcotest.failf "parsed manifest rejected: %s" e
       | Ok m2 ->
           Alcotest.(check string) "render/parse fixpoint" rendered
-            (Telemetry.to_string (Manifest.to_json m2))));
+            (J.to_string (Manifest.to_json m2))));
   (* save/load agree with to_json/of_json. *)
   let path = Filename.temp_file "pi-manifest" ".json" in
   Manifest.save m ~path;
@@ -548,7 +549,7 @@ let test_manifest_roundtrip () =
   | Error e -> Alcotest.failf "saved manifest unloadable: %s" e
   | Ok m2 ->
       Alcotest.(check string) "save/load fixpoint" rendered
-        (Telemetry.to_string (Manifest.to_json m2)));
+        (J.to_string (Manifest.to_json m2)));
   (* A pre-resilience manifest (no retries/checkpoint/config_args fields)
      still loads, with defaults. *)
   let legacy =
@@ -557,7 +558,7 @@ let test_manifest_roundtrip () =
        "cached_jobs":0,"failed_jobs":0,"cache_hits":0,"cache_misses":0,
        "benches":[]}|}
   in
-  match Telemetry.parse legacy with
+  match J.parse legacy with
   | Error e -> Alcotest.failf "legacy json unparsable: %s" e
   | Ok j -> (
       match Manifest.of_json j with
@@ -570,7 +571,7 @@ let test_manifest_roundtrip () =
 (* ---------------- JSON parser ---------------- *)
 
 let test_telemetry_parse () =
-  let open Telemetry in
+  let open J in
   let ok s = match parse s with Ok j -> j | Error e -> Alcotest.failf "%S: %s" s e in
   Alcotest.(check bool) "object with every type" true
     (ok {| {"a": [1, -2.5, true, false, null, "x\n\"yA"], "b": {}} |}
@@ -633,8 +634,8 @@ let test_resilience_events () =
   (* Every emitted line parses with the new reader. *)
   List.iter
     (fun l ->
-      match Telemetry.parse l with
-      | Ok (Telemetry.Obj _) -> ()
+      match J.parse l with
+      | Ok (J.Obj _) -> ()
       | Ok _ -> Alcotest.failf "event line not an object: %s" l
       | Error e -> Alcotest.failf "event line unparsable (%s): %s" e l)
     lines

@@ -6,7 +6,7 @@
    truncated; replay is idempotent; duplicate submit records (a client
    resubmitting after a crash-before-ack) collapse onto one job. *)
 
-module J = Pi_campaign.Telemetry
+module J = Pi_obs.Json
 module Ledger = Pi_serve.Ledger
 module Http = Pi_serve.Http
 module Router = Pi_serve.Router
@@ -95,6 +95,56 @@ let test_ledger_corrupt_record_ends_prefix () =
   Alcotest.(check int) "corruption ends the valid prefix" 1
     (List.length replay.Ledger.records);
   Alcotest.(check bool) "rest counts as torn" true (replay.Ledger.torn_bytes > 0)
+
+(* Two WAL records as an earlier release's [Ledger.append] wrote them: a
+   client name with an escaped quote, newline and control character, and
+   params with an integer, fractional floats, null and a bool. A daemon
+   upgraded in place replays its old WAL: each line must read back to its
+   record, and appending that record again must give the same bytes. *)
+let legacy_wal =
+  [
+    "490797e2b2c92cb34093ec8e67457dd4 {\"record\":\"submit\",\"key\":\"5f0c9a\",\"client\":\"cli \\\"x\\\"\\n\\u0001\",\"params\":{\"kind\":\"measure\",\"benches\":[\"429.mcf\"],\"layouts\":4,\"max_err\":0.5,\"seed\":1,\"tiny\":1e-07,\"ts\":1760886945.123456,\"none\":null,\"flag\":true}}\n";
+    "cf637c548acd7c3ffb167bb0291c3698 {\"record\":\"done\",\"key\":\"5f0c9a\"}\n";
+  ]
+
+let legacy_wal_records =
+  [
+    J.Obj
+      [
+        ("record", J.String "submit");
+        ("key", J.String "5f0c9a");
+        ("client", J.String "cli \"x\"\n\001");
+        ( "params",
+          J.Obj
+            [
+              ("kind", J.String "measure");
+              ("benches", J.List [ J.String "429.mcf" ]);
+              ("layouts", J.Int 4);
+              ("max_err", J.Float 0.5);
+              ("seed", J.Int 1);
+              ("tiny", J.Float 1e-7);
+              ("ts", J.Float 1760886945.123456);
+              ("none", J.Null);
+              ("flag", J.Bool true);
+            ] );
+      ];
+    J.Obj [ ("record", J.String "done"); ("key", J.String "5f0c9a") ];
+  ]
+
+let test_ledger_legacy_format () =
+  let dir = tmp_dir () in
+  let legacy = Filename.concat dir "legacy.wal" in
+  Out_channel.with_open_bin legacy (fun oc -> output_string oc (String.concat "" legacy_wal));
+  let replay = Ledger.read ~path:legacy in
+  Alcotest.(check int) "no torn bytes" 0 replay.Ledger.torn_bytes;
+  Alcotest.(check bool) "legacy records read back" true
+    (replay.Ledger.records = legacy_wal_records);
+  let path = Filename.concat dir "rewritten.wal" in
+  let ledger, _ = Ledger.open_ ~path in
+  List.iter (Ledger.append ledger) replay.Ledger.records;
+  Ledger.close ledger;
+  Alcotest.(check string) "re-appending gives the legacy bytes" (String.concat "" legacy_wal)
+    (In_channel.with_open_bin path In_channel.input_all)
 
 (* ---- the shared bounded queue ------------------------------------- *)
 
@@ -659,6 +709,8 @@ let suite =
           test_ledger_torn_tail;
         Alcotest.test_case "corruption ends the valid prefix" `Quick
           test_ledger_corrupt_record_ends_prefix;
+        Alcotest.test_case "legacy WAL records read and re-append" `Quick
+          test_ledger_legacy_format;
       ] );
     ( "serve.queue",
       [

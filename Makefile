@@ -28,33 +28,35 @@ check:
 # Full pipeline + fused-sweep + flight-recorder + steered-sweep
 # microbenchmarks; writes BENCH_pipeline.json, BENCH_sweep.json,
 # BENCH_cache_sweep.json, BENCH_recorder.json and BENCH_surrogate.json,
-# gates both fused axes at 3x their per-config loops, the flight
-# recorder's sweep overhead at 5% and the surrogate's prune factor at 5x
-# (>=5x fewer full-lane replays at <=1% max predicted CPI error), and
-# appends every result to the history.jsonl run-history ledger
-# (PI_HISTORY_OUT).
+# gates both fused axes at 3x their per-config loops and the flight
+# recorder's sweep overhead at 5% (PI_PERF_GATES=1), always gates the
+# surrogate's prune factor at 5x (>=5x fewer full-lane replays at <=1% max
+# predicted CPI error), and appends every result to the history.jsonl
+# run-history ledger (PI_HISTORY_OUT).
 perf:
-	PI_SWEEP_GATE=3 PI_CACHE_SWEEP_GATE=3 PI_RECORDER_GATE=5 \
-	  PI_SURROGATE_GATE=5 dune exec bench/perf.exe
+	PI_PERF_GATES=1 dune exec bench/perf.exe
 
 # Tiny configuration of the same benchmarks: correctness gate, not a timing
-# (the sweep and recorder gates are disabled; bit-identity across paths is
-# still enforced, recorder included). The five BENCH documents go to
-# _perf-smoke/, and each must parse and self-compare clean; no history
-# appends.
+# (the timing gates are off; bit-identity across paths is still enforced,
+# recorder included, and so are the steered sweep's tolerance and prune
+# factor). The five BENCH documents go to _perf-smoke/; each must parse,
+# self-compare clean and carry the committed document's keys in order; no
+# history appends. A malformed PI_PERF_GATES must exit 2 before any
+# benchmark runs.
 perf-smoke:
 	rm -rf _perf-smoke && mkdir -p _perf-smoke
-	PI_PERF_SCALE=2 PI_PERF_LAYOUTS=2 PI_SWEEP_SCALE=1 PI_SWEEP_GATE=0 \
-	  PI_CACHE_SWEEP_GATE=0 PI_RECORDER_GATE=0 PI_SURROGATE_GATE=0 \
-	  PI_PERF_OUT=_perf-smoke/pipeline.json PI_SWEEP_OUT=_perf-smoke/sweep.json \
-	  PI_CACHE_SWEEP_OUT=_perf-smoke/cache_sweep.json \
-	  PI_RECORDER_OUT=_perf-smoke/recorder.json \
-	  PI_SURROGATE_OUT=_perf-smoke/surrogate.json \
-	  PI_HISTORY_OUT=- dune exec bench/perf.exe
+	PI_PERF_GATES=3x PI_PERF_DIR=_perf-smoke/malformed PI_HISTORY_OUT=- \
+	  dune exec bench/perf.exe; test $$? -eq 2 && test ! -e _perf-smoke/malformed || \
+	  { echo "perf-smoke: PI_PERF_GATES=3x did not exit 2 before running"; exit 1; }
+	PI_PERF_SCALE=2 PI_PERF_LAYOUTS=2 PI_SWEEP_SCALE=1 PI_PERF_GATES=0 \
+	  PI_PERF_DIR=_perf-smoke PI_HISTORY_OUT=- dune exec bench/perf.exe
 	for f in pipeline sweep cache_sweep recorder surrogate; do \
-	  $(CLI) compare _perf-smoke/$$f.json _perf-smoke/$$f.json > /dev/null || exit 1; \
+	  $(CLI) compare _perf-smoke/BENCH_$$f.json _perf-smoke/BENCH_$$f.json > /dev/null || exit 1; \
+	  grep -o '"[a-z_]*":' BENCH_$$f.json > _perf-smoke/$$f.committed-keys; \
+	  grep -o '"[a-z_]*":' _perf-smoke/BENCH_$$f.json > _perf-smoke/$$f.keys; \
+	  cmp _perf-smoke/$$f.committed-keys _perf-smoke/$$f.keys || exit 1; \
 	done
-	@echo "perf-smoke OK: five BENCH documents written, each parses and self-compares clean"
+	@echo "perf-smoke OK: malformed gate switch refused; five BENCH documents written, each parses, self-compares clean and keeps the committed keys"
 
 # Sharded fused sweep through the CLI: two domains, then a sequential
 # per-config study, which must match the fused one bit for bit. The
@@ -73,19 +75,17 @@ cache-sweep-smoke:
 	$(CLI) sweep 429.mcf --scale 1 --axis cache --jobs 2 --check
 	$(CLI) sweep 470.lbm --scale 1 --axis cache --jobs 3 --check
 
-# The surrogate-steering acceptance bound, end to end. Leg 1 runs the
-# steered-sweep benchmark and gates it: <=20% of grid lanes replayed
-# (prune factor >= 5x), every predicted lane within 1% CPI of the golden
-# full fused study, replayed lanes bit-identical. Legs 2 and 3 drive the
-# same contract through the CLI's --max-err/--check path: 183.equake
-# settles in one round; on 400.perlbench no refit certifies a lane, so
-# the break-even rule doubles its rounds (5, 10, 20, ... lanes, each a
-# selection of the grid batch) and the leg also fails past 6 rounds (5
-# with the rule, 27 without). Leg 4 steers the cache axis in 2 shards
-# (429.mcf: 5 rounds, 84 of 100 lanes). Steering is deterministic, so
-# this never flakes.
+# The surrogate-steering acceptance bound, end to end, through the CLI's
+# --max-err/--check path (perf-smoke gates the steered-sweep benchmark
+# itself: prune factor >= 5x, every predicted lane within 1% CPI of the
+# golden full fused study, replayed lanes bit-identical). Leg 1:
+# 183.equake settles in one round. Leg 2: on 400.perlbench no refit
+# certifies a lane, so the break-even rule doubles its rounds (5, 10, 20,
+# ... lanes, each a selection of the grid batch) and the leg also fails
+# past 6 rounds (5 with the rule, 27 without). Leg 3 steers the cache axis
+# in 2 shards (429.mcf: 5 rounds, 84 of 100 lanes). Steering is
+# deterministic, so this never flakes.
 surrogate-smoke:
-	dune exec bench/surrogate.exe
 	$(CLI) sweep 183.equake --scale 1 --max-err 1.0 --check
 	out=$$($(CLI) sweep 400.perlbench --scale 1 --max-err 1.0 --check) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \

@@ -670,7 +670,7 @@ let micro () =
              ignore (Pi_uarch.Machine.run Pi_uarch.Machine.xeon_e5440 trace placement)));
       Test.make ~name:"pipeline:legacy"
         (Staged.stage (fun () ->
-             ignore (Pi_uarch.Pipeline.run_unoptimized Pi_uarch.Machine.xeon_e5440 trace placement)));
+             ignore (Pi_oracle.run_unoptimized Pi_uarch.Machine.xeon_e5440 trace placement)));
       Test.make ~name:"pipeline:compile"
         (Staged.stage (fun () ->
              ignore (Pi_uarch.Replay.compile Pi_uarch.Machine.xeon_e5440 trace)));

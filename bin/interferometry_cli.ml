@@ -1172,97 +1172,6 @@ let stats_cmd =
     Term.(const run $ bench_term $ stats_layouts_term $ seed_term $ stats_scale_term
           $ url_term $ stats_state_dir_term)
 
-let perf_cmd =
-  let run bench scale sweep_scale layouts out sweep_out history =
-    let module P = Interferometry.Perf_bench in
-    let bench = bench.Pi_workloads.Bench.name in
-    let r = P.run ~bench ~scale ~layouts () in
-    print_endline (P.summary r);
-    Option.iter
-      (fun path ->
-        P.write_json ~path (P.to_json r);
-        Printf.printf "wrote %s\n" path)
-      out;
-    let s = P.run_sweep ~bench ~scale:sweep_scale () in
-    print_endline (P.sweep_summary s);
-    Option.iter
-      (fun path ->
-        P.write_json ~path (P.sweep_to_json s);
-        Printf.printf "wrote %s\n" path)
-      sweep_out;
-    Option.iter
-      (fun path ->
-        let append label a_scale metrics =
-          let digest =
-            Digest.to_hex (Digest.string (Printf.sprintf "%s:%s:%d" label bench a_scale))
-          in
-          Pi_obs.History.append ~path
-            (Pi_obs.History.make ~kind:"perf" ~label ~config_digest:digest metrics)
-        in
-        append "pipeline" scale (P.history_metrics r);
-        append "sweep" sweep_scale (P.sweep_history_metrics s);
-        Printf.printf "history: %s\n" path)
-      history;
-    match P.pipeline_failures r @ P.sweep_failures ~gate:0.0 s with
-    | [] -> ()
-    | failures ->
-        List.iter (Printf.eprintf "FAIL: %s\n") failures;
-        exit 1
-  in
-  let bench_term =
-    Arg.(
-      value
-      & opt bench_arg (Pi_workloads.Spec.find "400.perlbench")
-      & info [ "bench" ] ~docv:"BENCHMARK" ~doc:"Benchmark to time.")
-  in
-  let perf_scale_term =
-    Arg.(value & opt int 4 & info [ "scale" ] ~docv:"K" ~doc:"Workload scale.")
-  in
-  let sweep_scale_term =
-    Arg.(value & opt int 2
-         & info [ "sweep-scale" ] ~docv:"K"
-             ~doc:"Workload scale of the fused-sweep benchmark (independent of \
-                   $(b,--scale)).")
-  in
-  let perf_layouts_term =
-    Arg.(value & opt int 12 & info [ "layouts"; "n" ] ~docv:"N"
-           ~doc:"Placements timed per path.")
-  in
-  let out_term =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write BENCH_pipeline.json here.")
-  in
-  let sweep_out_term =
-    Arg.(value & opt (some string) None
-         & info [ "sweep-out" ] ~docv:"FILE" ~doc:"Write BENCH_sweep.json here.")
-  in
-  let perf_history_term =
-    Arg.(value & opt (some string) None
-         & info [ "history" ] ~docv:"FILE.jsonl"
-             ~doc:"Append both results to this run-history ledger (the full \
-                   four-benchmark sweep is $(b,make perf), which appends via \
-                   $(b,PI_HISTORY_OUT)).")
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:"Time the legacy pipeline against the compiled replay plan, and the \
-             fused predictor sweep against the per-config loop."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Traces one benchmark, timing the one-pass run-length \
-              instrumentation and checking it against the two-pass reference; \
-              compiles a replay plan for the trace, then times the same \
-              placements through Pipeline.run_unoptimized and Replay.run, and the \
-              145-configuration predictor grid through the sequential per-config \
-              loop and the fused one-pass engine (Replay.run_many). Fails (exit 1) \
-              if the two traces or either pair of paths disagree, or if replay is \
-              slower than legacy. See docs/PERF.md.";
-         ])
-    Term.(const run $ bench_term $ perf_scale_term $ sweep_scale_term $ perf_layouts_term
-          $ out_term $ sweep_out_term $ perf_history_term)
-
 (* ---- the run-history ledger and the perf-regression sentinel ------ *)
 
 module History = Pi_obs.History
@@ -1948,6 +1857,6 @@ let () =
        [
          list_cmd; trace_cmd; measure_cmd; model_cmd; blame_cmd; predict_cmd;
          sweep_cmd; cache_cmd; export_cmd; refit_cmd; report_cmd; phases_cmd;
-         campaign_cmd; campaign_worker_cmd; bundle_cmd; perf_cmd; stats_cmd;
+         campaign_cmd; campaign_worker_cmd; bundle_cmd; stats_cmd;
          history_cmd; compare_cmd; serve_cmd; submit_cmd; status_cmd; result_cmd;
        ]))

@@ -4,9 +4,9 @@
     ([Unix.gettimeofday]) is stepped by NTP and can make an elapsed-time
     subtraction jump backwards mid-measurement. Every duration in the
     repository ({!Pi_campaign.Scheduler} job times, campaign wall time,
-    {!Interferometry.Perf_bench} phases, {!Span} traces) goes through
-    {!now}; the wall clock survives only as the human-readable [ts]
-    timestamp on telemetry events and manifests. *)
+    the perf harness's phases, {!Span} traces) goes through {!now}; the
+    wall clock survives only as the human-readable [ts] timestamp on
+    telemetry events and manifests. *)
 
 val now : unit -> float
 (** Seconds on [CLOCK_MONOTONIC] (arbitrary epoch, never steps backwards).

@@ -53,7 +53,7 @@ let measured_instructions ?(warmup_branches = 0) trace =
     in
     int_of_float (fraction *. float_of_int trace.Trace.instructions)
 
-let run ?(warmup_branches = 0) ?stream ?(batched = false) trace code makes =
+let run ?(warmup_branches = 0) ?stream trace code makes =
   let stream = match stream with Some s -> s | None -> compile_stream trace in
   let branch_pc = code.Pi_layout.Code_layout.branch_pc in
   let predictors = Array.of_list (List.map (fun make -> make ()) makes) in
@@ -61,44 +61,26 @@ let run ?(warmup_branches = 0) ?stream ?(batched = false) trace code makes =
   let branch_counts = Array.make np 0 in
   let mispredict_counts = Array.make np 0 in
   let n = Array.length stream in
-  if batched then
-    (* One pass over the stream, advancing every predictor per branch: best
-       when the stream is long and the predictor set small. *)
+  (* One pass per predictor: its tables stay hot in cache for the whole
+     stream. *)
+  for j = 0 to np - 1 do
+    let p = predictors.(j) in
+    let on_branch = p.Pi_uarch.Predictor.on_branch in
+    let measured_branches = ref 0 in
+    let mispredicted = ref 0 in
     for i = 0 to n - 1 do
       let packed = Array.unsafe_get stream i in
       let pc = Array.unsafe_get branch_pc (packed lsr 1) in
       let taken = packed land 1 = 1 in
-      let measured = i >= warmup_branches in
-      for j = 0 to np - 1 do
-        let p = Array.unsafe_get predictors j in
-        let correct = p.Pi_uarch.Predictor.on_branch ~pc ~taken in
-        if measured then begin
-          branch_counts.(j) <- branch_counts.(j) + 1;
-          if not correct then mispredict_counts.(j) <- mispredict_counts.(j) + 1
-        end
-      done
-    done
-  else
-    (* One pass per predictor: its tables stay hot in cache for the whole
-       stream. Predictors are independent, so both orders count the same. *)
-    for j = 0 to np - 1 do
-      let p = predictors.(j) in
-      let on_branch = p.Pi_uarch.Predictor.on_branch in
-      let measured_branches = ref 0 in
-      let mispredicted = ref 0 in
-      for i = 0 to n - 1 do
-        let packed = Array.unsafe_get stream i in
-        let pc = Array.unsafe_get branch_pc (packed lsr 1) in
-        let taken = packed land 1 = 1 in
-        let correct = on_branch ~pc ~taken in
-        if i >= warmup_branches then begin
-          incr measured_branches;
-          if not correct then incr mispredicted
-        end
-      done;
-      branch_counts.(j) <- !measured_branches;
-      mispredict_counts.(j) <- !mispredicted
+      let correct = on_branch ~pc ~taken in
+      if i >= warmup_branches then begin
+        incr measured_branches;
+        if not correct then incr mispredicted
+      end
     done;
+    branch_counts.(j) <- !measured_branches;
+    mispredict_counts.(j) <- !mispredicted
+  done;
   let instructions = measured_instructions ~warmup_branches trace in
   Array.to_list
     (Array.mapi

@@ -30,7 +30,6 @@ val stream_length : stream -> int
 val run :
   ?warmup_branches:int ->
   ?stream:stream ->
-  ?batched:bool ->
   Pi_isa.Trace.t ->
   Pi_layout.Code_layout.t ->
   (unit -> Pi_uarch.Predictor.t) list ->
@@ -40,9 +39,7 @@ val run :
     [warmup_branches] excludes the leading branches from the counts while
     still training the predictors. [stream] supplies a precompiled branch
     stream (must come from [trace]); otherwise one is compiled per call.
-    [batched] (default false) advances all predictor states in a single
-    pass over the stream instead of one pass per predictor; results are
-    identical either way. *)
+    Each predictor makes its own pass over the stream. *)
 
 val per_branch_mispredicts :
   ?warmup_branches:int ->

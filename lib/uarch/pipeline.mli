@@ -92,12 +92,11 @@ val run : ?warmup_blocks:int -> config -> Pi_isa.Trace.t -> Pi_layout.Placement.
     callers simulating the same trace more than once should compile a plan
     and replay it. *)
 
-val run_unoptimized :
-  ?warmup_blocks:int -> config -> Pi_isa.Trace.t -> Pi_layout.Placement.t -> counts
-(** The legacy interpreter: recomputes every trace-derived table per call and
-    pattern-matches terminators per dynamic block. Kept as the reference
-    implementation for the golden-equivalence tests and the perf baseline;
-    produces bit-identical {!counts} to {!replay}. *)
+val block_base_cost : instr_costs -> Pi_isa.Program.block -> float
+(** Static issue cost of a block's instruction mix, cycles. *)
+
+val pattern_overlap : overlap -> Pi_isa.Program.mem_pattern -> float
+(** The memory-level-parallelism factor of an access pattern. *)
 
 type plan
 (** A compiled, placement-invariant replay plan: tables over the trace's
@@ -139,12 +138,13 @@ val data_side : plan -> Pi_layout.Data_layout.t -> data_side
 
 val replay :
   ?warmup_blocks:int -> ?data_side:data_side -> plan -> Pi_layout.Placement.t -> counts
-(** Simulate the compiled trace under one placement. Bit-identical to
-    {!run_unoptimized} with the plan's config and trace: the same floats are
-    accumulated in the same order. Without [data_side] the data side is
-    built from [placement]'s data layout first; with it, the placement's
-    data layout is not read, and the caller vouches that the data side was
-    built from the same layout.
+(** Simulate the compiled trace under one placement. Bit-identical to the
+    golden interpreter ([Pi_oracle.run_unoptimized], a test-only library)
+    with the plan's config and trace: the same floats are accumulated in
+    the same order. Without [data_side] the data side is built from
+    [placement]'s data layout first; with it, the placement's data layout
+    is not read, and the caller vouches that the data side was built from
+    the same layout.
 
     This is the one-lane instance of the walk behind {!replay_many}: one
     predictor group, one L1I group and one L2 group, the machine's own.

@@ -6,7 +6,8 @@
     pre-resolved overlap factors — into tables over the static program
     once; {!run} then walks the trace's block sequence through them under a
     placement with no per-event allocation or variant matching, producing
-    bit-identical {!Pipeline.counts} to {!Pipeline.run_unoptimized}.
+    bit-identical {!Pipeline.counts} to the golden interpreter
+    ([Pi_oracle.run_unoptimized], in the test-only [oracle/] library).
 
     Plans are immutable and hold no simulation state, so a single plan can
     be shared across domains (e.g. `pi_campaign` workers). *)

@@ -406,7 +406,7 @@ let test_shared_l2_golden () =
                   let name, gi, gd = configs.(one_l1i.(k)) in
                   let c = Lazy.force want.(one_l1i.(k)) in
                   check_counts (Printf.sprintf "%s %s: replay = oracle" label name) c
-                    (Pipeline.run_unoptimized ~warmup_blocks
+                    (Pi_oracle.run_unoptimized ~warmup_blocks
                        { base with Pipeline.l1i = gi; l2 = gd }
                        trace placement);
                   c))

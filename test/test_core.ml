@@ -108,7 +108,7 @@ let test_seeded_data_layout_varies () =
       List.iter
         (fun seed ->
           let legacy =
-            Pi_uarch.Pipeline.run_unoptimized ~warmup_blocks:prepared.E.warmup_blocks
+            Pi_oracle.run_unoptimized ~warmup_blocks:prepared.E.warmup_blocks
               config.E.machine prepared.E.trace (E.placement prepared ~seed)
           in
           Alcotest.(check bool)

@@ -113,12 +113,26 @@ let prop_fuzz_valid_and_runnable =
       t1.Trace.block_seq = t2.Trace.block_seq
       && t1.Trace.instructions = t2.Trace.instructions
       &&
-      (* 3. Any placement simulates cleanly with consistent instruction
-            accounting. *)
-      let placement = Pi_layout.Placement.make ~heap_random:(seed mod 2 = 0) p ~seed in
-      let counts = Pi_uarch.Pipeline.run Pi_uarch.Machine.xeon_e5440 t1 placement in
-      counts.Pi_uarch.Pipeline.instructions = t1.Trace.instructions
-      && counts.Pi_uarch.Pipeline.cycles > 0.0)
+      (* 3. Placements simulate cleanly with consistent instruction
+            accounting, and replay equals the golden interpreter field for
+            field, cycles compared as [%h]: under seed 1 and under a
+            heap-randomized placement. *)
+      let simulates placement =
+        let machine = Pi_uarch.Machine.xeon_e5440 in
+        let counts = Pi_uarch.Pipeline.run machine t1 placement in
+        let oracle = Pi_oracle.run_unoptimized machine t1 placement in
+        let open Pi_uarch.Pipeline in
+        if
+          Printf.sprintf "%h" counts.cycles <> Printf.sprintf "%h" oracle.cycles
+          || { counts with cycles = 0.0 } <> { oracle with cycles = 0.0 }
+        then
+          QCheck.Test.fail_reportf "seed %d: replay cycles %h, oracle %h; other counts equal: %b"
+            seed counts.cycles oracle.cycles
+            ({ counts with cycles = 0.0 } = { oracle with cycles = 0.0 });
+        counts.instructions = t1.Trace.instructions && counts.cycles > 0.0
+      in
+      simulates (Pi_layout.Placement.make p ~seed:1)
+      && simulates (Pi_layout.Placement.make ~heap_random:true p ~seed))
 
 let prop_fuzz_layout_invariance =
   QCheck.Test.make ~name:"random programs: instructions invariant across layouts" ~count:30
@@ -144,7 +158,7 @@ let prop_fuzz_one_pass_trace =
         (fun budget_blocks ->
           Test_layout.trace_diff
             (Pi_layout.Run_limiter.trace ~seed p ~budget_blocks)
-            (Interferometry.Perf_bench.two_pass_trace ~seed p ~budget_blocks)
+            (Pi_oracle.two_pass_trace ~seed p ~budget_blocks)
           = [])
         [ 1; 2; 11; 97; 500; 3_000 ])
 

@@ -240,7 +240,7 @@ let check_one_pass ?seed ~what p ~budget_blocks =
     []
     (trace_diff
        (Run_limiter.trace ?seed p ~budget_blocks)
-       (Interferometry.Perf_bench.two_pass_trace ?seed p ~budget_blocks))
+       (Pi_oracle.two_pass_trace ?seed p ~budget_blocks))
 
 let test_limiter_one_pass_every_bench () =
   List.iter

@@ -144,19 +144,6 @@ let test_precompiled_stream_equivalence () =
        (Bp_sim.run ~warmup_branches:1_000 ~stream trace code predictors_under_test)
        (Bp_sim.run ~warmup_branches:1_000 trace code predictors_under_test))
 
-let test_batched_equivalence () =
-  let p, trace = prepared_example () in
-  let code = (Placement.make p ~seed:6).Placement.code in
-  let stream = Bp_sim.compile_stream trace in
-  Alcotest.(check bool) "batched = per-predictor passes" true
-    (results_equal
-       (Bp_sim.run ~stream ~batched:true trace code predictors_under_test)
-       (Bp_sim.run ~stream ~batched:false trace code predictors_under_test));
-  Alcotest.(check bool) "batched with warmup" true
-    (results_equal
-       (Bp_sim.run ~warmup_branches:500 ~batched:true trace code predictors_under_test)
-       (Bp_sim.run ~warmup_branches:500 trace code predictors_under_test))
-
 let test_per_branch_stream_equivalence () =
   let p, trace = prepared_example () in
   let code = (Placement.make p ~seed:3).Placement.code in
@@ -178,7 +165,6 @@ let suite =
         Alcotest.test_case "per-branch totals" `Quick test_per_branch_totals;
         Alcotest.test_case "precompiled stream equivalence" `Quick
           test_precompiled_stream_equivalence;
-        Alcotest.test_case "batched mode equivalence" `Quick test_batched_equivalence;
         Alcotest.test_case "per-branch stream equivalence" `Quick
           test_per_branch_stream_equivalence;
       ] );

@@ -1,5 +1,5 @@
 (* Golden-equivalence tests for the compiled replay path: Replay.run must
-   reproduce Pipeline.run_unoptimized field-for-field (bit-identical cycles
+   reproduce Pi_oracle.run_unoptimized field-for-field (bit-identical cycles
    included) over a matrix of benchmarks x seeds x machines x data-layout
    modes, with and without warmup, and for every predictor family that has
    an inline kernel. A data side shared across seeds must equal per-seed
@@ -72,7 +72,7 @@ let test_golden_matrix () =
                   let label =
                     Printf.sprintf "%s/%s/%s/seed%d" bench_name machine_name mode seed
                   in
-                  let legacy = Pipeline.run_unoptimized config trace placement in
+                  let legacy = Pi_oracle.run_unoptimized config trace placement in
                   check_counts label (Replay.run plan placement) legacy)
                 seeds)
             data_modes)
@@ -85,7 +85,7 @@ let test_golden_with_warmup () =
     (fun (machine_name, config) ->
       let plan = Replay.compile config trace in
       let placement = Placement.make p ~seed:7 in
-      let legacy = Pipeline.run_unoptimized ~warmup_blocks:1500 config trace placement in
+      let legacy = Pi_oracle.run_unoptimized ~warmup_blocks:1500 config trace placement in
       check_counts
         ("warmup/" ^ machine_name)
         (Replay.run ~warmup_blocks:1500 plan placement)
@@ -125,7 +125,7 @@ let test_kernel_families () =
           let label = Printf.sprintf "kernel %s seed%d" name seed in
           check_counts label
             (Replay.run plan placement)
-            (Pipeline.run_unoptimized config trace placement))
+            (Pi_oracle.run_unoptimized config trace placement))
         [ 2; 5 ])
     families
 
@@ -148,7 +148,7 @@ let test_with_config () =
     (fun (label, config) ->
       check_counts label
         (Replay.run (Replay.with_config plan config) placement)
-        (Pipeline.run_unoptimized config trace placement))
+        (Pi_oracle.run_unoptimized config trace placement))
     variants
 
 (* One data side built from the shared (bump) data layout, replayed for
@@ -234,7 +234,7 @@ let test_data_side_mismatch () =
   in
   check_counts "predictor swap reuses the data side"
     (Replay.run ~data_side (Replay.with_config plan swapped) placement)
-    (Pipeline.run_unoptimized swapped trace placement);
+    (Pi_oracle.run_unoptimized swapped trace placement);
   (* The plan remembers its last data side, and hands it back only for the
      same data layout on a machine it fits. *)
   let data = placement.Placement.data in
@@ -243,7 +243,7 @@ let test_data_side_mismatch () =
   let other = Replay.with_config plan bigger_l1d in
   check_counts "other L1D: a data side of its own"
     (Replay.run ~data_side:(Replay.data_side other data) other placement)
-    (Pipeline.run_unoptimized bigger_l1d trace placement)
+    (Pi_oracle.run_unoptimized bigger_l1d trace placement)
 
 (* Scalar replay is the one-lane walk of a cache batch, but it is metered as a
    replay: the replay counters move by its own counts, while the fused-pass
@@ -454,7 +454,7 @@ let test_step_edge_cases () =
                     Printf.sprintf "%s/%s (%d of %d blocks)/seed%d/warmup%d" machine_name trace_name
                       len n seed warmup_blocks
                   in
-                  let legacy config = Pipeline.run_unoptimized ~warmup_blocks config tr placement in
+                  let legacy config = Pi_oracle.run_unoptimized ~warmup_blocks config tr placement in
                   check_counts_h (label ^ " scalar") (Replay.run ~warmup_blocks plan placement) (legacy base);
                   let fused = Replay.run_many ~warmup_blocks plan pred_batch placement in
                   Array.iteri
@@ -542,7 +542,7 @@ let test_replay_pools () =
   let plan = Replay.compile ittage trace in
   let first = Replay.run plan placement in
   check_counts "ittage: pooled and reset" (Replay.run plan placement) first;
-  check_counts "ittage: the oracle" first (Pipeline.run_unoptimized ittage trace placement)
+  check_counts "ittage: the oracle" first (Pi_oracle.run_unoptimized ittage trace placement)
 
 let suite =
   [

@@ -452,7 +452,7 @@ let test_shared_l2_golden () =
                         check_counts
                           (Printf.sprintf "%s %s: replay = oracle" label name)
                           c
-                          (Pipeline.run_unoptimized ~warmup_blocks
+                          (Pi_oracle.run_unoptimized ~warmup_blocks
                              (Machine.with_predictor base ~name make)
                              trace placement));
                      c)) in

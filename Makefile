@@ -2,7 +2,7 @@
 
 CLI = dune exec bin/interferometry_cli.exe --
 
-.PHONY: all check test build campaign-smoke perf perf-smoke obs-smoke resilience-smoke sweep-smoke cache-sweep-smoke surrogate-smoke serve-smoke history-smoke bundle-smoke clean
+.PHONY: all check test build campaign-smoke perf perf-smoke obs-smoke resilience-smoke sweep-smoke cache-sweep-smoke surrogate-smoke serve-smoke history-smoke bundle-smoke cli-smoke clean
 
 all: build
 
@@ -11,8 +11,10 @@ build:
 
 test: check
 
-# Tier-1 verification, plus a small perf smoke that fails if the compiled
-# replay path diverges from the legacy pipeline or regresses below it.
+# Tier-1 verification, plus the smokes: each drives one surface end to end
+# and fails when a correctness contract breaks (bit-identity across paths,
+# exit codes, byte-identical replays). None gates on timing: perf-smoke
+# runs with its timing gates off (PI_PERF_GATES=0).
 check:
 	dune build && dune runtest
 	$(MAKE) perf-smoke
@@ -24,6 +26,7 @@ check:
 	$(MAKE) serve-smoke
 	$(MAKE) history-smoke
 	$(MAKE) bundle-smoke
+	$(MAKE) cli-smoke
 
 # Full pipeline + fused-sweep + flight-recorder + steered-sweep
 # microbenchmarks; writes BENCH_pipeline.json, BENCH_sweep.json,
@@ -41,13 +44,16 @@ perf:
 # recorder included, and so are the steered sweep's tolerance and prune
 # factor). The five BENCH documents go to _perf-smoke/; each must parse,
 # self-compare clean and carry the committed document's keys in order; no
-# history appends. A malformed PI_PERF_GATES must exit 2 before any
-# benchmark runs.
+# history appends. A malformed PI_PERF_GATES, and a malformed integer
+# knob, must each exit 2 before any benchmark runs.
 perf-smoke:
 	rm -rf _perf-smoke && mkdir -p _perf-smoke
 	PI_PERF_GATES=3x PI_PERF_DIR=_perf-smoke/malformed PI_HISTORY_OUT=- \
 	  dune exec bench/perf.exe; test $$? -eq 2 && test ! -e _perf-smoke/malformed || \
 	  { echo "perf-smoke: PI_PERF_GATES=3x did not exit 2 before running"; exit 1; }
+	PI_PERF_SCALE=2x PI_PERF_DIR=_perf-smoke/malformed PI_HISTORY_OUT=- \
+	  dune exec bench/perf.exe; test $$? -eq 2 && test ! -e _perf-smoke/malformed || \
+	  { echo "perf-smoke: PI_PERF_SCALE=2x did not exit 2 before running"; exit 1; }
 	PI_PERF_SCALE=2 PI_PERF_LAYOUTS=2 PI_SWEEP_SCALE=1 PI_PERF_GATES=0 \
 	  PI_PERF_DIR=_perf-smoke PI_HISTORY_OUT=- dune exec bench/perf.exe
 	for f in pipeline sweep cache_sweep recorder surrogate; do \
@@ -56,7 +62,7 @@ perf-smoke:
 	  grep -o '"[a-z_]*":' _perf-smoke/BENCH_$$f.json > _perf-smoke/$$f.keys; \
 	  cmp _perf-smoke/$$f.committed-keys _perf-smoke/$$f.keys || exit 1; \
 	done
-	@echo "perf-smoke OK: malformed gate switch refused; five BENCH documents written, each parses, self-compares clean and keeps the committed keys"
+	@echo "perf-smoke OK: malformed gate switch and knob refused; five BENCH documents written, each parses, self-compares clean and keeps the committed keys"
 
 # Sharded fused sweep through the CLI: two domains, then a sequential
 # per-config study, which must match the fused one bit for bit. The
@@ -201,7 +207,42 @@ bundle-smoke:
 	! $(CLI) bundle diff _bundle-smoke/b2 _bundle-smoke/forged
 	@echo "bundle-smoke OK: workers bit-identical, replay byte-for-byte, forgeries caught"
 
+# The CLI paths no other smoke drives. Leg 1: five bad flag values must
+# each exit 2. Leg 2: a cache-axis sweep with --history and --bundle and a
+# steered predictor sweep with --bundle; both bundles must verify, the
+# ledger must list the one sweep record, and replaying a sweep bundle
+# must exit 2 (only campaign bundles replay). Leg 3: self-compare and
+# self-diff at an overridden --tolerance are clean. Leg 4: resuming a
+# manifest whose config_digest was rewritten must exit 2 on the digest
+# check. Deterministic, a few seconds.
+cli-smoke:
+	dune build bin/interferometry_cli.exe
+	rm -rf _cli-smoke && mkdir -p _cli-smoke
+	for args in "sweep 429.mcf --scale 1 --jobs 0" \
+	  "sweep 429.mcf --scale 1 --budget 5 --max-err 1" \
+	  "campaign --quick --bench 429.mcf --layouts 0" \
+	  "campaign --quick --bench 429.mcf --workers 0" \
+	  "campaign --quick --suite 1999"; do \
+	  $(CLI) $$args 2> /dev/null; rc=$$?; test $$rc -eq 2 || \
+	    { echo "cli-smoke: '$$args' exited $$rc, not 2"; exit 1; }; \
+	done
+	$(CLI) sweep 429.mcf --scale 1 --axis cache --history _cli-smoke/H.jsonl \
+	  --bundle _cli-smoke/B
+	$(CLI) sweep 183.equake --scale 1 --max-err 1.0 --bundle _cli-smoke/B2
+	$(CLI) bundle verify _cli-smoke/B
+	$(CLI) bundle verify _cli-smoke/B2
+	test "$$($(CLI) history --ledger _cli-smoke/H.jsonl | grep -c ' sweep  *429.mcf/cache ')" -eq 1
+	$(CLI) bundle replay _cli-smoke/B; test $$? -eq 2
+	$(CLI) compare _cli-smoke/H.jsonl@0 _cli-smoke/H.jsonl@0 --tolerance 10
+	$(CLI) bundle diff _cli-smoke/B _cli-smoke/B --tolerance 10
+	$(CLI) campaign --quick --bench 429.mcf --layouts 2 --manifest _cli-smoke/m.json
+	sed 's/"config_digest":"[0-9a-f]*"/"config_digest":"0000"/' _cli-smoke/m.json \
+	  > _cli-smoke/forged.json
+	$(CLI) campaign --resume _cli-smoke/forged.json 2> _cli-smoke/resume.err; test $$? -eq 2
+	grep -q 'config digest mismatch' _cli-smoke/resume.err
+	@echo "cli-smoke OK: bad flags exit 2, sweep bundles verify, sweep replay refused, self-gates clean, forged digest refused"
+
 clean:
 	dune clean
 	rm -rf _campaign-cache _obs-smoke _resilience-smoke _serve-smoke _serve \
-	  _history-smoke _bundle-smoke _perf-smoke history.jsonl
+	  _history-smoke _bundle-smoke _perf-smoke _cli-smoke history.jsonl

@@ -39,11 +39,15 @@ let env_int = Interferometry.Knobs.env_int
 let () =
   if Sys.getenv_opt "PI_LOG" = None then Pi_obs.Log.set_level (Some Pi_obs.Log.Info)
 
+(* Every knob is read here, before any benchmark runs: a malformed value
+   exits 2 up front. *)
 let n_layouts = env_int "PI_LAYOUTS" 40
 let scale = env_int "PI_SCALE" 8
-let master_seed = env_int "PI_SEED" 1
+let master_seed = env_int ~min:0 "PI_SEED" 1
+let jobs = env_int "PI_JOBS" (Pi_campaign.Scheduler.default_jobs ())
+let retries = env_int ~min:0 "PI_RETRIES" 0
 
-let config = { E.default_config with scale; master_seed }
+let config = E.make_config ~seed:master_seed ~scale ()
 
 let section title expectation =
   Printf.printf "\n==== %s ====\n" title;
@@ -86,9 +90,7 @@ let model bench =
 let campaign () =
   section "Campaign: parallel measurement of the 2006 suite"
     "infrastructure, not in the paper; identical observations to the sequential path";
-  let jobs = env_int "PI_JOBS" (Pi_campaign.Scheduler.default_jobs ()) in
   let cache_dir = Sys.getenv_opt "PI_CACHE_DIR" in
-  let retries = env_int "PI_RETRIES" 0 in
   let fault =
     Pi_campaign.Fault.of_env
       ~warn:(fun msg -> Printf.eprintf "campaign: ignoring PI_FAULT: %s\n%!" msg)
@@ -742,7 +744,7 @@ let () =
     (Interferometry.Knobs.describe
        [ ("PI_LAYOUTS", n_layouts); ("PI_SCALE", scale); ("PI_SEED", master_seed) ])
     (match Sys.getenv_opt "PI_JOBS" with
-    | Some _ -> string_of_int (env_int "PI_JOBS" (Pi_campaign.Scheduler.default_jobs ()))
+    | Some _ -> string_of_int jobs
     | None -> Printf.sprintf "%d(auto)" (Pi_campaign.Scheduler.default_jobs ()))
     (Option.value ~default:"(none)" (Sys.getenv_opt "PI_CACHE_DIR"));
   let t0 = Pi_obs.Clock.now () in

@@ -95,7 +95,7 @@ let trace_of config program =
 (* Every benchmark's prologue: the workload's config and program, its trace
    and warmup length, built as [Experiment.prepare] builds them. *)
 let subject ~bench ~scale =
-  let config = { Experiment.default_config with scale } in
+  let config = Experiment.make_config ~scale () in
   let program = (Pi_workloads.Spec.find bench).Pi_workloads.Bench.build ~scale in
   let trace = trace_of config program in
   let warmup_blocks =

@@ -1,7 +1,8 @@
-(* Command-line front end:
+(* Command-line front end, 22 subcommands:
 
      interferometry list
      interferometry trace   <bench>
+     interferometry phases  <bench>                  (SimPoint-style phase analysis)
      interferometry measure <bench> --layouts 50 [--heap-random] [--seed N]
      interferometry model   <bench> --layouts 50
      interferometry blame   <bench> --layouts 50
@@ -12,10 +13,16 @@
      interferometry export  <bench> runs.csv         (CSV persistence)
      interferometry refit   <bench> runs.csv
      interferometry campaign --suite 2006 --jobs 4   (parallel suite campaign)
+     interferometry campaign-worker                  (internal: campaign --workers)
+     interferometry bundle verify|replay|diff DIR    (content-addressed run bundles)
      interferometry stats                            (metrics scrape pretty-print)
+     interferometry history                          (run-history ledger)
+     interferometry compare BEFORE AFTER             (perf-regression gate)
+     interferometry serve                            (the daemon)
+     interferometry submit|status|result             (its client)
 
-   `measure`, `sweep` and `campaign` also accept --metrics-out FILE and
-   --trace-out FILE.json (Prometheus scrape / Chrome trace, see
+   `measure`, `sweep`, `campaign` and `serve` also accept --metrics-out FILE
+   and --trace-out FILE.json (Prometheus scrape / Chrome trace, see
    docs/OBSERVABILITY.md). Run `dune exec bin/interferometry_cli.exe -- --help`
    for details. *)
 
@@ -49,6 +56,21 @@ let with_obs ~metrics_out ~trace_out f =
   Option.iter (fun path -> Metrics.save ~path) metrics_out;
   result
 
+(* The one flag-range check: [--name] below [min] exits 2. *)
+let check_at_least ~cmd name min = function
+  | Some v when v < min ->
+      Printf.eprintf "%s: --%s must be >= %d (got %d)\n" cmd name min v;
+      exit 2
+  | _ -> ()
+
+let bundle_term =
+  Arg.(value & opt (some string) None
+       & info [ "bundle" ] ~docv:"DIR"
+           ~doc:"Emit a content-addressed run bundle under $(docv): a \
+                 canonical-JSON manifest plus SHA-256-pinned inputs and \
+                 output CSVs. Check it later with $(b,interferometry bundle \
+                 verify|diff); $(b,bundle replay) re-runs a campaign's.")
+
 let bench_arg =
   let parse name =
     match Pi_workloads.Spec.find name with
@@ -76,8 +98,14 @@ let scale_term =
 let heap_random_term =
   Arg.(value & flag & info [ "heap-random" ] ~doc:"Randomize heap placement (DieHard-style).")
 
-let config_of ~seed ~scale ~heap_random =
-  { E.default_config with E.master_seed = seed; scale; heap_random }
+(* The bench/layouts/seed/scale/heap-random plumbing the dataset commands
+   share. It yields a thunk, so a command can switch tracing on before it
+   measures. *)
+let dataset_term =
+  let dataset bench layouts seed scale heap_random () =
+    E.run ~config:(E.make_config ~seed ~scale ~heap_random ()) bench ~n_layouts:layouts
+  in
+  Term.(const dataset $ bench_pos $ layouts_term $ seed_term $ scale_term $ heap_random_term)
 
 let list_cmd =
   let run () =
@@ -94,8 +122,7 @@ let list_cmd =
 
 let trace_cmd =
   let run bench seed scale =
-    let config = config_of ~seed ~scale ~heap_random:false in
-    let prepared = E.prepare ~config bench in
+    let prepared = E.prepare ~config:(E.make_config ~seed ~scale ()) bench in
     print_endline (Pi_isa.Program.static_stats prepared.E.program);
     print_endline (Pi_isa.Trace.summary prepared.E.trace);
     Printf.printf "warmup: %d blocks\n" prepared.E.warmup_blocks
@@ -105,10 +132,9 @@ let trace_cmd =
     Term.(const run $ bench_pos $ seed_term $ scale_term)
 
 let measure_cmd =
-  let run bench layouts seed scale heap_random metrics_out trace_out =
+  let run dataset metrics_out trace_out =
     with_obs ~metrics_out ~trace_out @@ fun () ->
-    let config = config_of ~seed ~scale ~heap_random in
-    let dataset = E.run ~config bench ~n_layouts:layouts in
+    let dataset = dataset () in
     Printf.printf "%-6s %10s %10s %10s %10s %10s\n" "seed" "CPI" "MPKI" "L1I" "L1D" "L2";
     Array.iter
       (fun (o : E.observation) ->
@@ -126,13 +152,11 @@ let measure_cmd =
   in
   Cmd.v
     (Cmd.info "measure" ~doc:"Measure a benchmark over N reorderings (counter protocol).")
-    Term.(const run $ bench_pos $ layouts_term $ seed_term $ scale_term $ heap_random_term
-          $ metrics_out_term $ trace_out_term)
+    Term.(const run $ dataset_term $ metrics_out_term $ trace_out_term)
 
 let model_cmd =
-  let run bench layouts seed scale heap_random =
-    let config = config_of ~seed ~scale ~heap_random in
-    let dataset = E.run ~config bench ~n_layouts:layouts in
+  let run dataset =
+    let dataset = dataset () in
     let verdict = Interferometry.Significance.test dataset in
     print_endline Interferometry.Significance.header;
     print_endline (Interferometry.Significance.row verdict);
@@ -163,12 +187,11 @@ let model_cmd =
   in
   Cmd.v
     (Cmd.info "model" ~doc:"Fit and display the CPI ~ MPKI regression model.")
-    Term.(const run $ bench_pos $ layouts_term $ seed_term $ scale_term $ heap_random_term)
+    Term.(const run $ dataset_term)
 
 let blame_cmd =
-  let run bench layouts seed scale heap_random =
-    let config = config_of ~seed ~scale ~heap_random in
-    let dataset = E.run ~config bench ~n_layouts:layouts in
+  let run dataset =
+    let dataset = dataset () in
     let a = Interferometry.Blame.attribute dataset in
     print_endline Interferometry.Blame.header;
     print_endline (Interferometry.Blame.row a);
@@ -177,12 +200,11 @@ let blame_cmd =
   in
   Cmd.v
     (Cmd.info "blame" ~doc:"Attribute CPI variance to microarchitectural events (r^2).")
-    Term.(const run $ bench_pos $ layouts_term $ seed_term $ scale_term $ heap_random_term)
+    Term.(const run $ dataset_term)
 
 let predict_cmd =
   let run bench layouts seed scale =
-    let config = config_of ~seed ~scale ~heap_random:false in
-    let dataset = E.run ~config bench ~n_layouts:layouts in
+    let dataset = E.run ~config:(E.make_config ~seed ~scale ()) bench ~n_layouts:layouts in
     let model = Interferometry.Model.fit dataset in
     let rows = Interferometry.Predict.evaluate dataset model in
     print_endline Interferometry.Predict.header;
@@ -198,11 +220,8 @@ let cache_cmd =
     (* Cache interferometry wants long runs and a randomized heap. *)
     let config =
       {
-        E.default_config with
-        E.master_seed = seed;
-        scale = 3 * scale;
-        budget_blocks = 700_000;
-        heap_random = true;
+        (E.make_config ~seed ~scale:(3 * scale) ~heap_random:true ()) with
+        E.budget_blocks = 700_000;
       }
     in
     let dataset = E.run ~config bench ~n_layouts:layouts in
@@ -221,20 +240,19 @@ let cache_cmd =
 
 let export_cmd =
   let path_pos = Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE.csv") in
-  let run bench path layouts seed scale heap_random =
-    let config = config_of ~seed ~scale ~heap_random in
-    let dataset = E.run ~config bench ~n_layouts:layouts in
+  let run dataset path =
+    let dataset = dataset () in
     Interferometry.Dataset_io.save path dataset;
     Printf.printf "wrote %d observations to %s\n" (Array.length dataset.E.observations) path
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Measure a benchmark and export the observations to CSV.")
-    Term.(const run $ bench_pos $ path_pos $ layouts_term $ seed_term $ scale_term $ heap_random_term)
+    Term.(const run $ dataset_term $ path_pos)
 
 let refit_cmd =
   let path_pos = Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE.csv") in
   let run bench path seed scale heap_random =
-    let config = config_of ~seed ~scale ~heap_random in
+    let config = E.make_config ~seed ~scale ~heap_random () in
     match Interferometry.Dataset_io.load_observations path with
     | Error e ->
         Printf.eprintf "cannot load %s: %s\n" path e;
@@ -252,7 +270,7 @@ let refit_cmd =
 
 let phases_cmd =
   let run bench seed scale =
-    let config = config_of ~seed ~scale ~heap_random:false in
+    let config = E.make_config ~seed ~scale () in
     let prepared = E.prepare ~config bench in
     let trace = prepared.E.trace in
     let interval_blocks = max 1 (Pi_isa.Trace.blocks_executed trace / 12) in
@@ -302,10 +320,8 @@ let report_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE.md"
            ~doc:"Write the Markdown report to a file instead of stdout.")
   in
-  let run bench layouts seed scale heap_random path =
-    let config = config_of ~seed ~scale ~heap_random in
-    let dataset = E.run ~config bench ~n_layouts:layouts in
-    let report = Interferometry.Report.generate dataset in
+  let run dataset path =
+    let report = Interferometry.Report.generate (dataset ()) in
     match path with
     | Some path ->
         Interferometry.Report.save report ~path;
@@ -314,7 +330,31 @@ let report_cmd =
   in
   Cmd.v
     (Cmd.info "report" ~doc:"Generate a complete Markdown study report for one benchmark.")
-    Term.(const run $ bench_pos $ layouts_term $ seed_term $ scale_term $ heap_random_term $ path_term)
+    Term.(const run $ dataset_term $ path_term)
+
+(* One axis's study, projected onto what [sweep] prints, records, bundles
+   and checks; ['p] is the axis's grid point. *)
+type 'p sweep_view = {
+  axis_label : string;
+  lanes : string;  (** the lane/shard/warmup line *)
+  fit_lines : string list;  (** the fitted model and its prediction errors *)
+  configs : int;  (** configurations swept, for configs/s *)
+  r_squared : float;
+  errors : (string * float) list;  (** the axis's prediction-error metrics *)
+  points : 'p array;
+  sources : Pi_uarch.Sweep.source array;
+  replayed : int;
+  rounds : int;
+  max_abs_err : float;
+  mean_abs_err : float;
+  grid_seconds : float;
+  model_seconds : float;
+  csv_header : string;
+  csv_row : 'p -> string;
+  name_cpi : 'p -> string * float;
+  identical : unit -> bool;  (** the sequential per-config study equals this one *)
+  full : unit -> 'p array;  (** the unsteered fused study's points *)
+}
 
 let sweep_cmd =
   let jobs_term =
@@ -346,13 +386,6 @@ let sweep_cmd =
                    fit quality) to $(docv) — the ledger $(b,interferometry \
                    history) and $(b,compare) read.")
   in
-  let bundle_term =
-    Arg.(value & opt (some string) None
-         & info [ "bundle" ] ~docv:"DIR"
-             ~doc:"Emit a content-addressed run bundle (canonical-JSON manifest, \
-                   SHA-256-pinned inputs, the study CSV) under $(docv); check it \
-                   with $(b,interferometry bundle verify|diff).")
-  in
   let budget_term =
     Arg.(value & opt (some int) None
          & info [ "budget" ] ~docv:"N"
@@ -371,20 +404,14 @@ let sweep_cmd =
   in
   let run bench seed scale jobs axis check budget max_err history bundle metrics_out trace_out =
     with_obs ~metrics_out ~trace_out @@ fun () ->
-    if jobs < 1 then begin
-      Printf.eprintf "sweep: --jobs must be >= 1 (got %d)\n" jobs;
-      exit 2
-    end;
+    check_at_least ~cmd:"sweep" "jobs" 1 (Some jobs);
     let surrogate =
       match (budget, max_err) with
       | Some _, Some _ ->
           prerr_endline "sweep: --budget and --max-err are mutually exclusive";
           exit 2
       | Some b, None ->
-          if b < 1 then begin
-            Printf.eprintf "sweep: --budget must be >= 1 (got %d)\n" b;
-            exit 2
-          end;
+          check_at_least ~cmd:"sweep" "budget" 1 budget;
           Some (Pi_uarch.Sweep.Budget b)
       | None, Some e ->
           if e <= 0.0 then begin
@@ -394,305 +421,244 @@ let sweep_cmd =
           Some (Pi_uarch.Sweep.Max_err e)
       | None, None -> None
     in
-    let config = config_of ~seed ~scale ~heap_random:false in
+    let config = E.make_config ~seed ~scale () in
     let prepared = E.prepare ~config bench in
     let placement = Pi_layout.Placement.natural prepared.E.program in
     let map_shards =
       if jobs > 1 then Some (Pi_campaign.Campaign.sweep_shard_map ~jobs ()) else None
     in
-    let append_history ~axis_label metrics =
+    let t0 = Unix.gettimeofday () in
+    (* Print, record, bundle and check one axis's study. *)
+    let report v =
+      print_endline v.lanes;
+      let n = Array.length v.points in
+      if Option.is_some surrogate then begin
+        Printf.printf
+          "surrogate: %d/%d lanes replayed (%d pruned), %d rounds, holdout CPI err max \
+           %.3f%% mean %.3f%%\n"
+          v.replayed n (n - v.replayed) v.rounds v.max_abs_err v.mean_abs_err;
+        Printf.printf "surrogate time: %.3fs replay, %.3fs model\n" v.grid_seconds
+          v.model_seconds
+      end;
+      List.iter print_endline v.fit_lines;
+      let elapsed = Unix.gettimeofday () -. t0 in
+      let metrics =
+        [
+          ("wall_seconds", elapsed);
+          ( "sweep_configs_per_sec",
+            if elapsed > 0.0 then float_of_int v.configs /. elapsed else 0.0 );
+          ("r_squared", v.r_squared);
+        ]
+        @ v.errors
+        @
+        if Option.is_some surrogate then
+          [
+            ("replayed_lanes", float_of_int v.replayed);
+            ("surrogate_max_abs_err", v.max_abs_err);
+            ("surrogate_mean_abs_err", v.mean_abs_err);
+            ("replay_seconds", v.grid_seconds);
+            ("model_seconds", v.model_seconds);
+          ]
+        else []
+      in
+      let bench_name = bench.Pi_workloads.Bench.name in
+      let label = bench_name ^ "/" ^ v.axis_label in
+      let digest = Pi_campaign.Obs_cache.config_digest config in
       Option.iter
         (fun path ->
           Pi_obs.History.append ~path
-            (Pi_obs.History.make ~kind:"sweep"
-               ~label:(bench.Pi_workloads.Bench.name ^ "/" ^ axis_label)
-               ~config_digest:(Pi_campaign.Obs_cache.config_digest config) metrics);
+            (Pi_obs.History.make ~kind:"sweep" ~label ~config_digest:digest metrics);
           Printf.printf "history: %s\n" path)
-        history
-    in
-    let t0 = Unix.gettimeofday () in
-    (* Sweep bundles pin the same inputs a campaign bundle does (config
-       knobs + program/trace fingerprints) and one study CSV as output. *)
-    let emit_bundle ~axis_label ~metrics ~csv =
+        history;
+      (* Sweep bundles pin the same inputs a campaign bundle does (config
+         knobs + program/trace fingerprints) and one study CSV as output. *)
       Option.iter
         (fun dir ->
           let module B = Pi_campaign.Bundle in
           let module JT = Pi_obs.Json in
-          let bench_name = bench.Pi_workloads.Bench.name in
-          let digest = Pi_campaign.Obs_cache.config_digest config in
-          let config_args =
-            [
-              ("quick", JT.Bool false);
-              ("seed", JT.Int seed);
-              ("scale", JT.Int config.E.scale);
-              ("heap_random", JT.Bool false);
-            ]
-          in
+          let config_args = Pi_campaign.Coordinator.config_args ~quick:false config in
           let config_json =
             B.canonical_string
               (JT.Obj
                  [
                    ("config_args", JT.Obj config_args);
                    ("config_digest", JT.String digest);
-                   ("axis", JT.String axis_label);
+                   ("axis", JT.String v.axis_label);
                    ("benches", JT.List [ JT.String bench_name ]);
                  ])
             ^ "\n"
           in
-          let fingerprint =
-            B.canonical_string
-              (JT.Obj
-                 [
-                   ("bench", JT.String bench_name);
-                   ("warmup_blocks", JT.Int prepared.E.warmup_blocks);
-                   ( "blocks_executed",
-                     JT.Int (Pi_isa.Trace.blocks_executed prepared.E.trace) );
-                   ( "program_sha256",
-                     JT.String
-                       (Pi_campaign.Sha256.string
-                          (Pi_isa.Program.static_stats prepared.E.program)) );
-                   ( "trace_sha256",
-                     JT.String
-                       (Pi_campaign.Sha256.string (Pi_isa.Trace.summary prepared.E.trace))
-                   );
-                 ])
-            ^ "\n"
+          let csv =
+            String.concat "" (v.csv_header :: Array.to_list (Array.map v.csv_row v.points))
           in
           let bm =
-            B.write ~dir ~kind:"sweep"
-              ~label:(bench_name ^ "/" ^ axis_label)
-              ~config_digest:digest ~config_args ~benches:[ bench_name ] ~n_layouts:1
-              ~workers:1 ~created_at:t0 ~metrics
-              ~inputs:
-                [
-                  ("config.json", config_json);
-                  ( Pi_campaign.Obs_cache.sanitize_bench_name bench_name
-                    ^ ".fingerprint.json",
-                    fingerprint );
-                ]
+            B.write ~dir ~kind:"sweep" ~label ~config_digest:digest ~config_args
+              ~benches:[ bench_name ] ~n_layouts:1 ~workers:1 ~created_at:t0 ~metrics
+              ~inputs:[ ("config.json", config_json); B.fingerprint prepared ]
               ~outputs:[ ("study.csv", csv) ]
               ()
           in
           Printf.printf "bundle: %s (%d pinned artifacts)\n" dir
             (List.length bm.B.artifacts))
-        bundle
+        bundle;
+      (* --check. Unsteered, [identical ()] runs the sequential per-config
+         study and compares it with the fused one. Steered, every replayed
+         lane must equal the full fused study's ([full ()]) bit for bit,
+         and every predicted lane's CPI must be within the tolerance (the
+         --max-err bound; 1% for --budget). *)
+      if check then
+        match surrogate with
+        | None ->
+            if v.identical () then
+              print_endline "check: fused study identical to sequential study"
+            else begin
+              prerr_endline "FAIL: fused study differs from sequential study";
+              exit 1
+            end
+        | Some steering ->
+            let full = v.full () in
+            let tol =
+              match steering with
+              | Pi_uarch.Sweep.Max_err e -> e
+              | Pi_uarch.Sweep.Budget _ -> 1.0
+            in
+            let failures = ref 0 and pred_max = ref 0.0 in
+            Array.iteri
+              (fun i p ->
+                let name, cpi = v.name_cpi p and _, full_cpi = v.name_cpi full.(i) in
+                match v.sources.(i) with
+                | Pi_uarch.Sweep.Replayed ->
+                    if p <> full.(i) then begin
+                      Printf.eprintf "FAIL: replayed lane %s differs from the full study\n"
+                        name;
+                      incr failures
+                    end
+                | Pi_uarch.Sweep.Predicted ->
+                    let err = Float.abs (cpi -. full_cpi) /. full_cpi *. 100.0 in
+                    pred_max := Float.max !pred_max err;
+                    if err > tol then begin
+                      Printf.eprintf "FAIL: predicted lane %s CPI off by %.3f%% (> %.3f%%)\n"
+                        name err tol;
+                      incr failures
+                    end)
+              v.points;
+            if !failures = 0 then
+              Printf.printf
+                "check: replayed lanes bit-identical, predicted CPI within %.3f%% (max \
+                 %.3f%%)\n"
+                tol !pred_max
+            else exit 1
     in
-    (* --check. Unsteered, [identical ()] runs the sequential per-config
-       study and compares it with the fused one. Steered, every replayed
-       lane must equal the full fused study's ([full ()]) bit for bit, and
-       every predicted lane's CPI must be within the tolerance (the
-       --max-err bound; 1% for --budget); [view] gives a point's name and
-       CPI, [sources] how each was obtained. *)
-    let check_study ~identical ~full ~view ~sources points =
-      match surrogate with
-      | None ->
-          if identical () then print_endline "check: fused study identical to sequential study"
-          else begin
-            prerr_endline "FAIL: fused study differs from sequential study";
-            exit 1
-          end
-      | Some steering ->
-          let full = full () in
-          let tol =
-            match steering with Pi_uarch.Sweep.Max_err e -> e | Pi_uarch.Sweep.Budget _ -> 1.0
-          in
-          let failures = ref 0 and pred_max = ref 0.0 in
-          Array.iteri
-            (fun i p ->
-              let name, cpi = view p and _, full_cpi = view full.(i) in
-              match sources.(i) with
-              | Pi_uarch.Sweep.Replayed ->
-                  if p <> full.(i) then begin
-                    Printf.eprintf "FAIL: replayed lane %s differs from the full study\n" name;
-                    incr failures
-                  end
-              | Pi_uarch.Sweep.Predicted ->
-                  let err = Float.abs (cpi -. full_cpi) /. full_cpi *. 100.0 in
-                  pred_max := Float.max !pred_max err;
-                  if err > tol then begin
-                    Printf.eprintf "FAIL: predicted lane %s CPI off by %.3f%% (> %.3f%%)\n" name
-                      err tol;
-                    incr failures
-                  end)
-            points;
-          if !failures = 0 then
-            Printf.printf
-              "check: replayed lanes bit-identical, predicted CPI within %.3f%% (max %.3f%%)\n"
-              tol !pred_max
-          else exit 1
-    in
+    let module S = Pi_uarch.Sweep in
+    let warmup_blocks = prepared.E.warmup_blocks
+    and benchmark = bench.Pi_workloads.Bench.name
+    and trace = prepared.E.trace in
+    let shards n = if n = 1 then "" else "s" in
     match axis with
     | `Predictor ->
-        let s =
-          Pi_uarch.Sweep.run_study ~warmup_blocks:prepared.E.warmup_blocks ~shards:jobs
-            ?map_shards ?surrogate ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace
+        let run ?surrogate () =
+          S.run_study ~warmup_blocks ~shards:jobs ?map_shards ?surrogate ~benchmark trace
             placement
         in
-        Printf.printf
-          "%d fused lanes + %d per-config, %d shard%s, %d warmup blocks\n"
-          s.Pi_uarch.Sweep.fused_lanes s.Pi_uarch.Sweep.fallback_lanes s.Pi_uarch.Sweep.shards
-          (if s.Pi_uarch.Sweep.shards = 1 then "" else "s")
-          s.Pi_uarch.Sweep.warmup_blocks;
-        if Option.is_some surrogate then
-          Printf.printf
-            "surrogate: %d/%d lanes replayed (%d pruned), %d rounds, holdout CPI err max \
-             %.3f%% mean %.3f%%\n"
-            s.Pi_uarch.Sweep.replayed_lanes
-            (Array.length s.Pi_uarch.Sweep.points)
-            (Array.length s.Pi_uarch.Sweep.points - s.Pi_uarch.Sweep.replayed_lanes)
-            s.Pi_uarch.Sweep.surrogate_rounds s.Pi_uarch.Sweep.surrogate_max_abs_err
-            s.Pi_uarch.Sweep.surrogate_mean_abs_err;
-        if Option.is_some surrogate then
-          Printf.printf "surrogate time: %.3fs replay, %.3fs model\n"
-            s.Pi_uarch.Sweep.grid_seconds s.Pi_uarch.Sweep.model_seconds;
-        Printf.printf "regression over 145 imperfect configurations: %s\n"
-          (Format.asprintf "%a" Linreg.pp s.Pi_uarch.Sweep.regression);
-        Printf.printf "perfect:  actual CPI %.4f, extrapolated %.4f (error %.2f%%)\n"
-          s.Pi_uarch.Sweep.perfect_cpi s.Pi_uarch.Sweep.predicted_perfect_cpi
-          s.Pi_uarch.Sweep.perfect_error_percent;
-        Printf.printf "L-TAGE:   actual CPI %.4f at %.3f MPKI, interpolated %.4f (error %.2f%%)\n"
-          s.Pi_uarch.Sweep.ltage_point.Pi_uarch.Sweep.cpi
-          s.Pi_uarch.Sweep.ltage_point.Pi_uarch.Sweep.mpki s.Pi_uarch.Sweep.predicted_ltage_cpi
-          s.Pi_uarch.Sweep.ltage_error_percent;
-        (let elapsed = Unix.gettimeofday () -. t0 in
-         let configs = s.Pi_uarch.Sweep.fused_lanes + s.Pi_uarch.Sweep.fallback_lanes in
-         let metrics =
-           [
-             ("wall_seconds", elapsed);
-             ( "sweep_configs_per_sec",
-               if elapsed > 0.0 then float_of_int configs /. elapsed else 0.0 );
-             ("r_squared", s.Pi_uarch.Sweep.regression.Linreg.r_squared);
-             ("perfect_error_percent", s.Pi_uarch.Sweep.perfect_error_percent);
-             ("ltage_error_percent", s.Pi_uarch.Sweep.ltage_error_percent);
-           ]
-           @
-           if Option.is_some surrogate then
-             [
-               ("replayed_lanes", float_of_int s.Pi_uarch.Sweep.replayed_lanes);
-               ("surrogate_max_abs_err", s.Pi_uarch.Sweep.surrogate_max_abs_err);
-               ("surrogate_mean_abs_err", s.Pi_uarch.Sweep.surrogate_mean_abs_err);
-               ("replay_seconds", s.Pi_uarch.Sweep.grid_seconds);
-               ("model_seconds", s.Pi_uarch.Sweep.model_seconds);
-             ]
-           else []
-         in
-         append_history ~axis_label:"predictor" metrics;
-         let csv =
-           let buf = Buffer.create 4096 in
-           Buffer.add_string buf "config,mpki,cpi\n";
-           Array.iter
-             (fun (p : Pi_uarch.Sweep.point) ->
-               Buffer.add_string buf
-                 (Printf.sprintf "%s,%.17g,%.17g\n" p.Pi_uarch.Sweep.config_name
-                    p.Pi_uarch.Sweep.mpki p.Pi_uarch.Sweep.cpi))
-             s.Pi_uarch.Sweep.points;
-           Buffer.contents buf
-         in
-         emit_bundle ~axis_label:"predictor" ~metrics ~csv);
-        if check then
-          check_study ~sources:s.Pi_uarch.Sweep.sources s.Pi_uarch.Sweep.points
-            ~view:(fun (p : Pi_uarch.Sweep.point) ->
-              (p.Pi_uarch.Sweep.config_name, p.Pi_uarch.Sweep.cpi))
-            ~identical:(fun () ->
-              let sequential =
-                Pi_uarch.Sweep.run_study ~warmup_blocks:prepared.E.warmup_blocks ~fused:false
-                  ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace placement
-              in
-              s.Pi_uarch.Sweep.points = sequential.Pi_uarch.Sweep.points
-              && s.Pi_uarch.Sweep.perfect_cpi = sequential.Pi_uarch.Sweep.perfect_cpi
-              && s.Pi_uarch.Sweep.ltage_point = sequential.Pi_uarch.Sweep.ltage_point)
-            ~full:(fun () ->
-              (Pi_uarch.Sweep.run_study ~warmup_blocks:prepared.E.warmup_blocks ~shards:jobs
-                 ?map_shards ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace placement)
-                .Pi_uarch.Sweep.points)
+        let s = run ?surrogate () in
+        report
+          {
+            axis_label = "predictor";
+            lanes =
+              Printf.sprintf "%d fused lanes + %d per-config, %d shard%s, %d warmup blocks"
+                s.S.fused_lanes s.S.fallback_lanes s.S.shards (shards s.S.shards)
+                s.S.warmup_blocks;
+            fit_lines =
+              [
+                "regression over 145 imperfect configurations: "
+                ^ Format.asprintf "%a" Linreg.pp s.S.regression;
+                Printf.sprintf "perfect:  actual CPI %.4f, extrapolated %.4f (error %.2f%%)"
+                  s.S.perfect_cpi s.S.predicted_perfect_cpi s.S.perfect_error_percent;
+                Printf.sprintf
+                  "L-TAGE:   actual CPI %.4f at %.3f MPKI, interpolated %.4f (error %.2f%%)"
+                  s.S.ltage_point.S.cpi s.S.ltage_point.S.mpki s.S.predicted_ltage_cpi
+                  s.S.ltage_error_percent;
+              ];
+            configs = s.S.fused_lanes + s.S.fallback_lanes;
+            r_squared = s.S.regression.Linreg.r_squared;
+            errors =
+              [
+                ("perfect_error_percent", s.S.perfect_error_percent);
+                ("ltage_error_percent", s.S.ltage_error_percent);
+              ];
+            points = s.S.points;
+            sources = s.S.sources;
+            replayed = s.S.replayed_lanes;
+            rounds = s.S.surrogate_rounds;
+            max_abs_err = s.S.surrogate_max_abs_err;
+            mean_abs_err = s.S.surrogate_mean_abs_err;
+            grid_seconds = s.S.grid_seconds;
+            model_seconds = s.S.model_seconds;
+            csv_header = "config,mpki,cpi\n";
+            csv_row =
+              (fun p -> Printf.sprintf "%s,%.17g,%.17g\n" p.S.config_name p.S.mpki p.S.cpi);
+            name_cpi = (fun p -> (p.S.config_name, p.S.cpi));
+            identical =
+              (fun () ->
+                let sequential =
+                  S.run_study ~warmup_blocks ~fused:false ~benchmark trace placement
+                in
+                s.S.points = sequential.S.points
+                && s.S.perfect_cpi = sequential.S.perfect_cpi
+                && s.S.ltage_point = sequential.S.ltage_point);
+            full = (fun () -> (run ()).S.points);
+          }
     | `Cache ->
-        let s =
-          Pi_uarch.Sweep.run_cache_study ~warmup_blocks:prepared.E.warmup_blocks ~shards:jobs
-            ?map_shards ?surrogate ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace
-            placement
+        let run ?surrogate () =
+          S.run_cache_study ~warmup_blocks ~shards:jobs ?map_shards ?surrogate ~benchmark
+            trace placement
         in
-        Printf.printf
-          "%d fused cache lanes, %d shard%s, %d warmup blocks\n"
-          s.Pi_uarch.Sweep.cache_fused_lanes s.Pi_uarch.Sweep.cache_shards
-          (if s.Pi_uarch.Sweep.cache_shards = 1 then "" else "s")
-          s.Pi_uarch.Sweep.cache_warmup_blocks;
-        if Option.is_some surrogate then
-          Printf.printf
-            "surrogate: %d/%d lanes replayed (%d pruned), %d rounds, holdout CPI err max \
-             %.3f%% mean %.3f%%\n"
-            s.Pi_uarch.Sweep.cache_replayed_lanes
-            (Array.length s.Pi_uarch.Sweep.cache_points)
-            (Array.length s.Pi_uarch.Sweep.cache_points
-            - s.Pi_uarch.Sweep.cache_replayed_lanes)
-            s.Pi_uarch.Sweep.cache_surrogate_rounds
-            s.Pi_uarch.Sweep.cache_surrogate_max_abs_err
-            s.Pi_uarch.Sweep.cache_surrogate_mean_abs_err;
-        if Option.is_some surrogate then
-          Printf.printf "surrogate time: %.3fs replay, %.3fs model\n"
-            s.Pi_uarch.Sweep.cache_grid_seconds s.Pi_uarch.Sweep.cache_model_seconds;
-        Printf.printf "degradation model over 99 degraded geometries: %s\n"
-          (Format.asprintf "%a" Pi_stats.Multireg.pp s.Pi_uarch.Sweep.degradation);
-        let seed_pt = s.Pi_uarch.Sweep.seed_point in
-        Printf.printf
-          "seed %s: actual CPI %.4f at %.3f L1I / %.3f L2 MPKI, predicted %.4f (error %.2f%%)\n"
-          seed_pt.Pi_uarch.Sweep.geometry_name seed_pt.Pi_uarch.Sweep.cache_cpi
-          seed_pt.Pi_uarch.Sweep.l1i_mpki seed_pt.Pi_uarch.Sweep.l2_mpki
-          s.Pi_uarch.Sweep.predicted_seed_cpi s.Pi_uarch.Sweep.seed_error_percent;
-        (let elapsed = Unix.gettimeofday () -. t0 in
-         let metrics =
-           [
-             ("wall_seconds", elapsed);
-             ( "sweep_configs_per_sec",
-               if elapsed > 0.0 then
-                 float_of_int s.Pi_uarch.Sweep.cache_fused_lanes /. elapsed
-               else 0.0 );
-             ("r_squared", s.Pi_uarch.Sweep.degradation.Pi_stats.Multireg.r_squared);
-             ("seed_error_percent", s.Pi_uarch.Sweep.seed_error_percent);
-           ]
-           @
-           if Option.is_some surrogate then
-             [
-               ("replayed_lanes", float_of_int s.Pi_uarch.Sweep.cache_replayed_lanes);
-               ("surrogate_max_abs_err", s.Pi_uarch.Sweep.cache_surrogate_max_abs_err);
-               ("surrogate_mean_abs_err", s.Pi_uarch.Sweep.cache_surrogate_mean_abs_err);
-               ("replay_seconds", s.Pi_uarch.Sweep.cache_grid_seconds);
-               ("model_seconds", s.Pi_uarch.Sweep.cache_model_seconds);
-             ]
-           else []
-         in
-         append_history ~axis_label:"cache" metrics;
-         let csv =
-           let buf = Buffer.create 4096 in
-           Buffer.add_string buf "geometry,l1i_mpki,l2_mpki,cpi\n";
-           Array.iter
-             (fun (p : Pi_uarch.Sweep.cache_point) ->
-               Buffer.add_string buf
-                 (Printf.sprintf "%s,%.17g,%.17g,%.17g\n" p.Pi_uarch.Sweep.geometry_name
-                    p.Pi_uarch.Sweep.l1i_mpki p.Pi_uarch.Sweep.l2_mpki
-                    p.Pi_uarch.Sweep.cache_cpi))
-             s.Pi_uarch.Sweep.cache_points;
-           Buffer.contents buf
-         in
-         emit_bundle ~axis_label:"cache" ~metrics ~csv);
-        if check then
-          check_study ~sources:s.Pi_uarch.Sweep.cache_sources s.Pi_uarch.Sweep.cache_points
-            ~view:(fun (p : Pi_uarch.Sweep.cache_point) ->
-              (p.Pi_uarch.Sweep.geometry_name, p.Pi_uarch.Sweep.cache_cpi))
-            ~identical:(fun () ->
-              let sequential =
-                Pi_uarch.Sweep.run_cache_study ~warmup_blocks:prepared.E.warmup_blocks
-                  ~fused:false ~benchmark:bench.Pi_workloads.Bench.name prepared.E.trace
-                  placement
-              in
-              s.Pi_uarch.Sweep.cache_points = sequential.Pi_uarch.Sweep.cache_points
-              && s.Pi_uarch.Sweep.seed_point = sequential.Pi_uarch.Sweep.seed_point
-              && s.Pi_uarch.Sweep.predicted_seed_cpi
-                 = sequential.Pi_uarch.Sweep.predicted_seed_cpi)
-            ~full:(fun () ->
-              (Pi_uarch.Sweep.run_cache_study ~warmup_blocks:prepared.E.warmup_blocks
-                 ~shards:jobs ?map_shards ~benchmark:bench.Pi_workloads.Bench.name
-                 prepared.E.trace placement)
-                .Pi_uarch.Sweep.cache_points)
+        let s = run ?surrogate () in
+        let seed_pt = s.S.seed_point in
+        report
+          {
+            axis_label = "cache";
+            lanes =
+              Printf.sprintf "%d fused cache lanes, %d shard%s, %d warmup blocks"
+                s.S.cache_fused_lanes s.S.cache_shards (shards s.S.cache_shards)
+                s.S.cache_warmup_blocks;
+            fit_lines =
+              [
+                "degradation model over 99 degraded geometries: "
+                ^ Format.asprintf "%a" Pi_stats.Multireg.pp s.S.degradation;
+                Printf.sprintf
+                  "seed %s: actual CPI %.4f at %.3f L1I / %.3f L2 MPKI, predicted %.4f \
+                   (error %.2f%%)"
+                  seed_pt.S.geometry_name seed_pt.S.cache_cpi seed_pt.S.l1i_mpki
+                  seed_pt.S.l2_mpki s.S.predicted_seed_cpi s.S.seed_error_percent;
+              ];
+            configs = s.S.cache_fused_lanes;
+            r_squared = s.S.degradation.Pi_stats.Multireg.r_squared;
+            errors = [ ("seed_error_percent", s.S.seed_error_percent) ];
+            points = s.S.cache_points;
+            sources = s.S.cache_sources;
+            replayed = s.S.cache_replayed_lanes;
+            rounds = s.S.cache_surrogate_rounds;
+            max_abs_err = s.S.cache_surrogate_max_abs_err;
+            mean_abs_err = s.S.cache_surrogate_mean_abs_err;
+            grid_seconds = s.S.cache_grid_seconds;
+            model_seconds = s.S.cache_model_seconds;
+            csv_header = "geometry,l1i_mpki,l2_mpki,cpi\n";
+            csv_row =
+              (fun p ->
+                Printf.sprintf "%s,%.17g,%.17g,%.17g\n" p.S.geometry_name p.S.l1i_mpki
+                  p.S.l2_mpki p.S.cache_cpi);
+            name_cpi = (fun p -> (p.S.geometry_name, p.S.cache_cpi));
+            identical =
+              (fun () ->
+                let sequential =
+                  S.run_cache_study ~warmup_blocks ~fused:false ~benchmark trace placement
+                in
+                s.S.cache_points = sequential.S.cache_points
+                && s.S.seed_point = sequential.S.seed_point
+                && s.S.predicted_seed_cpi = sequential.S.predicted_seed_cpi);
+            full = (fun () -> (run ()).S.cache_points);
+          }
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -701,6 +667,66 @@ let sweep_cmd =
     Term.(const run $ bench_pos $ seed_term $ scale_term $ jobs_term $ axis_term $ check_term
           $ budget_term $ max_err_term $ history_term $ bundle_term $ metrics_out_term
           $ trace_out_term)
+
+(* ---- the campaign runner `campaign` and `bundle replay` share ------ *)
+
+let campaign_jobs_term =
+  Arg.(value & opt (some int) None
+       & info [ "jobs"; "j" ] ~docv:"N"
+           ~doc:"Worker domains (default: the --workers count when that is 2 or \
+                 more, else the recommended domain count).")
+
+let workers_term =
+  Arg.(value & opt (some int) None
+       & info [ "workers" ] ~docv:"N"
+           ~doc:"Shard observation jobs across $(docv) spawned worker \
+                 processes (work-stealing over pipes; dead workers are \
+                 respawned and their jobs re-dispatched). Results are \
+                 bit-identical for any worker count. Default: in-process \
+                 domains only.")
+
+(* [run ~jobs ~observe] runs the campaign. --workers >= 2 moves observation
+   jobs onto a pool of worker processes; one scheduler domain per worker
+   keeps the pool saturated without oversubscribing it. --workers 1 is the
+   in-process baseline that every other worker count must match bit for
+   bit. Returns the result and the worker count its bundle records. *)
+let run_campaign ~jobs ~workers ~config_args run =
+  let workers = match workers with Some w when w >= 2 -> w | _ -> 1 in
+  let coordinator =
+    if workers >= 2 then Some (Pi_campaign.Coordinator.create ~workers ~config_args ())
+    else None
+  in
+  let jobs = if jobs = None && workers >= 2 then Some workers else jobs in
+  let observe = Option.map Pi_campaign.Coordinator.observe_hook coordinator in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Option.iter Pi_campaign.Coordinator.shutdown coordinator)
+      (fun () -> run ~jobs ~observe)
+  in
+  (result, workers)
+
+(* Rebuild a recorded run (the [noun]: a campaign manifest or a bundle)
+   from its config_args, through the decoder the campaign workers use too,
+   so "same config_args" means "same digest" everywhere. Exits 2 when this
+   build cannot reproduce the recorded config or names no such benchmark. *)
+let rebuild_run ~cmd ~noun ~config_args ~config_digest bench_names =
+  let config = Pi_campaign.Coordinator.config_of_args config_args in
+  let digest = Pi_campaign.Obs_cache.config_digest config in
+  if digest <> config_digest then begin
+    Printf.eprintf
+      "%s: config digest mismatch (%s %s, rebuilt %s): the %s's config_args do not \
+       reproduce its config on this build\n"
+      cmd noun config_digest digest noun;
+    exit 2
+  end;
+  let find name =
+    match Pi_workloads.Spec.find name with
+    | bench -> bench
+    | exception Not_found ->
+        Printf.eprintf "%s: %s names unknown benchmark %S\n" cmd noun name;
+        exit 2
+  in
+  (config, List.map find bench_names)
 
 let campaign_cmd =
   let suite_term =
@@ -713,11 +739,6 @@ let campaign_cmd =
     Arg.(value & opt_all bench_arg []
          & info [ "bench" ] ~docv:"BENCHMARK"
              ~doc:"Measure specific benchmark(s) instead of a suite; repeatable.")
-  in
-  let jobs_term =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker domains (default: the recommended domain count).")
   in
   let cache_dir_term =
     Arg.(value & opt (some string) None
@@ -781,23 +802,6 @@ let campaign_cmd =
                    history) and gate regressions with $(b,interferometry \
                    compare).")
   in
-  let workers_term =
-    Arg.(value & opt (some int) None
-         & info [ "workers" ] ~docv:"N"
-             ~doc:"Shard observation jobs across $(docv) spawned worker \
-                   processes (work-stealing over pipes; dead workers are \
-                   respawned and their jobs re-dispatched). Results are \
-                   bit-identical for any worker count. Default: in-process \
-                   domains only.")
-  in
-  let bundle_term =
-    Arg.(value & opt (some string) None
-         & info [ "bundle" ] ~docv:"DIR"
-             ~doc:"Emit a content-addressed run bundle under $(docv): a \
-                   canonical-JSON manifest plus SHA-256-pinned inputs and \
-                   output CSVs. Check it later with $(b,interferometry bundle \
-                   verify|replay|diff).")
-  in
   let resume_term =
     Arg.(value & opt (some string) None
          & info [ "resume" ] ~docv:"MANIFEST.json"
@@ -810,24 +814,10 @@ let campaign_cmd =
   let run suite benches jobs layouts seed scale heap_random quick cache_dir events_path
       manifest_path deadline retries backoff fault_spec history resume workers bundle
       metrics_out trace_out =
-    if layouts < 1 then begin
-      Printf.eprintf "campaign: --layouts must be >= 1 (got %d)\n" layouts;
-      exit 2
-    end;
-    (match jobs with
-    | Some j when j < 1 ->
-        Printf.eprintf "campaign: --jobs must be >= 1 (got %d)\n" j;
-        exit 2
-    | _ -> ());
-    (match workers with
-    | Some w when w < 1 ->
-        Printf.eprintf "campaign: --workers must be >= 1 (got %d)\n" w;
-        exit 2
-    | _ -> ());
-    if retries < 0 then begin
-      Printf.eprintf "campaign: --retries must be >= 0 (got %d)\n" retries;
-      exit 2
-    end;
+    check_at_least ~cmd:"campaign" "layouts" 1 (Some layouts);
+    check_at_least ~cmd:"campaign" "jobs" 1 jobs;
+    check_at_least ~cmd:"campaign" "workers" 1 workers;
+    check_at_least ~cmd:"campaign" "retries" 0 (Some retries);
     if not (backoff >= 0.0) then begin
       Printf.eprintf "campaign: --backoff must be >= 0 (got %g)\n" backoff;
       exit 2
@@ -860,41 +850,18 @@ let campaign_cmd =
           | Some path -> Pi_campaign.Telemetry.to_file path
           | None -> Pi_campaign.Telemetry.null
         in
-        (* --workers >= 2 moves observation jobs onto a pool of worker
-           processes; one scheduler domain per worker keeps the pool
-           saturated without oversubscribing it. --workers 1 is the
-           in-process baseline that every other worker count must match
-           bit for bit. *)
-        let n_workers = match workers with Some w when w >= 2 -> w | _ -> 0 in
-        let coordinator =
-          if n_workers >= 2 then
-            Some (Pi_campaign.Coordinator.create ~workers:n_workers ~config_args ())
-          else None
-        in
-        let observe = Option.map Pi_campaign.Coordinator.observe_hook coordinator in
-        let jobs =
-          match (jobs, coordinator) with
-          | Some j, _ -> Some j
-          | None, Some _ -> Some n_workers
-          | None, None -> None
-        in
-        let result =
+        let result, workers =
           Fun.protect
-            ~finally:(fun () ->
-              Option.iter Pi_campaign.Coordinator.shutdown coordinator;
-              Pi_campaign.Telemetry.close events)
+            ~finally:(fun () -> Pi_campaign.Telemetry.close events)
             (fun () ->
-              Pi_campaign.Campaign.run ~config ?jobs ?cache_dir ~events ?deadline
-                ~retries ~backoff ?fault ?checkpoint_path:manifest_path ~config_args
-                ?label ?observe ~n_layouts benches)
+              run_campaign ~jobs ~workers ~config_args (fun ~jobs ~observe ->
+                  Pi_campaign.Campaign.run ~config ?jobs ?cache_dir ~events ?deadline
+                    ~retries ~backoff ?fault ?checkpoint_path:manifest_path ~config_args
+                    ?label ?observe ~n_layouts benches))
         in
         Option.iter
           (fun dir ->
-            let bm =
-              Pi_campaign.Bundle.of_campaign ~dir
-                ~workers:(if n_workers >= 2 then n_workers else 1)
-                result
-            in
+            let bm = Pi_campaign.Bundle.of_campaign ~dir ~workers result in
             Printf.printf "bundle: %s (%d pinned artifacts)\n" dir
               (List.length bm.Pi_campaign.Bundle.artifacts))
           bundle;
@@ -936,30 +903,14 @@ let campaign_cmd =
             Printf.eprintf "campaign: cannot resume: %s\n" msg;
             exit 2
         | Ok m ->
-            let benches =
-              List.map
-                (fun (b : Pi_campaign.Manifest.bench_entry) ->
-                  match Pi_workloads.Spec.find b.Pi_campaign.Manifest.bench with
-                  | bench -> bench
-                  | exception Not_found ->
-                      Printf.eprintf "campaign: manifest names unknown benchmark %S\n"
-                        b.Pi_campaign.Manifest.bench;
-                      exit 2)
-                m.Pi_campaign.Manifest.benches
-            in
             let args = m.Pi_campaign.Manifest.config_args in
-            (* The same decoder the campaign workers and bundle replay
-               use: one copy, so "same config_args" means "same digest"
-               everywhere. *)
-            let config = Pi_campaign.Coordinator.config_of_args args in
-            let digest = Pi_campaign.Obs_cache.config_digest config in
-            if digest <> m.Pi_campaign.Manifest.config_digest then begin
-              Printf.eprintf
-                "campaign: config digest mismatch (manifest %s, rebuilt %s): the \
-                 manifest's config_args do not reproduce its config on this build\n"
-                m.Pi_campaign.Manifest.config_digest digest;
-              exit 2
-            end;
+            let config, benches =
+              rebuild_run ~cmd:"campaign" ~noun:"manifest" ~config_args:args
+                ~config_digest:m.Pi_campaign.Manifest.config_digest
+                (List.map
+                   (fun (b : Pi_campaign.Manifest.bench_entry) -> b.Pi_campaign.Manifest.bench)
+                   m.Pi_campaign.Manifest.benches)
+            in
             let cache_dir =
               match (cache_dir, m.Pi_campaign.Manifest.cache_dir) with
               | Some dir, _ -> Some dir
@@ -978,54 +929,30 @@ let campaign_cmd =
               benches)
     | None -> (
         let benches =
-          match benches with
-          | _ :: _ -> Ok benches
-          | [] -> (
-              match suite with
-              | "2006" -> Ok (Pi_workloads.Spec.all_2006 ())
-              | "2000" ->
-                  Ok
-                    (List.filter
-                       (fun (b : Pi_workloads.Bench.t) ->
-                         b.suite = Pi_workloads.Bench.Cpu2000)
-                       (Pi_workloads.Spec.everything ()))
-              | "all" -> Ok (Pi_workloads.Spec.everything ())
-              | other ->
-                  Error (Printf.sprintf "unknown suite %S (try 2006, 2000 or all)" other))
+          match (benches, suite) with
+          | _ :: _, _ -> benches
+          | [], "2006" -> Pi_workloads.Spec.all_2006 ()
+          | [], "2000" ->
+              List.filter
+                (fun (b : Pi_workloads.Bench.t) -> b.suite = Pi_workloads.Bench.Cpu2000)
+                (Pi_workloads.Spec.everything ())
+          | [], "all" -> Pi_workloads.Spec.everything ()
+          | [], other ->
+              Printf.eprintf "campaign: unknown suite %S (try 2006, 2000 or all)\n" other;
+              exit 2
         in
-        match benches with
-        | Error msg ->
-            Printf.eprintf "%s\n" msg;
-            exit 2
-        | Ok benches ->
-            let module J = Pi_obs.Json in
-            let base = if quick then E.quick_config else E.default_config in
-            let config =
-              {
-                base with
-                E.master_seed = seed;
-                scale = Option.value scale ~default:base.E.scale;
-                heap_random;
-              }
-            in
-            (* Everything --resume needs to rebuild this config, recorded
-               verbatim in the manifest. *)
-            let config_args =
-              [
-                ("quick", J.Bool quick);
-                ("seed", J.Int seed);
-                ("scale", J.Int config.E.scale);
-                ("heap_random", J.Bool heap_random);
-              ]
-            in
-            let manifest_path =
-              match (manifest_path, cache_dir) with
-              | Some path, _ -> Some path
-              | None, Some dir -> Some (Filename.concat dir "manifest.json")
-              | None, None -> None
-            in
-            execute ~config ~config_args ~label:None ~n_layouts:layouts ~cache_dir
-              ~manifest_path benches)
+        let config = E.make_config ~quick ~seed ?scale ~heap_random () in
+        (* Everything --resume needs to rebuild this config, recorded
+           verbatim in the manifest. *)
+        let config_args = Pi_campaign.Coordinator.config_args ~quick config in
+        let manifest_path =
+          match (manifest_path, cache_dir) with
+          | Some path, _ -> Some path
+          | None, Some dir -> Some (Filename.concat dir "manifest.json")
+          | None, None -> None
+        in
+        execute ~config ~config_args ~label:None ~n_layouts:layouts ~cache_dir
+          ~manifest_path benches)
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -1046,7 +973,7 @@ let campaign_cmd =
               --backoff); --fault-inject exercises these paths deterministically. \
               Exit status is 3 when some jobs failed.";
          ])
-    Term.(const run $ suite_term $ benches_term $ jobs_term $ layouts_term $ seed_term
+    Term.(const run $ suite_term $ benches_term $ campaign_jobs_term $ layouts_term $ seed_term
           $ campaign_scale_term $ heap_random_term $ quick_term $ cache_dir_term
           $ events_term $ manifest_term $ deadline_term $ retries_term $ backoff_term
           $ fault_term $ history_term $ resume_term $ workers_term $ bundle_term
@@ -1077,7 +1004,7 @@ let stats_cmd =
     match (url, state_dir) with
     | None, None ->
         Pi_obs.Span.set_enabled true;
-        let config = { E.quick_config with E.master_seed = seed; scale } in
+        let config = E.make_config ~quick:true ~seed ~scale () in
         let _ = E.run ~config bench ~n_layouts:layouts in
         Printf.printf "metrics after a quick %s run (%d layouts, scale %d):\n\n"
           bench.Pi_workloads.Bench.name layouts scale;
@@ -1190,9 +1117,7 @@ let history_cmd =
     (* Indexes are positions in the full ledger, so a filtered listing still
        shows the @N a `compare LEDGER@N` operand needs. *)
     let rows =
-      List.filteri
-        (fun _ _ -> true)
-        (List.mapi (fun i r -> (i, r)) replay.History.records)
+      List.mapi (fun i r -> (i, r)) replay.History.records
       |> List.filter (fun (_, (r : History.record)) ->
              (match kind with None -> true | Some k -> r.History.kind = k)
              && match label with None -> true | Some l -> r.History.label = l)
@@ -1272,6 +1197,50 @@ let history_cmd =
          ])
     Term.(const run $ ledger_term $ kind_term $ label_term $ last_term $ metric_term)
 
+let tolerance_term =
+  Arg.(value & opt (some float) None
+       & info [ "tolerance" ] ~docv:"PCT"
+           ~doc:"Override the higher-is-better gates' tolerance percent \
+                 (default: 50 for throughput/speedup, 5 for R-squared; \
+                 $(b,failed_jobs) always gates at 0).")
+
+(* The regression gate `compare` and `bundle diff` share: diff two metric
+   bags under the threshold rules, print the REGRESSION/ok table under
+   [title], exit 1 on any regression and 2 when the two sides (as [names]
+   names them) share no metric. *)
+let gate ~cmd ~title ~names:(before_name, after_name) ~tolerance before after =
+  let deltas = History.compare_metrics ~rules:(History.rules ?tolerance ()) ~before ~after () in
+  if deltas = [] then begin
+    Printf.eprintf "%s: %s and %s share no metrics\n" cmd before_name after_name;
+    exit 2
+  end;
+  print_endline title;
+  List.iter
+    (fun (d : History.delta) ->
+      let gate =
+        match d.History.rule with
+        | Some r ->
+            Printf.sprintf "  [%s, tol %g%%]"
+              (match r.History.direction with
+              | History.Higher_better -> "higher is better"
+              | History.Lower_better -> "lower is better")
+              r.History.tol_percent
+        | None -> ""
+      in
+      Printf.printf "%-10s %-28s %14s -> %14s  %+8.2f%%%s\n"
+        (if d.History.regression then "REGRESSION" else "ok")
+        d.History.metric
+        (Metrics.float_repr d.History.before)
+        (Metrics.float_repr d.History.after)
+        d.History.delta_percent gate)
+    deltas;
+  let regressed = History.regressions deltas in
+  if regressed <> [] then begin
+    Printf.eprintf "%s: %d metric(s) regressed\n" cmd (List.length regressed);
+    exit 1
+  end
+  else print_endline "no regressions"
+
 let compare_cmd =
   (* One comparison side: HISTORY.jsonl[@N] (Nth record, default the last,
      negative from the end) or any flat-JSON benchmark artifact
@@ -1348,51 +1317,9 @@ let compare_cmd =
         Printf.eprintf "compare: %s\n" msg;
         exit 2
     | Ok (before_label, before), Ok (after_label, after) ->
-        let rules =
-          match tolerance with
-          | None -> History.default_rules
-          | Some tol ->
-              (* Override the throughput tolerances only; failed_jobs stays
-                 a hard zero-tolerance gate. *)
-              List.map
-                (fun (r : History.rule) ->
-                  match r.History.direction with
-                  | History.Higher_better -> { r with History.tol_percent = tol }
-                  | History.Lower_better -> r)
-                History.default_rules
-        in
-        let deltas = History.compare_metrics ~rules ~before ~after () in
-        if deltas = [] then begin
-          Printf.eprintf "compare: %s and %s share no metrics\n" before_label
-            after_label;
-          exit 2
-        end;
-        Printf.printf "compare %s -> %s\n" before_label after_label;
-        List.iter
-          (fun (d : History.delta) ->
-            let gate =
-              match d.History.rule with
-              | Some r ->
-                  Printf.sprintf "  [%s, tol %g%%]"
-                    (match r.History.direction with
-                    | History.Higher_better -> "higher is better"
-                    | History.Lower_better -> "lower is better")
-                    r.History.tol_percent
-              | None -> ""
-            in
-            Printf.printf "%-10s %-28s %14s -> %14s  %+8.2f%%%s\n"
-              (if d.History.regression then "REGRESSION" else "ok")
-              d.History.metric
-              (Metrics.float_repr d.History.before)
-              (Metrics.float_repr d.History.after)
-              d.History.delta_percent gate)
-          deltas;
-        let regressed = History.regressions deltas in
-        if regressed <> [] then begin
-          Printf.eprintf "compare: %d metric(s) regressed\n" (List.length regressed);
-          exit 1
-        end
-        else print_endline "no regressions"
+        gate ~cmd:"compare"
+          ~title:(Printf.sprintf "compare %s -> %s" before_label after_label)
+          ~names:(before_label, after_label) ~tolerance before after
   in
   let before_term =
     Arg.(required & pos 0 (some string) None
@@ -1403,13 +1330,6 @@ let compare_cmd =
   let after_term =
     Arg.(required & pos 1 (some string) None
          & info [] ~docv:"AFTER" ~doc:"Candidate, same forms as $(docv,BEFORE).")
-  in
-  let tolerance_term =
-    Arg.(value & opt (some float) None
-         & info [ "tolerance" ] ~docv:"PCT"
-             ~doc:"Override the higher-is-better gates' tolerance percent \
-                   (default: 50 for throughput/speedup, 5 for R-squared; \
-                   $(b,failed_jobs) always gates at 0).")
   in
   Cmd.v
     (Cmd.info "compare"
@@ -1468,80 +1388,44 @@ let bundle_cmd =
                ~doc:"Where to materialize the replay bundle (default: \
                      $(b,BUNDLE.replay)).")
     in
-    let jobs_term =
-      Arg.(value & opt (some int) None
-           & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Scheduler domains for the re-run.")
-    in
-    let workers_term =
-      Arg.(value & opt (some int) None
-           & info [ "workers" ] ~docv:"N"
-               ~doc:"Re-run on $(docv) worker processes (bit-identity makes this \
-                     immaterial to the comparison).")
-    in
     let run dir out jobs workers =
+      check_at_least ~cmd:"bundle replay" "jobs" 1 jobs;
+      check_at_least ~cmd:"bundle replay" "workers" 1 workers;
       (* Replay only a bundle that verifies: re-running from tampered
          pinned inputs would "reproduce" garbage. *)
-      (match B.verify ~dir with
-      | Error msg ->
-          Printf.eprintf "bundle replay: %s\n" msg;
-          exit 2
-      | Ok (_, report) when not (B.ok report) ->
-          Printf.eprintf "bundle replay: %s fails verification; refusing to replay\n" dir;
-          print_problems report;
-          exit 1
-      | Ok _ -> ());
-      let m = match B.load ~dir with Ok m -> m | Error _ -> assert false in
+      let m =
+        match B.verify ~dir with
+        | Error msg ->
+            Printf.eprintf "bundle replay: %s\n" msg;
+            exit 2
+        | Ok (_, report) when not (B.ok report) ->
+            Printf.eprintf "bundle replay: %s fails verification; refusing to replay\n" dir;
+            print_problems report;
+            exit 1
+        | Ok (m, _) -> m
+      in
       if m.B.kind <> "campaign" then begin
         Printf.eprintf "bundle replay: only campaign bundles can be replayed (this is %S)\n"
           m.B.kind;
         exit 2
       end;
-      let config = Pi_campaign.Coordinator.config_of_args m.B.config_args in
-      let digest = Pi_campaign.Obs_cache.config_digest config in
-      if digest <> m.B.config_digest then begin
-        Printf.eprintf
-          "bundle replay: config digest mismatch (bundle %s, rebuilt %s): this build \
-           does not reproduce the bundle's config\n"
-          m.B.config_digest digest;
-        exit 2
-      end;
-      let benches =
-        List.map
-          (fun name ->
-            match Pi_workloads.Spec.find name with
-            | bench -> bench
-            | exception Not_found ->
-                Printf.eprintf "bundle replay: bundle names unknown benchmark %S\n" name;
-                exit 2)
-          m.B.benches
+      let config, benches =
+        rebuild_run ~cmd:"bundle replay" ~noun:"bundle" ~config_args:m.B.config_args
+          ~config_digest:m.B.config_digest m.B.benches
       in
       let out = match out with Some o -> o | None -> dir ^ ".replay" in
-      let n_workers = match workers with Some w when w >= 2 -> w | _ -> 0 in
-      let coordinator =
-        if n_workers >= 2 then
-          Some
-            (Pi_campaign.Coordinator.create ~workers:n_workers
-               ~config_args:m.B.config_args ())
-        else None
-      in
-      let observe = Option.map Pi_campaign.Coordinator.observe_hook coordinator in
       (* No observation cache: a replay recomputes everything from the
          pinned inputs — that is the point. *)
-      let result =
-        Fun.protect
-          ~finally:(fun () -> Option.iter Pi_campaign.Coordinator.shutdown coordinator)
-          (fun () ->
-            Pi_campaign.Campaign.run ~config ?jobs ?observe
-              ~config_args:m.B.config_args ~label:m.B.label ~n_layouts:m.B.n_layouts
-              benches)
+      let result, workers =
+        run_campaign ~jobs ~workers ~config_args:m.B.config_args (fun ~jobs ~observe ->
+            Pi_campaign.Campaign.run ~config ?jobs ?observe ~config_args:m.B.config_args
+              ~label:m.B.label ~n_layouts:m.B.n_layouts benches)
       in
       if not (Pi_campaign.Campaign.succeeded result) then begin
         Printf.eprintf "bundle replay: the re-run campaign had failed jobs\n";
         exit 1
       end;
-      let rm =
-        B.of_campaign ~dir:out ~workers:(if n_workers >= 2 then n_workers else 1) result
-      in
+      let rm = B.of_campaign ~dir:out ~workers result in
       let outputs (manifest : B.manifest) =
         List.filter (fun (a : B.artifact) -> a.B.role = B.Output) manifest.B.artifacts
       in
@@ -1588,67 +1472,23 @@ let bundle_cmd =
                output byte-for-byte; exit 1 unless identical.")
       Term.(const run
             $ dir_pos 0 "BUNDLE" "Bundle directory to replay."
-            $ out_term $ jobs_term $ workers_term)
+            $ out_term $ campaign_jobs_term $ workers_term)
   in
   let diff_cmd =
-    let tolerance_term =
-      Arg.(value & opt (some float) None
-           & info [ "tolerance" ] ~docv:"PCT"
-               ~doc:"Override the higher-is-better gates' tolerance percent \
-                     ($(b,failed_jobs) always gates at 0).")
-    in
     let run before_dir after_dir tolerance =
       let load dir =
-        match Pi_campaign.Bundle.load ~dir with
+        match B.load ~dir with
         | Ok m -> m
         | Error msg ->
             Printf.eprintf "bundle diff: %s: %s\n" dir msg;
             exit 2
       in
       let before = load before_dir and after = load after_dir in
-      let rules =
-        match tolerance with
-        | None -> History.default_rules
-        | Some tol ->
-            List.map
-              (fun (r : History.rule) ->
-                match r.History.direction with
-                | History.Higher_better -> { r with History.tol_percent = tol }
-                | History.Lower_better -> r)
-              History.default_rules
-      in
-      let deltas = B.diff ~rules ~before ~after () in
-      if deltas = [] then begin
-        Printf.eprintf "bundle diff: %s and %s share no metrics\n" before_dir after_dir;
-        exit 2
-      end;
-      Printf.printf "bundle diff %s (%s) -> %s (%s)\n" before_dir before.B.label after_dir
-        after.B.label;
-      List.iter
-        (fun (d : History.delta) ->
-          let gate =
-            match d.History.rule with
-            | Some r ->
-                Printf.sprintf "  [%s, tol %g%%]"
-                  (match r.History.direction with
-                  | History.Higher_better -> "higher is better"
-                  | History.Lower_better -> "lower is better")
-                  r.History.tol_percent
-            | None -> ""
-          in
-          Printf.printf "%-10s %-28s %14s -> %14s  %+8.2f%%%s\n"
-            (if d.History.regression then "REGRESSION" else "ok")
-            d.History.metric
-            (Metrics.float_repr d.History.before)
-            (Metrics.float_repr d.History.after)
-            d.History.delta_percent gate)
-        deltas;
-      let regressed = History.regressions deltas in
-      if regressed <> [] then begin
-        Printf.eprintf "bundle diff: %d metric(s) regressed\n" (List.length regressed);
-        exit 1
-      end
-      else print_endline "no regressions"
+      gate ~cmd:"bundle diff"
+        ~title:
+          (Printf.sprintf "bundle diff %s (%s) -> %s (%s)" before_dir before.B.label after_dir
+             after.B.label)
+        ~names:(before_dir, after_dir) ~tolerance before.B.metrics after.B.metrics
     in
     Cmd.v
       (Cmd.info "diff"
@@ -1825,30 +1665,25 @@ let job_id_term =
   Arg.(required & pos 0 (some string) None
        & info [] ~docv:"JOB-ID" ~doc:"Job id from $(b,interferometry submit).")
 
-let status_cmd =
+(* `status` and `result`: print one daemon job's document. *)
+let job_doc_cmd name ~doc fetch print =
   let run state_dir port id =
-    match Pi_serve.Client.status (connect state_dir port) ~id with
-    | Ok doc -> print_endline (Pi_obs.Json.to_string doc)
+    match fetch (connect state_dir port) ~id with
+    | Ok doc -> print doc
     | Error msg ->
-        Printf.eprintf "status: %s\n" msg;
+        Printf.eprintf "%s: %s\n" name msg;
         exit 2
   in
-  Cmd.v
-    (Cmd.info "status" ~doc:"Print a daemon job's status document.")
-    Term.(const run $ state_dir_term $ client_port_term $ job_id_term)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ state_dir_term $ client_port_term $ job_id_term)
+
+let status_cmd =
+  job_doc_cmd "status" ~doc:"Print a daemon job's status document." Pi_serve.Client.status
+    (fun doc -> print_endline (Pi_obs.Json.to_string doc))
 
 let result_cmd =
-  let run state_dir port id =
-    match Pi_serve.Client.result (connect state_dir port) ~id with
-    | Ok doc -> print_string doc
-    | Error msg ->
-        Printf.eprintf "result: %s\n" msg;
-        exit 2
-  in
-  Cmd.v
-    (Cmd.info "result"
-       ~doc:"Print a finished daemon job's result document (exact persisted bytes).")
-    Term.(const run $ state_dir_term $ client_port_term $ job_id_term)
+  job_doc_cmd "result"
+    ~doc:"Print a finished daemon job's result document (exact persisted bytes)."
+    Pi_serve.Client.result print_string
 
 let () =
   let doc = "Program interferometry: performance modelling by layout perturbation" in

@@ -9,8 +9,8 @@ module J = Pi_obs.Json
    rendered with keys sorted bytewise (the RFC 8785 JCS ordering for
    ASCII keys, which all of ours are) and then serialized by
    [Pi_obs.Json.to_string], whose float rendering is already canonical
-   (shortest %.12g form that round-trips, else %.17g). Two manifests with
-   equal content therefore hash equal, byte for byte. *)
+   (the first of %.12g, %.15g, %.16g and %.17g that round-trips). Two
+   manifests with equal content therefore hash equal, byte for byte. *)
 let rec canonical (j : J.t) =
   match j with
   | J.Obj fields ->
@@ -284,6 +284,27 @@ let verify ~dir =
 (* Campaign bundles                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The pinned input for each benchmark: not the trace bytes (hundreds of
+   MB re-derivable from config alone) but a fingerprint of the
+   deterministic build products — enough for [verify] to prove the replay
+   ran from the same program and trace, at a few hundred bytes. *)
+let fingerprint (p : Interferometry.Experiment.prepared) =
+  let module E = Interferometry.Experiment in
+  let bench = p.E.bench in
+  ( Obs_cache.sanitize_bench_name bench.Pi_workloads.Bench.name ^ ".fingerprint.json",
+    canonical_string
+      (J.Obj
+         [
+           ("bench", J.String bench.Pi_workloads.Bench.name);
+           ("suite", J.String (Pi_workloads.Bench.suite_name bench.Pi_workloads.Bench.suite));
+           ("warmup_blocks", J.Int p.E.warmup_blocks);
+           ("blocks_executed", J.Int (Pi_isa.Trace.blocks_executed p.E.trace));
+           ( "program_sha256",
+             J.String (Sha256.string (Pi_isa.Program.static_stats p.E.program)) );
+           ("trace_sha256", J.String (Sha256.string (Pi_isa.Trace.summary p.E.trace)));
+         ])
+    ^ "\n" )
+
 let of_campaign ~dir ~workers (result : Campaign.result) =
   let module E = Interferometry.Experiment in
   let module D = Interferometry.Dataset_io in
@@ -304,26 +325,6 @@ let of_campaign ~dir ~workers (result : Campaign.result) =
          ])
     ^ "\n"
   in
-  (* The pinned input for each benchmark: not the trace bytes (hundreds
-     of MB re-derivable from config alone) but a fingerprint of the
-     deterministic build products — enough for [verify] to prove the
-     replay ran from the same program and trace, at a few hundred bytes. *)
-  let fingerprint (o : Campaign.bench_outcome) (ds : E.dataset) =
-    let p = ds.E.prepared in
-    ( Obs_cache.sanitize_bench_name o.Campaign.entry.Manifest.bench ^ ".fingerprint.json",
-      canonical_string
-        (J.Obj
-           [
-             ("bench", J.String o.Campaign.entry.Manifest.bench);
-             ("suite", J.String o.Campaign.entry.Manifest.suite);
-             ("warmup_blocks", J.Int p.E.warmup_blocks);
-             ("blocks_executed", J.Int (Pi_isa.Trace.blocks_executed p.E.trace));
-             ( "program_sha256",
-               J.String (Sha256.string (Pi_isa.Program.static_stats p.E.program)) );
-             ("trace_sha256", J.String (Sha256.string (Pi_isa.Trace.summary p.E.trace)));
-           ])
-      ^ "\n" )
-  in
   let observations_csv (ds : E.dataset) =
     let buf = Buffer.create 4096 in
     Buffer.add_string buf (D.header_line ^ "\n");
@@ -342,7 +343,9 @@ let of_campaign ~dir ~workers (result : Campaign.result) =
     ~benches:bench_names ~n_layouts:m.Manifest.n_layouts ~workers
     ~created_at:m.Manifest.started_at
     ~metrics:(Manifest.history_metrics m)
-    ~inputs:(("config.json", config_json) :: with_dataset fingerprint)
+    ~inputs:
+      (("config.json", config_json)
+      :: with_dataset (fun _ ds -> fingerprint ds.E.prepared))
     ~outputs:
       (with_dataset (fun o ds ->
            ( Obs_cache.sanitize_bench_name o.Campaign.entry.Manifest.bench ^ ".csv",

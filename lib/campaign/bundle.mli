@@ -82,14 +82,18 @@ val write :
     under their respective subdirectories; inputs and outputs become
     pinned artifacts, meta files do not. Existing files are overwritten. *)
 
+val fingerprint : Interferometry.Experiment.prepared -> string * string
+(** [(<bench>.fingerprint.json, contents)]: the pinned input naming one
+    prepared benchmark — its name and suite, warmup and executed block
+    counts, and the SHA-256 of its deterministic program stats and trace
+    summary. Proof a replay ran from the same build products without
+    shipping the trace bytes. Campaign and sweep bundles both pin it. *)
+
 val of_campaign : dir:string -> workers:int -> Campaign.result -> manifest
 (** Materialize a campaign's bundle: [inputs/config.json] (the pinned
-    config_args + digest + bench list), one
-    [inputs/<bench>.fingerprint.json] per prepared benchmark (SHA-256 of
-    its deterministic program stats and trace summary — proof a replay
-    ran from the same build products without shipping the trace bytes),
-    one [outputs/<bench>.csv] of observations per benchmark, and the run
-    manifest under [meta/]. *)
+    config_args + digest + bench list), one {!fingerprint} per prepared
+    benchmark, one [outputs/<bench>.csv] of observations per benchmark,
+    and the run manifest under [meta/]. *)
 
 (** {1 Loading and verification} *)
 

@@ -21,23 +21,26 @@ let m_redispatches =
 (* Config reconstruction                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The single decoder for the caller-facing config knobs recorded in
-   manifests and bundles. [campaign --resume], the worker hello, and
-   [bundle replay] all rebuild the experiment config through this one
-   function — any skew between them would silently break the "same
-   digest = same measurement" contract, so there is exactly one copy. *)
+(* The single encoder and decoder for the caller-facing config knobs
+   recorded in manifests and bundles. [campaign --resume], the worker
+   hello, and [bundle replay] all rebuild the experiment config through
+   [config_of_args] — any skew between them would silently break the
+   "same digest = same measurement" contract, so there is exactly one
+   copy, and it applies the same policy ({!E.make_config}) as every
+   front end that builds a config from flags. *)
+let config_args ~quick (c : E.config) =
+  [
+    ("quick", J.Bool quick);
+    ("seed", J.Int c.E.master_seed);
+    ("scale", J.Int c.E.scale);
+    ("heap_random", J.Bool c.E.heap_random);
+  ]
+
 let config_of_args args =
-  let geti name default =
-    match List.assoc_opt name args with Some (J.Int i) -> i | _ -> default
-  in
+  let geti name = match List.assoc_opt name args with Some (J.Int i) -> Some i | _ -> None in
   let getb name = match List.assoc_opt name args with Some (J.Bool b) -> b | _ -> false in
-  let base = if getb "quick" then E.quick_config else E.default_config in
-  {
-    base with
-    E.master_seed = geti "seed" base.E.master_seed;
-    scale = geti "scale" base.E.scale;
-    heap_random = getb "heap_random";
-  }
+  E.make_config ~quick:(getb "quick") ?seed:(geti "seed") ?scale:(geti "scale")
+    ~heap_random:(getb "heap_random") ()
 
 (* ------------------------------------------------------------------ *)
 (* Frame protocol                                                      *)

@@ -25,13 +25,20 @@
     EOF on stdin is the shutdown signal. The worker re-points fd 1 at
     stderr at startup, so stray prints cannot corrupt frames. *)
 
+val config_args :
+  quick:bool -> Interferometry.Experiment.config -> (string * Pi_obs.Json.t) list
+(** The caller-facing knobs a manifest or bundle records for a config
+    built by {!Interferometry.Experiment.make_config}: [quick], [seed],
+    [scale], [heap_random], in that order. *)
+
 val config_of_args :
   (string * Pi_obs.Json.t) list -> Interferometry.Experiment.config
-(** Rebuild the experiment config from the caller-facing knobs recorded
-    in manifests and bundles ([quick], [seed], [scale], [heap_random] —
-    absent keys default). The {e single} decoder shared by
-    [campaign --resume], the worker hello, and [bundle replay]: one copy,
-    so "same config_args" always means "same digest". *)
+(** Rebuild the experiment config from the knobs {!config_args} recorded
+    (absent keys default), through
+    {!Interferometry.Experiment.make_config}. The {e single} decoder
+    shared by [campaign --resume], the worker hello, and
+    [bundle replay]: one copy, so "same config_args" always means "same
+    digest". *)
 
 type t
 

@@ -37,6 +37,15 @@ let default_config =
 let quick_config =
   { default_config with scale = 2; budget_blocks = 60_000 }
 
+let make_config ?(quick = false) ?seed ?scale ?heap_random () =
+  let base = if quick then quick_config else default_config in
+  {
+    base with
+    master_seed = Option.value seed ~default:base.master_seed;
+    scale = Option.value scale ~default:base.scale;
+    heap_random = Option.value heap_random ~default:base.heap_random;
+  }
+
 type prepared = {
   bench : Pi_workloads.Bench.t;
   config : config;

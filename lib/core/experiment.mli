@@ -28,6 +28,13 @@ val default_config : config
 val quick_config : config
 (** Small traces for tests: scale 2, reduced budget. *)
 
+val make_config :
+  ?quick:bool -> ?seed:int -> ?scale:int -> ?heap_random:bool -> unit -> config
+(** The run-config policy every front end shares: start from
+    {!quick_config} when [quick] (default [false]), else {!default_config};
+    then set [master_seed], [scale] and [heap_random] (each defaults to
+    the base config's value). *)
+
 type prepared = {
   bench : Pi_workloads.Bench.t;
   config : config;

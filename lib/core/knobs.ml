@@ -1,24 +1,18 @@
-let parse_int ~name ~default raw =
+let parse_int ~name ~min ~default raw =
   match raw with
-  | None -> (default, None)
+  | None -> Ok default
   | Some v -> (
       match int_of_string_opt (String.trim v) with
-      | Some n when n > 0 -> (n, None)
-      | Some n ->
-          ( default,
-            Some
-              (Printf.sprintf "%s=%d is not positive; using default %d" name n
-                 default) )
-      | None ->
-          ( default,
-            Some
-              (Printf.sprintf "%s=%S is not an integer; using default %d" name v
-                 default) ))
+      | Some n when n >= min -> Ok n
+      | Some n -> Error (Printf.sprintf "%s=%d is below its minimum %d" name n min)
+      | None -> Error (Printf.sprintf "%s=%S is not an integer" name v))
 
-let env_int ?(warn = fun msg -> Pi_obs.Log.warn "%s" msg) name default =
-  let value, warning = parse_int ~name ~default (Sys.getenv_opt name) in
-  Option.iter warn warning;
-  value
+let env_int ?(min = 1) name default =
+  match parse_int ~name ~min ~default (Sys.getenv_opt name) with
+  | Ok n -> n
+  | Error msg ->
+      prerr_endline msg;
+      exit 2
 
 let describe knobs =
   knobs

@@ -132,6 +132,17 @@ let default_rules =
     { suffix = "_max_err"; direction = Lower_better; tol_percent = 100.0 };
   ]
 
+let rules ?tolerance () =
+  match tolerance with
+  | None -> default_rules
+  | Some tol ->
+      List.map
+        (fun r ->
+          match r.direction with
+          | Higher_better -> { r with tol_percent = tol }
+          | Lower_better -> r)
+        default_rules
+
 let rule_for rules metric =
   List.find_opt
     (fun r ->

@@ -65,6 +65,11 @@ val default_rules : rule list
     better, 100% — they live near zero where relative jitter is large,
     so only a doubling regresses. *)
 
+val rules : ?tolerance:float -> unit -> rule list
+(** {!default_rules}, with every higher-better gate's tolerance replaced
+    by [tolerance] when given. Lower-better gates keep theirs, so
+    [failed_jobs] stays a hard zero-tolerance gate. *)
+
 type delta = {
   metric : string;
   before : float;

@@ -29,11 +29,16 @@ let rec render buf = function
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
       if Float.is_finite f then begin
-        (* Shortest representation that round-trips (timestamps need more
-           than %g's default 6 significant digits). *)
-        let s = Printf.sprintf "%.12g" f in
-        let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
-        Buffer.add_string buf s
+        (* The first of 12, 15, 16 and 17 significant digits that
+           round-trips (timestamps need more than %g's default 6; 17
+           always does). *)
+        let rec shortest = function
+          | [] -> Printf.sprintf "%.17g" f
+          | digits :: rest ->
+              let s = Printf.sprintf "%.*g" digits f in
+              if float_of_string s = f then s else shortest rest
+        in
+        Buffer.add_string buf (shortest [ 12; 15; 16 ])
       end
       else Buffer.add_string buf "null"
   | String s -> escape buf s

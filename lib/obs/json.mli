@@ -19,8 +19,8 @@ type t =
 
 val to_string : t -> string
 (** Compact single-line rendering, fields in list order. Floats use the
-    shortest of [%.12g] and [%.17g] that round-trips; non-finite floats
-    become [null] (JSON has no NaN/infinity). *)
+    first of [%.12g], [%.15g], [%.16g] and [%.17g] that round-trips;
+    non-finite floats become [null] (JSON has no NaN/infinity). *)
 
 val number : float -> t
 (** [Int] for an integral value below 1e15 in magnitude (so it renders

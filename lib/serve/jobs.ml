@@ -187,8 +187,7 @@ let key p = Digest.to_hex (Digest.string (J.to_string (canonical p)))
 let id_of_key key = "j-" ^ String.sub key 0 12
 
 let config_of p =
-  let base = if p.quick then E.quick_config else E.default_config in
-  { base with E.master_seed = p.seed; scale = p.scale; heap_random = p.heap_random }
+  E.make_config ~quick:p.quick ~seed:p.seed ~scale:p.scale ~heap_random:p.heap_random ()
 
 (* ------------------------------------------------------------------ *)
 (* Result documents                                                   *)

@@ -334,44 +334,33 @@ let test_csv_round_trip_refit () =
 
 let test_knobs_parse_int () =
   let module K = Interferometry.Knobs in
-  let check_case label raw expect_value expect_warned =
-    let value, warning = K.parse_int ~name:"PI_TEST" ~default:7 raw in
-    Alcotest.(check int) (label ^ ": value") expect_value value;
-    Alcotest.(check bool) (label ^ ": warned") expect_warned (warning <> None)
+  let check_case label ~min raw expect =
+    let got = K.parse_int ~name:"PI_TEST" ~min ~default:7 raw in
+    Alcotest.(check (option int)) label expect (Result.to_option got)
   in
-  check_case "unset" None 7 false;
-  check_case "valid" (Some "12") 12 false;
-  check_case "whitespace tolerated" (Some " 3 ") 3 false;
-  check_case "zero rejected" (Some "0") 7 true;
-  check_case "negative rejected" (Some "-4") 7 true;
-  check_case "garbage rejected" (Some "fast") 7 true;
-  check_case "float rejected" (Some "2.5") 7 true;
-  (* The warning must name the knob and the fallback so the run header is
-     actionable. *)
-  match K.parse_int ~name:"PI_JOBS" ~default:9 (Some "-1") with
-  | _, Some msg ->
+  check_case "unset" ~min:1 None (Some 7);
+  check_case "valid" ~min:1 (Some "12") (Some 12);
+  check_case "whitespace tolerated" ~min:1 (Some " 3 ") (Some 3);
+  check_case "zero below minimum 1" ~min:1 (Some "0") None;
+  check_case "zero at minimum 0" ~min:0 (Some "0") (Some 0);
+  check_case "negative rejected" ~min:0 (Some "-4") None;
+  check_case "garbage rejected" ~min:1 (Some "fast") None;
+  check_case "suffix rejected" ~min:1 (Some "2x") None;
+  check_case "float rejected" ~min:1 (Some "2.5") None;
+  (* The message must name the knob, so the refusal is actionable. *)
+  match K.parse_int ~name:"PI_JOBS" ~min:1 ~default:9 (Some "-1") with
+  | Error msg ->
       Alcotest.(check bool) "names knob" true
-        (String.length msg >= 7 && String.sub msg 0 7 = "PI_JOBS");
-      let contains affix =
-        let n = String.length affix in
-        let rec find i =
-          i + n <= String.length msg && (String.sub msg i n = affix || find (i + 1))
-        in
-        find 0
-      in
-      Alcotest.(check bool) "mentions default" true (contains "default 9")
-  | _, None -> Alcotest.fail "expected a warning"
+        (String.length msg >= 7 && String.sub msg 0 7 = "PI_JOBS")
+  | Ok _ -> Alcotest.fail "expected a rejection"
 
-let test_knobs_env_int_warn_sink () =
+let test_knobs_env_int () =
   let module K = Interferometry.Knobs in
-  let warned = ref [] in
-  Unix.putenv "PI_KNOB_TEST" "banana";
-  let v = K.env_int ~warn:(fun m -> warned := m :: !warned) "PI_KNOB_TEST" 5 in
   Unix.putenv "PI_KNOB_TEST" "11";
-  let v' = K.env_int ~warn:(fun m -> warned := m :: !warned) "PI_KNOB_TEST" 5 in
-  Alcotest.(check int) "fallback on garbage" 5 v;
-  Alcotest.(check int) "valid value" 11 v';
-  Alcotest.(check int) "exactly one warning" 1 (List.length !warned)
+  Alcotest.(check int) "valid value" 11 (K.env_int "PI_KNOB_TEST" 5);
+  Unix.putenv "PI_KNOB_TEST" "0";
+  Alcotest.(check int) "minimum 0 admits 0" 0 (K.env_int ~min:0 "PI_KNOB_TEST" 5);
+  Alcotest.(check int) "unset gives the default" 5 (K.env_int "PI_KNOB_TEST_UNSET" 5)
 
 let test_knobs_describe () =
   let module K = Interferometry.Knobs in
@@ -429,7 +418,7 @@ let suite =
     ( "core.knobs",
       [
         Alcotest.test_case "parse_int" `Quick test_knobs_parse_int;
-        Alcotest.test_case "env_int warn sink" `Quick test_knobs_env_int_warn_sink;
+        Alcotest.test_case "env_int reads the environment" `Quick test_knobs_env_int;
         Alcotest.test_case "describe" `Quick test_knobs_describe;
       ] );
   ]

@@ -620,6 +620,22 @@ let test_metrics_json_renders () =
 (* /metrics.json read back by a remote [interferometry stats] must be the
    scrape that was rendered: a counter, a labelled gauge and a histogram
    with observations in several buckets and the overflow. *)
+(* Floats render as the first of 12, 15, 16 and 17 significant digits
+   that round-trips: a Chrome-trace timestamp needs 14, a full-precision
+   double all 17, and a value %.12g already renders keeps its bytes. *)
+let test_json_float_forms () =
+  List.iter
+    (fun (f, want) ->
+      let got = Pi_obs.Json.to_string (Pi_obs.Json.Float f) in
+      Alcotest.(check string) want want got;
+      Alcotest.(check bool) (want ^ " round-trips") true (float_of_string got = f))
+    [
+      (44101620016.296, "44101620016.296");
+      (1.2345678901234567, "1.2345678901234567");
+      (0.1, "0.1");
+      (2.5e-7, "2.5e-07");
+    ]
+
 let test_metrics_json_round_trip () =
   Metrics.add (Metrics.counter ~help:"round trip" "test_obs_rt_total") 3;
   Metrics.set (Metrics.gauge ~labels:[ ("side", "a\"b") ] "test_obs_rt_gauge") 0.1;
@@ -668,5 +684,7 @@ let suite =
           test_metrics_json_renders;
         Alcotest.test_case "metrics: JSON twin round-trips a scrape" `Quick
           test_metrics_json_round_trip;
+        Alcotest.test_case "json: floats in their shortest round-trip form" `Quick
+          test_json_float_forms;
       ] );
   ]
